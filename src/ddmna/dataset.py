@@ -27,6 +27,9 @@ _KIND_OF_HEADER = {v: k for k, v in CSV_HEADERS.items()}
 # Index of the weight-carrying coordinate per element kind.
 _W_COL = {"G": 0, "C": 0, "L": 1}
 
+# Decades covered by each sign branch of a log-symmetric sampling grid.
+LOG_SPAN_DECADES = 12.0
+
 
 @dataclass
 class MeasurementSet:
@@ -62,7 +65,6 @@ class SamplingPlan:
     count: int
     spacing: str = "uniform"  # or "log-symmetric"
     drive: str = "v"          # gridded coordinate: "v" (G, C), "i" or "psi" (L, diode)
-    log_span_decades: float = 12.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -77,14 +79,14 @@ class SamplingPlan:
             return np.array([0.5 * (self.lo + self.hi)])
         if self.spacing == "uniform":
             return np.linspace(self.lo, self.hi, self.count)
-        return _log_symmetric_grid(self.lo, self.hi, self.count, self.log_span_decades)
+        return _log_symmetric_grid(self.lo, self.hi, self.count)
 
 
-def _log_symmetric_grid(lo: float, hi: float, count: int, span: float) -> np.ndarray:
+def _log_symmetric_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """Log-spaced grid covering [lo, hi], split per sign, endpoints included."""
     def one_sided(bound: float, n: int) -> np.ndarray:
         top = np.log10(abs(bound))
-        return np.sign(bound) * np.logspace(top - span, top, n)
+        return np.sign(bound) * np.logspace(top - LOG_SPAN_DECADES, top, n)
 
     if lo > 0.0:
         return np.logspace(np.log10(lo), np.log10(hi), count)
@@ -104,7 +106,6 @@ class ElementWeight:
     """Computational metric coefficient for one element (not a physical value)."""
 
     value: float
-    rule: str = "constant"  # or "local-tangent"
 
     def __post_init__(self):
         if not (0.0 < self.value < np.inf):
@@ -230,9 +231,9 @@ def local_tangent_weight(mset: MeasurementSet, state_pair, k: int,
     var = float(a_c @ a_c)
     if var <= 0.0:
         log.warning("degenerate local-tangent neighborhood; keeping previous weight")
-        return ElementWeight(current.value, rule="local-tangent")
+        return ElementWeight(current.value)
     slope = abs(float(a_c @ (b - b.mean())) / var)
-    return ElementWeight(min(max(slope, w_min), w_max), rule="local-tangent")
+    return ElementWeight(min(max(slope, w_min), w_max))
 
 
 def project_known_linear(w: float, query, kind: str = "G") -> np.ndarray:
@@ -278,21 +279,13 @@ def default_weight(binding: ElementBinding) -> ElementWeight:
     raise TypeError(f"no default weight for {model!r}")
 
 
-def drive_coordinate(binding: ElementBinding) -> str:
-    """Which coordinate is gridded when sampling this element."""
-    if binding.group == "L":
-        return "i"
-    if binding.group == "G" and isinstance(binding.model, em.ShockleyDiodeModel):
-        return "i"
-    return "v"
-
-
-def operating_envelope(trace, graph: CircuitGraph, margin: float = 1.0,
-                       drives: dict[str, str] | None = None) -> dict[str, tuple[float, float]]:
+def operating_envelope(trace, graph: CircuitGraph,
+                       margin: float = 1.0) -> dict[str, tuple[float, float]]:
     """Per-element range of the driving coordinate over a trace, widened by margin.
 
-    The range is widened symmetrically about its midpoint; a degenerate range
-    collapses to m +/- (margin - 1) * max(|m|, 1).
+    The driving coordinate is the current for inductors and diodes and the
+    voltage otherwise.  The range is widened symmetrically about its
+    midpoint; a degenerate range collapses to m +/- (margin - 1) * max(|m|, 1).
     """
     if len(trace.states) == 0:
         raise ValueError("empty trace")
@@ -301,11 +294,8 @@ def operating_envelope(trace, graph: CircuitGraph, margin: float = 1.0,
     out = {}
     for group in "GCL":
         for j, e in enumerate(graph.groups[group]):
-            drive = (drives or {}).get(e.name)
-            if drive is None:
-                drive = "i" if (group == "L" or e.kind == "diode") else "v"
+            col = 1 if (group == "L" or e.kind == "diode") else 0
             pairs = trace.pairs(group, j)
-            col = {"v": 0, "psi": 0, "i": 1, "q": 1}[drive]
             lo, hi = float(pairs[:, col].min()), float(pairs[:, col].max())
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             if half > 0.0:

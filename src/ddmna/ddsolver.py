@@ -6,6 +6,12 @@ the constraints, unknowns extended by Lagrange multipliers) followed by
 independent per-element nearest-neighbor projections onto the data.  The
 iteration is a fixed point monitored through the energy mismatch, the
 weighted squared distance between the two projected states.
+
+Elements with a known model are not matched to data.  Each one is folded into
+the constraints as its tangent line y = slope * x + offset.  A linear model is
+its own constant tangent; a nonlinear one (diode, MLCC) is re-linearised at
+the Kirchhoff state in every data half-step, so the alternation runs Newton's
+method on the known part.
 """
 
 from __future__ import annotations
@@ -20,11 +26,9 @@ from . import elements as em
 from .dataset import (
     ElementBinding,
     ElementWeight,
-    MeasurementSet,
     NearestNeighborIndex,
-    SamplingPlan,
     default_weight,
-    generate_measurements,
+    generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     local_tangent_weight,
     nearest_measurement,
     project_known_linear,
@@ -33,8 +37,12 @@ from .dataset import (
 from .netlist import CircuitGraph, IncidenceSet
 from .state import CircuitState, HistoryState, TransientConfig, TransientTrace
 
-VIRTUAL_SET_SIZE = 10_000
 MISMATCH_FLOOR = 1e-30
+# Local-tangent weights: neighbours in the slope fit, and the clamp range
+# relative to the element's reference weight.
+TANGENT_K = 10
+W_MIN_FACTOR = 1e-9
+W_MAX_FACTOR = 1e9
 
 
 class DDSolverError(RuntimeError):
@@ -46,9 +54,6 @@ class DDConfig:
     tol_em: float = 1e-10
     max_iters: int = 500
     weight_rule: str = "constant"  # or "local-tangent"
-    tangent_k: int = 10
-    w_min_factor: float = 1e-9
-    w_max_factor: float = 1e9
 
     def __post_init__(self):
         if not self.tol_em > 0.0:
@@ -79,41 +84,30 @@ class WeightSet:
     c: np.ndarray
     l: np.ndarray
 
-    def by_group(self, group: str) -> np.ndarray:
-        return {"G": self.g, "C": self.c, "L": self.l}[group]
 
+@dataclass
+class KnownTangent:
+    """Tangent line response = slope * drive + offset of one known element.
 
-class KnownNonlinearProjector:
-    """Projection onto a known nonlinear model via a dense virtual dataset.
-
-    The virtual set is regenerated whenever the query leaves the sampled
-    window, so nonlinear known elements get the same nearest-neighbor
-    treatment as data-driven ones.
+    The drive is v for G and C elements and i for L elements.  Linear models
+    keep (value, 0.0); nonlinear ones move with `relinearize`.
     """
 
-    def __init__(self, model, kind: str, size: int = VIRTUAL_SET_SIZE):
-        self.model = model
-        self.kind = kind
-        self.size = size
-        self._half_width = None
-        self._mset: MeasurementSet | None = None
-        self._drive_col = 1 if isinstance(model, em.ShockleyDiodeModel) else 0
+    index: int  # column within the element's group
+    model: object
+    slope: float
+    offset: float = 0.0
 
-    def _rebuild(self, scale: float) -> None:
-        self._half_width = scale
+    def relinearize(self, x: float) -> np.ndarray:
+        """Move the tangent to drive x; returns the model pair (x, f(x))."""
         if isinstance(self.model, em.ShockleyDiodeModel):
-            lo = max(-scale, -self.model.i_s * (1.0 - 1e-12))
-            plan = SamplingPlan(lo, scale, self.size, spacing="log-symmetric", drive="i")
+            f = em.conductor_current(self.model, x)
+            self.slope = em.conductor_conductance(self.model, x)
         else:
-            plan = SamplingPlan(-scale, scale, self.size)
-        self._mset = generate_measurements(self.model, plan)
-
-    def project(self, pair, w: float) -> np.ndarray:
-        a = abs(float(pair[self._drive_col]))
-        if self._mset is None or a > self._half_width:
-            self._rebuild(max(2.0 * a, 1e-12))
-        p, _ = nearest_measurement(self._mset, pair, w)
-        return p
+            f = em.capacitor_charge(self.model, x)
+            self.slope = em.capacitor_capacitance(self.model, x)
+        self.offset = f - self.slope * x
+        return np.array([x, f])
 
 
 class DDSolver:
@@ -139,26 +133,29 @@ class DDSolver:
         self.w_ref: dict[str, float] = {}
         self.weights: dict[str, ElementWeight] = {}
         self.nn: dict[str, NearestNeighborIndex] = {}
-        self.known_nl: dict[str, KnownNonlinearProjector] = {}
+        # Known elements are hard constraints of the Kirchhoff projection,
+        # each folded as its tangent line with its own multiplier, so every
+        # Kirchhoff state satisfies them exactly.  That does not end a step
+        # in one solve: the data half-step still moves the known pairs (by
+        # rounding for linear models, by one Newton step for nonlinear ones),
+        # and a step stops only when the data indices and the known pairs
+        # repeat bit for bit, or on the mismatch floor or the stall test.
+        self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
         for group in "GCL":
-            for b in self.bindings[group]:
+            for j, b in enumerate(self.bindings[group]):
                 w = default_weight(b)
                 self.w_ref[b.name] = w.value
                 self.weights[b.name] = w
                 if b.mode == "data":
                     self.nn[b.name] = NearestNeighborIndex(b.data, w.value)
-                elif not isinstance(b.model, em.LinearModel):
-                    self.known_nl[b.name] = KnownNonlinearProjector(b.model, group)
-
-        # Known linear constitutive laws are affine, so they are folded into
-        # the constraint set of the Kirchhoff projection (with their own
-        # multipliers).  The alternating iteration then only has to resolve
-        # the discrete choices; its limit for the folded elements is reached
-        # in one solve instead of a slow geometric crawl.
-        self.known_lin: dict[str, list[tuple[int, float]]] = {
-            group: [(j, b.model.value) for j, b in enumerate(self.bindings[group])
-                    if b.mode == "known" and isinstance(b.model, em.LinearModel)]
-            for group in "GCL"}
+                elif isinstance(b.model, em.LinearModel):
+                    self.known[group].append(KnownTangent(j, b.model, b.model.value))
+                else:
+                    tangent = KnownTangent(j, b.model, 0.0)
+                    tangent.relinearize(0.0)
+                    self.known[group].append(tangent)
+        self._known_by_name = {self.bindings[group][t.index].name: t
+                               for group in "GCL" for t in self.known[group]}
 
         self.v_waves = [e.waveform for e in graph.groups["V"]]
         self.i_waves = [e.waveform for e in graph.groups["I"]]
@@ -167,13 +164,12 @@ class DDSolver:
         self.n_c = graph.count("C")
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
-        self._lu_cache: dict = {}
+        self._lu_slot: tuple | None = None  # (key, LU factors) of the last system
 
     # ------------------------------------------------------------------
     def set_weight(self, name: str, value: float) -> None:
         """Override one element's metric coefficient (rebuilds its NN index)."""
-        old = self.weights[name]
-        self.weights[name] = ElementWeight(float(value), old.rule)
+        self.weights[name] = ElementWeight(float(value))
         self.w_ref[name] = float(value)
         if name in self.nn:
             self.nn[name] = NearestNeighborIndex(self.nn[name].mset, float(value))
@@ -192,14 +188,17 @@ class DDSolver:
     def _weights_key(self) -> tuple:
         return tuple(sorted((k, w.value) for k, w in self.weights.items()))
 
+    def _slopes_key(self) -> tuple:
+        return tuple(t.slope for group in "GCL" for t in self.known[group])
+
     # ------------------------------------------------------------------
     def layout(self) -> dict[str, slice]:
         sizes = [("phi", self.nphi), ("i_g", self.n_g), ("q_c", self.n_c),
                  ("i_l", self.n_l), ("psi", self.n_l), ("i_v", self.n_v),
                  ("eta", self.nphi), ("lam_l", self.n_l), ("lam_v", self.n_v),
-                 ("mu_g", len(self.known_lin["G"])),
-                 ("mu_c", len(self.known_lin["C"])),
-                 ("mu_l", len(self.known_lin["L"]))]
+                 ("mu_g", len(self.known["G"])),
+                 ("mu_c", len(self.known["C"])),
+                 ("mu_l", len(self.known["L"]))]
         out, pos = {}, 0
         for name, sz in sizes:
             out[name] = slice(pos, pos + sz)
@@ -246,26 +245,26 @@ class DDSolver:
         m[blk("lam_l", "psi")] = -alpha * np.eye(self.n_l)
         m[blk("lam_v", "phi")] = inc.a_v.T
 
-        # Known-linear constitutive constraints (folded into K).
-        for k, (j, val) in enumerate(self.known_lin["G"]):
-            r = lay["mu_g"].start + k
-            m[r, lay["i_g"].start + j] = 1.0
-            m[r, lay["phi"]] = -val * inc.a_g[:, j]
-            m[lay["i_g"].start + j, r] = -1.0
-            m[lay["phi"], r] = val * inc.a_g[:, j]
-        for k, (j, val) in enumerate(self.known_lin["C"]):
-            r = lay["mu_c"].start + k
-            m[r, lay["q_c"].start + j] = 1.0
-            m[r, lay["phi"]] = -val * inc.a_c[:, j]
-            m[lay["q_c"].start + j, r] = -1.0
-            m[lay["phi"], r] = val * inc.a_c[:, j]
-        for k, (j, val) in enumerate(self.known_lin["L"]):
-            r = lay["mu_l"].start + k
-            m[r, lay["psi"].start + j] = 1.0
-            m[r, lay["i_l"].start + j] = -val
-            m[lay["psi"].start + j, r] = -1.0
-            m[lay["i_l"].start + j, r] = val
+        self._fold_known(m, "G", lay["mu_g"], lay["i_g"], lay["phi"], inc.a_g)
+        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c)
+        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(self.n_l))
         return m
+
+    def _fold_known(self, m: np.ndarray, group: str, mu: slice, response: slice,
+                    drive: slice, drive_map: np.ndarray) -> None:
+        """Fold the group's known tangents into m as constraint rows.
+
+        Row k of `mu` reads response_j - slope * (drive_map[:, j] . drive) =
+        offset; the offset goes on the right-hand side.  The multiplier
+        columns carry the transposed entries with flipped sign.
+        """
+        for k, t in enumerate(self.known[group]):
+            r = mu.start + k
+            col = t.slope * drive_map[:, t.index]
+            m[r, response.start + t.index] = 1.0
+            m[r, drive] = -col
+            m[response.start + t.index, r] = -1.0
+            m[drive, r] = col
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -283,26 +282,28 @@ class DDSolver:
         b[lay["eta"]] = inc.a_i @ i_src + inc.a_c @ rhs_c
         b[lay["lam_l"]] = -rhs_l
         b[lay["lam_v"]] = v_src
+        for group in "GCL":
+            b[lay["mu_" + group.lower()]] = [t.offset for t in self.known[group]]
         return b
 
-    def _lu(self, alpha: float):
-        key = (alpha, self._weights_key())
-        lu = self._lu_cache.get(key)
-        if lu is None:
-            m = self.assemble_projection_matrix(alpha)
+    def _factor(self, key: tuple, assemble):
+        """LU factors of assemble(), refactored only when key changes."""
+        if self._lu_slot is None or self._lu_slot[0] != key:
             try:
-                lu = scipy.linalg.lu_factor(m)
+                lu = scipy.linalg.lu_factor(assemble())
             except scipy.linalg.LinAlgError as exc:
                 raise DDSolverError(f"singular projection system: {exc}") from None
-            self._lu_cache = {key: lu}  # one live factorization is enough
-        return lu
+            self._lu_slot = (key, lu)
+        return self._lu_slot[1]
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
                              v_src: np.ndarray, i_src: np.ndarray) -> CircuitState:
         """Closest Kirchhoff-feasible state to zx in the weighted metric."""
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-        z = scipy.linalg.lu_solve(self._lu(alpha), b)
+        lu = self._factor((alpha, self._weights_key(), self._slopes_key()),
+                          lambda: self.assemble_projection_matrix(alpha))
+        z = scipy.linalg.lu_solve(lu, b)
         lay = self.layout()
         phi = z[lay["phi"]]
         return CircuitState(
@@ -344,7 +345,13 @@ class DDSolver:
 
     # ------------------------------------------------------------------
     def project_to_data(self, zo: CircuitState) -> tuple[CircuitState, tuple]:
-        """Independent per-element projection onto data / known models."""
+        """Independent per-element projection onto data / known models.
+
+        Data elements take their nearest measured pair.  Known linear
+        elements take the closest point on their line; known nonlinear ones
+        take the model point at the Kirchhoff state's drive coordinate and
+        are re-linearised there.
+        """
         zx = zo.copy()
         dd_indices = []
         known_pairs = []
@@ -353,16 +360,13 @@ class DDSolver:
                 w = self.weights[b.name]
                 pair = zo.pair(group, j)
                 if b.mode == "data":
-                    if w.rule == "constant":
-                        p, idx = self.nn[b.name].query(pair)
-                    else:
-                        p, idx = self.nn[b.name].query(pair, w=w.value)
+                    p, idx = self.nn[b.name].query(pair, w=w.value)
                     dd_indices.append(idx)
                 elif isinstance(b.model, em.LinearModel):
                     p = project_known_linear(b.model.value, pair, kind=group)
                     known_pairs.append(p)
                 else:
-                    p = self.known_nl[b.name].project(pair, w.value)
+                    p = self._known_by_name[b.name].relinearize(float(pair[0]))
                     known_pairs.append(p)
                 zx.set_pair(group, j, p)
         return zx, (tuple(dd_indices), tuple(map(tuple, known_pairs)))
@@ -390,10 +394,8 @@ class DDSolver:
                     continue
                 ref = self.w_ref[b.name]
                 self.weights[b.name] = local_tangent_weight(
-                    b.data, zx.pair(group, j), self.config.tangent_k,
-                    self.weights[b.name],
-                    w_min=self.config.w_min_factor * ref,
-                    w_max=self.config.w_max_factor * ref)
+                    b.data, zx.pair(group, j), TANGENT_K, self.weights[b.name],
+                    w_min=W_MIN_FACTOR * ref, w_max=W_MAX_FACTOR * ref)
 
     # ------------------------------------------------------------------
     def solve_timestep(self, zx_seed: CircuitState, seed_selections: tuple | None,
@@ -467,7 +469,7 @@ class DDSolver:
         v_src, i_src = self.sources(t0)
 
         nphi, n_g, n_c, n_v = self.nphi, self.n_g, self.n_c, self.n_v
-        n_mu = len(self.known_lin["G"])
+        n_mu = len(self.known["G"])
         n = nphi + n_g + n_c + n_v + nphi + n_c + n_v + n_mu
         s_phi = slice(0, nphi)
         s_ig = slice(nphi, nphi + n_g)
@@ -479,40 +481,37 @@ class DDSolver:
         s_mu = slice(s_lv.stop, n)
 
         w = self.weight_arrays()
-        m = np.zeros((n, n))
-        m[s_phi, s_phi] = (inc.a_g * w.g) @ inc.a_g.T
-        m[s_phi, s_lc] = -inc.a_c
-        m[s_phi, s_lv] = -inc.a_v
-        m[s_ig, s_ig] = np.diag(1.0 / w.g)
-        m[s_ig, s_eta] = -inc.a_g.T
-        m[s_ic, s_eta] = -inc.a_c.T
-        m[s_iv, s_eta] = -inc.a_v.T
-        m[s_eta, s_ig] = inc.a_g
-        m[s_eta, s_ic] = inc.a_c
-        m[s_eta, s_iv] = inc.a_v
-        m[s_lc, s_phi] = inc.a_c.T
-        m[s_lv, s_phi] = inc.a_v.T
-        for k, (j, val) in enumerate(self.known_lin["G"]):
-            r = s_mu.start + k
-            m[r, s_ig.start + j] = 1.0
-            m[r, s_phi] = -val * inc.a_g[:, j]
-            m[s_ig.start + j, r] = -1.0
-            m[s_phi, r] = val * inc.a_g[:, j]
-        try:
-            lu = scipy.linalg.lu_factor(m)
-        except scipy.linalg.LinAlgError as exc:
-            raise DDSolverError(f"singular initial projection system: {exc}") from None
+
+        def assemble():
+            m = np.zeros((n, n))
+            m[s_phi, s_phi] = (inc.a_g * w.g) @ inc.a_g.T
+            m[s_phi, s_lc] = -inc.a_c
+            m[s_phi, s_lv] = -inc.a_v
+            m[s_ig, s_ig] = np.diag(1.0 / w.g)
+            m[s_ig, s_eta] = -inc.a_g.T
+            m[s_ic, s_eta] = -inc.a_c.T
+            m[s_iv, s_eta] = -inc.a_v.T
+            m[s_eta, s_ig] = inc.a_g
+            m[s_eta, s_ic] = inc.a_c
+            m[s_eta, s_iv] = inc.a_v
+            m[s_lc, s_phi] = inc.a_c.T
+            m[s_lv, s_phi] = inc.a_v.T
+            self._fold_known(m, "G", s_mu, s_ig, s_phi, inc.a_g)
+            return m
 
         zx = self.seed_state(q_c0, psi_l0)
         state = None
         prev_sel = None
         for _ in range(self.config.max_iters):
+            lu = self._factor(("initial", self._weights_key(), self._slopes_key()),
+                              assemble)
             b = np.zeros(n)
             b[s_phi] = inc.a_g @ (w.g * zx.v_g)
             b[s_ig] = zx.i_g / w.g
             b[s_eta] = inc.a_i @ i_src - inc.a_l @ i_l0
             b[s_lc] = v_c0
             b[s_lv] = v_src
+            b[s_mu] = [t.offset for t in self.known["G"]]
             z = scipy.linalg.lu_solve(lu, b)
             phi = z[s_phi]
             state = CircuitState(
@@ -615,8 +614,10 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
                          cap: int = 10 ** 6):
     """Enumerate all data-state combinations; exact oracle for the double minimization.
 
-    Known elements are handled by iterating their (continuous, per-tuple exact)
-    projections to convergence for each enumerated tuple.  Returns
+    Known elements are folded into the Kirchhoff projection as tangent
+    constraints; for each enumerated tuple the alternation is repeated until
+    the known pairs stop moving (a Newton iteration for nonlinear models, at
+    most 200 passes).  Returns
     (best K-feasible state, best index tuple, global minimum mismatch).
     """
     dd_elems = [(group, j, b) for group in "GCL"

@@ -42,13 +42,10 @@ class ConvergencePoint:
             raise ValueError("invalid convergence point")
 
 
-def true_weights(true_model, ref_pairs: np.ndarray, group: str,
-                 mode: str = "local-tangent") -> np.ndarray:
+def true_weights(true_model, ref_pairs: np.ndarray, group: str) -> np.ndarray:
     """Per-step metric weight from the true model along the reference trace."""
-    if isinstance(true_model, em.LinearModel) or mode == "constant":
-        if isinstance(true_model, em.LinearModel):
-            return np.full(len(ref_pairs), true_model.value)
-        raise ValueError("constant weight mode needs a linear true model")
+    if isinstance(true_model, em.LinearModel):
+        return np.full(len(ref_pairs), true_model.value)
     if isinstance(true_model, em.MlccCapacitorModel):
         return em.mlcc_capacitance(true_model, ref_pairs[:, 0])
     if isinstance(true_model, em.ShockleyDiodeModel):
@@ -59,15 +56,14 @@ def true_weights(true_model, ref_pairs: np.ndarray, group: str,
 
 def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
                           true_model, group: str, index: int,
-                          element: str = "", weight_mode: str = "local-tangent"
-                          ) -> ErrorSeries:
+                          element: str = "") -> ErrorSeries:
     """Squared weighted distance to the reference, per time step, for one element."""
     if len(trace.times) != len(ref_trace.times) or \
             not np.allclose(trace.times, ref_trace.times):
         raise ValueError("traces must share the time grid")
     pairs = trace.pairs(group, index)
     ref_pairs = ref_trace.pairs(group, index)
-    w = true_weights(true_model, ref_pairs, group, weight_mode)
+    w = true_weights(true_model, ref_pairs, group)
     values = np.array([weighted_pair_distance(p, pr, wk, group)
                        for p, pr, wk in zip(pairs, ref_pairs, w)])
     return ErrorSeries(element=element, times=trace.times.copy(),
@@ -75,11 +71,9 @@ def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
 
 
 def rms_error(trace: TransientTrace, ref_trace: TransientTrace,
-              true_model, group: str, index: int,
-              weight_mode: str = "local-tangent") -> float:
+              true_model, group: str, index: int) -> float:
     """Relative RMS error over the whole interval (discrete-sum form)."""
-    series = energy_mismatch_error(trace, ref_trace, true_model, group, index,
-                                   weight_mode=weight_mode)
+    series = energy_mismatch_error(trace, ref_trace, true_model, group, index)
     ref_pairs = ref_trace.pairs(group, index)
     denom = sum(pair_norm(p, wk, group) for p, wk in zip(ref_pairs, series.weights))
     if denom <= 0.0:
@@ -96,12 +90,12 @@ class ErrorDecomposition:
 
 
 def decompose_error(dd_trace: TransientTrace, trad_trace: TransientTrace,
-                    ref_trace: TransientTrace, true_model, group: str, index: int,
-                    weight_mode: str = "local-tangent") -> ErrorDecomposition:
+                    ref_trace: TransientTrace, true_model, group: str,
+                    index: int) -> ErrorDecomposition:
     """Split the overall error into time-discretization and finite-data parts."""
-    eps_time = rms_error(trad_trace, ref_trace, true_model, group, index, weight_mode)
-    eps_data = rms_error(dd_trace, trad_trace, true_model, group, index, weight_mode)
-    eps_total = rms_error(dd_trace, ref_trace, true_model, group, index, weight_mode)
+    eps_time = rms_error(trad_trace, ref_trace, true_model, group, index)
+    eps_data = rms_error(dd_trace, trad_trace, true_model, group, index)
+    eps_total = rms_error(dd_trace, ref_trace, true_model, group, index)
 
     # Triangle inequality on the normalized root errors.  A plain sum of the
     # squared parts would drop the cross term and does not bound the total.

@@ -126,10 +126,6 @@ class IncidenceSet:
     a_v: np.ndarray
     a_i: np.ndarray
 
-    def by_group(self, group: str) -> np.ndarray:
-        return {"G": self.a_g, "C": self.a_c, "L": self.a_l,
-                "V": self.a_v, "I": self.a_i}[group]
-
 
 _MODEL_RE = re.compile(r"^(?P<name>\w+)\((?P<args>[^()]*)\)$")
 

@@ -231,8 +231,8 @@ def _run_cell_task(args):
     return res
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1,
-                   write_traces: bool = True) -> list[CellResult]:
+def run_experiment(spec: ExperimentSpec, out_dir: str,
+                   workers: int = 1) -> list[CellResult]:
     """Execute a sweep and write per-cell artifacts plus the sweep summary CSV."""
     scenario = SCENARIOS[spec.scenario]
     os.makedirs(out_dir, exist_ok=True)
@@ -250,10 +250,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, workers: int = 1,
     for res in results:
         cell_dir = os.path.join(out_dir, f"{res.scheme}_K{res.steps}_N{res.n}")
         os.makedirs(cell_dir, exist_ok=True)
-        if write_traces:
-            res.dd_trace.write_csv(os.path.join(cell_dir, "trace_dd.csv"))
-            res.trad_trace.write_csv(os.path.join(cell_dir, "trace_traditional.csv"))
-            res.ref_trace.write_csv(os.path.join(cell_dir, "trace_reference.csv"))
+        res.dd_trace.write_csv(os.path.join(cell_dir, "trace_dd.csv"))
+        res.trad_trace.write_csv(os.path.join(cell_dir, "trace_traditional.csv"))
+        res.ref_trace.write_csv(os.path.join(cell_dir, "trace_reference.csv"))
         series = energy_mismatch_error(res.dd_trace, res.ref_trace, res.true_model,
                                        res.group, res.index,
                                        element=scenario.metric_element)

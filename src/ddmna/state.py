@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,9 +126,6 @@ class TransientTrace:
         """(K+1, 2) array of one element's pairs over the whole trace."""
         return np.array([s.pair(group, index) for s in self.states])
 
-    def stacked(self, attr: str) -> np.ndarray:
-        return np.array([getattr(s, attr) for s in self.states])
-
     def csv_header(self) -> list[str]:
         cols = ["t"] + [f"phi_{nd}" for nd in self.graph.non_ground_nodes]
         for group, names in (("G", ("v", "i")), ("C", ("v", "q")), ("L", ("psi", "i"))):
@@ -150,7 +147,3 @@ class TransientTrace:
             fh.write(",".join(self.csv_header()) + "\n")
             for row in rows:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def replace_state(state: CircuitState, **kw) -> CircuitState:
-    return replace(state, **kw)
