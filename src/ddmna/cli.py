@@ -31,7 +31,7 @@ from .ddsolver import DDConfig, DDSolverError, run_transient_dd
 from .netlist import NetlistError, build_incidence, parse_netlist
 from .reference import SolverError, kcl_residual, run_transient_traditional
 from .state import TransientConfig
-from .scenarios import SCENARIOS, ExperimentSpec, run_experiment
+from .scenarios import SCENARIOS, ExperimentSpec, run_experiment, write_convergence_csv
 
 SCHEME_ALIASES = {"be": "backward-euler", "tr": "trapezoidal",
                   "backward-euler": "backward-euler", "trapezoidal": "trapezoidal"}
@@ -219,18 +219,13 @@ def _i_src_fn(graph):
 
 
 def _write_run_convergence(trace, solver: str, path: str) -> None:
+    if solver == "data-driven":
+        write_convergence_csv(trace, path)
+        return
     with open(path, "w", newline="") as fh:
-        if solver == "data-driven":
-            fh.write("step,iteration,energy_mismatch\n")
-            for k, d in enumerate(trace.step_details):
-                if d is None:
-                    continue
-                for it, mm in enumerate(d.em_history, start=1):
-                    fh.write(f"{k},{it},{mm:.17g}\n")
-        else:
-            fh.write("step,iterations,converged\n")
-            for k in range(1, len(trace.times)):
-                fh.write(f"{k},{trace.iterations[k]},{int(trace.converged[k])}\n")
+        fh.write("step,iterations,converged\n")
+        for k in range(1, len(trace.times)):
+            fh.write(f"{k},{trace.iterations[k]},{int(trace.converged[k])}\n")
 
 
 # ---------------------------------------------------------------------------

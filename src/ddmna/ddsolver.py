@@ -35,7 +35,7 @@ from .dataset import (
     weighted_pair_distance,
 )
 from .netlist import CircuitGraph, IncidenceSet
-from .state import CircuitState, HistoryState, TransientConfig, TransientTrace
+from .state import CircuitState, TransientConfig, TransientTrace, march
 
 MISMATCH_FLOOR = 1e-30
 # Local-tangent weights: neighbours in the slope fit, and the clamp range
@@ -398,14 +398,13 @@ class DDSolver:
                     w_min=W_MIN_FACTOR * ref, w_max=W_MAX_FACTOR * ref)
 
     # ------------------------------------------------------------------
-    def solve_timestep(self, zx_seed: CircuitState, seed_selections: tuple | None,
-                       alpha: float, rhs_c: np.ndarray, rhs_l: np.ndarray,
-                       v_src: np.ndarray, i_src: np.ndarray
+    def solve_timestep(self, zx_seed: CircuitState, alpha: float, rhs_c: np.ndarray,
+                       rhs_l: np.ndarray, v_src: np.ndarray, i_src: np.ndarray
                        ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
         """Alternate the two projections to a fixed point for one time step."""
         cfg = self.config
         zx = zx_seed
-        prev_sel = seed_selections
+        prev_sel = None
         trace = DDStepTrace()
         em_first = None
         em_prev = None
@@ -552,60 +551,18 @@ def _selections_equal(a: tuple, b: tuple) -> bool:
         all(x == y for x, y in zip(a[1], b[1]))
 
 
-def _step_rhs(history: HistoryState, alpha: float, scheme: str):
-    rhs_c = alpha * history.q_c
-    rhs_l = alpha * history.psi_l
-    if scheme == "trapezoidal":
-        rhs_c = rhs_c + history.qdot_c
-        rhs_l = rhs_l + history.psidot_l
-    return rhs_c, rhs_l
-
-
 def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
                      bindings: list[ElementBinding], config: TransientConfig,
                      dd_config: DDConfig | None = None) -> TransientTrace:
-    """March the data-driven solver, warm-starting each step from the last."""
+    """March the data-driven solver, warm-starting each step from the last data state."""
     solver = DDSolver(graph, inc, bindings, dd_config)
-    q0, psi0 = config.init.resolve(graph)
-    state0, zx = solver.initial_state(config.t0, q0, psi0)
+    state0, zx0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
-    history = HistoryState(q_c=q0.copy(), psi_l=psi0.copy())
-    if config.scheme == "trapezoidal":
-        history.qdot_c, history.psidot_l = _dd_bootstrap_rates(
-            solver, config, q0, psi0, zx)
+    def step(zx, t, alpha, rhs_c, rhs_l):
+        zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *solver.sources(t))
+        return zo, zx, trace.iterations, trace.converged, trace
 
-    alpha = 1.0 / config.h if config.scheme == "backward-euler" else 2.0 / config.h
-    times = config.times()
-    states = [state0]
-    iters = np.zeros(config.steps + 1, dtype=int)
-    converged = np.ones(config.steps + 1, dtype=bool)
-    details: list = [None]
-    for k in range(1, config.steps + 1):
-        rhs_c, rhs_l = _step_rhs(history, alpha, config.scheme)
-        v_src, i_src = solver.sources(times[k])
-        zo, zx, step = solver.solve_timestep(zx, None, alpha, rhs_c, rhs_l, v_src, i_src)
-        states.append(zo)
-        iters[k] = step.iterations
-        converged[k] = step.converged
-        details.append(step)
-        if config.scheme == "trapezoidal":
-            history.qdot_c = alpha * (zo.q_c - history.q_c) - history.qdot_c
-            history.psidot_l = alpha * (zo.psi_l - history.psi_l) - history.psidot_l
-        history.q_c = zo.q_c.copy()
-        history.psi_l = zo.psi_l.copy()
-    return TransientTrace(graph=graph, times=times, states=states,
-                          iterations=iters, converged=converged, step_details=details)
-
-
-def _dd_bootstrap_rates(solver: DDSolver, config: TransientConfig,
-                        q0: np.ndarray, psi0: np.ndarray, zx: CircuitState):
-    """Trapezoidal rate initialization: one tiny data-driven backward-Euler step."""
-    h_b = config.h / 100.0
-    alpha = 1.0 / h_b
-    v_src, i_src = solver.sources(config.t0 + h_b)
-    zo, _, _ = solver.solve_timestep(zx.copy(), None, alpha,
-                                     alpha * q0, alpha * psi0, v_src, i_src)
-    return (zo.q_c - q0) / h_b, (zo.psi_l - psi0) / h_b
+    return march(graph, config, state0, zx0, step)
 
 
 def brute_force_timestep(solver: DDSolver, alpha: float,

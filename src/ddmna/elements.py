@@ -238,17 +238,3 @@ def conductor_conductance(model, v):
     if isinstance(model, ShockleyDiodeModel):
         return composite_diode_conductance(model, v)
     raise TypeError(f"not a conductive element model: {model!r}")
-
-
-def eval_element(model, drive):
-    """Dependent quantity of an element model for a given drive.
-
-    Resistor/diode: i(v); capacitor: q(v); inductor: psi(i).
-    """
-    if isinstance(model, LinearModel):
-        return model.value * drive
-    if isinstance(model, MlccCapacitorModel):
-        return mlcc_charge(model, drive)
-    if isinstance(model, ShockleyDiodeModel):
-        return conductor_current(model, drive)
-    raise TypeError(f"unknown element model: {model!r}")

@@ -1,10 +1,10 @@
 """Traditional model-based MNA transient solver (the reference solution).
 
 Unknowns per step are (phi, i_L, i_V); capacitor charges are eliminated via
-q = q(v) and resistive currents via i = i(v).  Backward Euler uses
-qdot = (q - q_n) / h, the trapezoidal rule qdot = (2/h)(q - q_n) - qdot_n
-(same pattern for fluxes).  Nonlinear steps are solved with damped Newton;
-for an all-linear circuit the step Jacobian is factored once per step size.
+q = q(v) and resistive currents via i = i(v).  The companion scheme and the
+time grid come from `state.march`.  Nonlinear steps are solved with damped
+Newton; for an all-linear circuit the step Jacobian is factored once per step
+size.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from scipy.linalg import lapack
 from . import elements as em
 from .dataset import ElementBinding
 from .netlist import CircuitGraph, IncidenceSet
-from .state import (
-    CircuitState,
-    HistoryState,
-    TransientConfig,
-    TransientTrace,
-)
+from .state import CircuitState, TransientConfig, TransientTrace, march
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 8
@@ -81,12 +76,9 @@ class TraditionalSolver:
         i_src = np.array([em.source_value(w, t) for w in self.i_waves])
         return v_src, i_src
 
-    def _source_scale(self, t: float, v_src: np.ndarray | None = None,
-                      i_src: np.ndarray | None = None) -> float:
-        if v_src is None:
-            v_src, i_src = self.sources(t)
-        return max(1.0, *(abs(x) for x in v_src), *(abs(x) for x in i_src)) \
-            if (len(v_src) or len(i_src)) else 1.0
+    @staticmethod
+    def _source_scale(v_src: np.ndarray, i_src: np.ndarray) -> float:
+        return max([1.0, *(abs(x) for x in v_src), *(abs(x) for x in i_src)])
 
     # -- residual / Jacobian ---------------------------------------------
     def _split(self, x: np.ndarray):
@@ -160,16 +152,11 @@ class TraditionalSolver:
         return x
 
     # -- one implicit step ------------------------------------------------
-    def step(self, x0: np.ndarray, history: HistoryState, t: float, h: float,
-             scheme: str) -> tuple[np.ndarray, int]:
-        alpha = 1.0 / h if scheme == "backward-euler" else 2.0 / h
-        rhs_c = alpha * history.q_c
-        rhs_l = alpha * history.psi_l
-        if scheme == "trapezoidal":
-            rhs_c = rhs_c + history.qdot_c
-            rhs_l = rhs_l + history.psidot_l
+    def step(self, x0: np.ndarray, t: float, alpha: float, rhs_c: np.ndarray,
+             rhs_l: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve the companion system at time t from x0; returns (x, Newton iterations)."""
         v_src, i_src = self.sources(t)
-        tol = NEWTON_RTOL * self._source_scale(t, v_src, i_src)
+        tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
         if self.linear_values is not None:
             # f(x) = jac @ x - b: the same Newton loop, on a kept factorization
             _, lin_jac, _, _, _ = self._linear_system(alpha)
@@ -251,7 +238,7 @@ class TraditionalSolver:
                          for m, q in zip(self.c_models, q_c0)])
         i_l0 = psi_l0 / self.l_values if self.n_l else np.zeros(0)
         v_src, i_src = self.sources(t0)
-        tol = NEWTON_RTOL * self._source_scale(t0)
+        tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
 
         n = self.nphi + n_c + self.n_v
         y = np.zeros(n)
@@ -296,65 +283,34 @@ class TraditionalSolver:
             i_v=y[self.nphi + n_c:].copy(),
         )
 
-    def bootstrap_rates(self, t0: float, h: float, q_c0: np.ndarray,
-                        psi_l0: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rate initialization for the trapezoidal rule: one tiny backward-Euler step."""
-        h_b = h / 100.0
-        hist = HistoryState(q_c=q_c0, psi_l=psi_l0)
-        x, _ = self.step(x0, hist, t0 + h_b, h_b, "backward-euler")
-        s = self.state_from_x(x)
-        return (s.q_c - q_c0) / h_b, (s.psi_l - psi_l0) / h_b
-
 
 def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
                               bindings: list[ElementBinding],
                               config: TransientConfig) -> TransientTrace:
     """March the model-based MNA solver over the configured time grid."""
     solver = TraditionalSolver(graph, inc, bindings)
-    q0, psi0 = config.init.resolve(graph)
-    state0 = solver.initial_state(config.t0, q0, psi0)
-    x = np.concatenate([state0.phi, state0.i_l, state0.i_v])
+    state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
-    history = HistoryState(q_c=q0.copy(), psi_l=psi0.copy())
-    if config.scheme == "trapezoidal":
-        history.qdot_c, history.psidot_l = solver.bootstrap_rates(
-            config.t0, config.h, q0, psi0, x)
+    def step(x, t, alpha, rhs_c, rhs_l):
+        x, n_it = solver.step(x, t, alpha, rhs_c, rhs_l)
+        return solver.state_from_x(x), x, n_it, True, None
 
-    times = config.times()
-    states = [state0]
-    iters = np.zeros(config.steps + 1, dtype=int)
-    details: list = [{"qdot": history.qdot_c, "psidot": history.psidot_l}]
-    for k in range(1, config.steps + 1):
-        x, n_it = solver.step(x, history, times[k], config.h, config.scheme)
-        s = solver.state_from_x(x)
-        states.append(s)
-        iters[k] = n_it
-        if config.scheme == "trapezoidal":
-            alpha = 2.0 / config.h
-            history.qdot_c = alpha * (s.q_c - history.q_c) - history.qdot_c
-            history.psidot_l = alpha * (s.psi_l - history.psi_l) - history.psidot_l
-            details.append({"qdot": history.qdot_c.copy(), "psidot": history.psidot_l.copy()})
-        else:
-            details.append({"qdot": (s.q_c - history.q_c) / config.h,
-                            "psidot": (s.psi_l - history.psi_l) / config.h})
-        history.q_c = s.q_c.copy()
-        history.psi_l = s.psi_l.copy()
-    return TransientTrace(graph=graph, times=times, states=states,
-                          iterations=iters, converged=np.ones(config.steps + 1, bool),
-                          step_details=details)
+    return march(graph, config, state0,
+                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
 
 
 def kcl_residual(inc: IncidenceSet, trace: TransientTrace,
                  i_src_of=None) -> float:
     """Max discrete KCL residual over accepted steps, relative to the current scale.
 
-    Uses the charge/flux rates recorded by the stepper, so it applies to both
-    schemes.  `i_src_of(t)` supplies source currents (defaults to none).
+    Uses the charge rates recorded by `state.march`, so it applies to both
+    schemes and both solvers.  `i_src_of(t)` supplies source currents
+    (defaults to none).
     """
     worst = 0.0
     for k in range(1, len(trace.states)):
         s = trace.states[k]
-        qdot = trace.step_details[k]["qdot"]
+        qdot = trace.rates[k][0]
         i_src = i_src_of(trace.times[k]) if i_src_of else np.zeros(inc.a_i.shape[1])
         r = inc.a_g @ s.i_g + inc.a_c @ qdot + inc.a_l @ s.i_l + inc.a_v @ s.i_v \
             - inc.a_i @ i_src

@@ -275,14 +275,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
     return results
 
 
-def _write_convergence_log(dd_trace: TransientTrace, cell_dir: str) -> None:
-    with open(os.path.join(cell_dir, "convergence.csv"), "w", newline="") as fh:
+def write_convergence_csv(dd_trace: TransientTrace, path: str) -> None:
+    """One row per data-driven iteration: step, iteration and energy mismatch."""
+    with open(path, "w", newline="") as fh:
         fh.write("step,iteration,energy_mismatch\n")
         for k, step in enumerate(dd_trace.step_details):
             if step is None:
                 continue
             for it, mm in enumerate(step.em_history, start=1):
                 fh.write(f"{k},{it},{mm:.17g}\n")
+
+
+def _write_convergence_log(dd_trace: TransientTrace, cell_dir: str) -> None:
+    write_convergence_csv(dd_trace, os.path.join(cell_dir, "convergence.csv"))
     with open(os.path.join(cell_dir, "summary.csv"), "w", newline="") as fh:
         fh.write("step,iterations,converged,final_mismatch\n")
         for k, step in enumerate(dd_trace.step_details):

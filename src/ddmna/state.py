@@ -1,4 +1,4 @@
-"""Shared circuit-state containers for the transient solvers."""
+"""Shared circuit-state containers and the time march of the transient solvers."""
 
 from __future__ import annotations
 
@@ -61,16 +61,6 @@ class CircuitState:
 
 
 @dataclass
-class HistoryState:
-    """Charges/fluxes (and their rates, trapezoidal only) carried between steps."""
-
-    q_c: np.ndarray
-    psi_l: np.ndarray
-    qdot_c: np.ndarray | None = None
-    psidot_l: np.ndarray | None = None
-
-
-@dataclass
 class InitialCondition:
     q_c0: np.ndarray | None = None
     psi_l0: np.ndarray | None = None
@@ -117,6 +107,9 @@ class TransientTrace:
     iterations: np.ndarray          # per step (index 0 unused, kept 0)
     converged: np.ndarray           # bool per step
     step_details: list = field(default_factory=list)  # solver-specific per-step records
+    # per step (qdot_c, psidot_l) the step solved for; index 0 holds the
+    # trapezoidal bootstrap rates (None under backward Euler)
+    rates: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.states) != len(self.times):
@@ -147,3 +140,53 @@ class TransientTrace:
             fh.write(",".join(self.csv_header()) + "\n")
             for row in rows:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
+          warm, step) -> TransientTrace:
+    """March one implicit solver over the configured time grid.
+
+    Capacitor and inductor laws are discretised in companion form: the rates
+    are qdot = alpha * q - rhs_c and psidot = alpha * psi - rhs_l.  Backward
+    Euler has alpha = 1/h and rhs = alpha * q_n, so qdot = (q - q_n) / h.  The
+    trapezoidal rule has alpha = 2/h and rhs = alpha * q_n + qdot_n, so
+    qdot = (2/h)(q - q_n) - qdot_n, and it needs the rates at t0: they come
+    from one backward-Euler step of h/100 from the initial warm start, which
+    that step does not advance.
+
+    `state0` is the consistent state at t0 and `warm` the solver's warm start.
+    `step(warm, t, alpha, rhs_c, rhs_l)` solves one step at time t and returns
+    (state, next warm start, iterations, converged, per-step record).
+    """
+    trapezoidal = config.scheme == "trapezoidal"
+    q, psi = state0.q_c, state0.psi_l
+    qdot = psidot = None
+    if trapezoidal:
+        h_b = config.h / 100.0
+        alpha_b = 1.0 / h_b
+        s, *_ = step(warm, config.t0 + h_b, alpha_b, alpha_b * q, alpha_b * psi)
+        qdot, psidot = (s.q_c - q) / h_b, (s.psi_l - psi) / h_b
+
+    alpha = 2.0 / config.h if trapezoidal else 1.0 / config.h
+    times = config.times()
+    states = [state0]
+    iters = np.zeros(config.steps + 1, dtype=int)
+    converged = np.ones(config.steps + 1, dtype=bool)
+    details: list = [None]
+    rates = [None if qdot is None else (qdot, psidot)]
+    for k in range(1, config.steps + 1):
+        rhs_c, rhs_l = alpha * q, alpha * psi
+        if trapezoidal:
+            rhs_c, rhs_l = rhs_c + qdot, rhs_l + psidot
+        s, warm, iters[k], converged[k], detail = step(warm, times[k], alpha, rhs_c, rhs_l)
+        states.append(s)
+        details.append(detail)
+        if trapezoidal:
+            qdot = alpha * (s.q_c - q) - qdot
+            psidot = alpha * (s.psi_l - psi) - psidot
+        else:
+            qdot, psidot = (s.q_c - q) / config.h, (s.psi_l - psi) / config.h
+        rates.append((qdot, psidot))
+        q, psi = s.q_c, s.psi_l
+    return TransientTrace(graph=graph, times=times, states=states, iterations=iters,
+                          converged=converged, step_details=details, rates=rates)

@@ -166,12 +166,12 @@ def test_criterion_08_oracle_equivalence_randomized():
         zo_b, combo, mm = brute_force_timestep(solver, 1.0, NO_L, NO_L,
                                                v_src, NO_L)
         # converged solver from the default seed must not beat the oracle
-        _, _, run = solver.solve_timestep(solver.seed_state(NO_L, NO_L), None,
+        _, _, run = solver.solve_timestep(solver.seed_state(NO_L, NO_L),
                                           1.0, NO_L, NO_L, v_src, NO_L)
         ok = mm <= run.final_mismatch + 1e-12
         # started from the oracle tuple the solver must stay there
         zx_fp, (sel, _) = solver.project_to_data(zo_b)
-        _, _, fp = solver.solve_timestep(zx_fp, None, 1.0, NO_L, NO_L,
+        _, _, fp = solver.solve_timestep(zx_fp, 1.0, NO_L, NO_L,
                                          v_src, NO_L)
         ok = ok and sel == combo and fp.final_mismatch <= mm + 1e-12
         failures += 0 if ok else 1

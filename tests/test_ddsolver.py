@@ -9,7 +9,7 @@ from ddmna.ddsolver import (
     run_transient_dd,
 )
 from ddmna.netlist import build_incidence, parse_netlist
-from ddmna.reference import run_transient_traditional
+from ddmna.reference import kcl_residual, run_transient_traditional
 from ddmna.scenarios import SCENARIOS, build_scenario, synthesize_datasets
 from ddmna.state import CircuitState, TransientConfig
 
@@ -144,7 +144,7 @@ def test_solver_from_oracle_tuple_is_fixed_point():
                                            np.array([1.0]), NO_L)
     zx_fp, sel = solver.project_to_data(zo_b)
     assert sel[0] == combo
-    zo, _, trace = solver.solve_timestep(zx_fp, None, 1.0, NO_L, NO_L,
+    zo, _, trace = solver.solve_timestep(zx_fp, 1.0, NO_L, NO_L,
                                          np.array([1.0]), NO_L)
     assert trace.selected_indices[-1] == combo
     assert trace.final_mismatch == pytest.approx(mm, abs=1e-15)
@@ -162,7 +162,7 @@ def test_single_point_dataset_matches_oracle():
     zo_b, combo, mm = brute_force_timestep(solver, 1.0, NO_L, NO_L,
                                            np.array([1.0]), NO_L)
     zx = solver.seed_state(NO_L, NO_L)
-    _, _, trace = solver.solve_timestep(zx, None, 1.0, NO_L, NO_L,
+    _, _, trace = solver.solve_timestep(zx, 1.0, NO_L, NO_L,
                                         np.array([1.0]), NO_L)
     assert combo == (0,)
     assert trace.final_mismatch == pytest.approx(mm, abs=1e-15)
@@ -197,7 +197,7 @@ def test_seeded_dataset_exact_states_are_fixed_points():
         rhs_c = alpha * trad.states[k - 1].q_c
         v_src, i_src = solver.sources(times[k])
         zx = trad.states[k].copy()
-        zo, _, trace = solver.solve_timestep(zx, None, alpha, rhs_c, NO_L,
+        zo, _, trace = solver.solve_timestep(zx, alpha, rhs_c, NO_L,
                                              v_src, i_src)
         assert trace.final_mismatch <= 1e-20
         assert np.allclose(zo.phi, trad.states[k].phi, atol=1e-10)
@@ -285,7 +285,7 @@ def test_weight_scaling_leaves_projection_unchanged():
 def test_stopping_on_selection_repetition():
     graph, solver = one_node_solver()
     zx = solver.seed_state(NO_L, NO_L)
-    _, _, trace = solver.solve_timestep(zx, None, 1.0, NO_L, NO_L,
+    _, _, trace = solver.solve_timestep(zx, 1.0, NO_L, NO_L,
                                         np.array([1.0]), NO_L)
     assert trace.converged
     assert trace.iterations <= 3
@@ -299,3 +299,18 @@ def test_non_convergence_flag_on_tiny_budget():
                           DDConfig(max_iters=1, tol_em=1e-30))
     flags = [s.converged for s in dd.step_details[1:]]
     assert not all(flags)
+
+
+def test_kcl_residual_on_data_driven_traces():
+    # the march records the rates each data-driven step solved for, so the
+    # reference's discrete KCL check applies to the accepted Kirchhoff states
+    for scenario in SCENARIOS.values():
+        graph, inc, known = build_scenario(scenario)
+        for scheme in ("backward-euler", "trapezoidal"):
+            cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end / 10, steps=40)
+            trad = run_transient_traditional(graph, inc, known, cfg)
+            data = synthesize_datasets(scenario, graph, known, trad, 1000)
+            for binds in (known, data):
+                dd = run_transient_dd(graph, inc, binds, cfg,
+                                      DDConfig(weight_rule=scenario.weight_rule))
+                assert kcl_residual(inc, dd) <= 1e-10, (scenario.name, scheme)

@@ -9,9 +9,10 @@ from ddmna.elements import (
     ModelDomainError,
     ShockleyDiodeModel,
     SourceWaveform,
+    capacitor_charge,
     composite_diode_current,
     composite_diode_voltage,
-    eval_element,
+    conductor_current,
     mlcc_capacitance,
     mlcc_charge,
     shockley_current,
@@ -117,14 +118,13 @@ def test_mlcc_charge_strictly_increasing():
 
 
 def test_eval_linear_elements():
-    assert eval_element(LinearModel("G", 1e-3), 2.0) == pytest.approx(2e-3)
-    assert eval_element(LinearModel("C", 100e-6), 5.0) == pytest.approx(500e-6)
-    assert eval_element(LinearModel("L", 1e-3), 2.0) == pytest.approx(2e-3)
+    assert conductor_current(LinearModel("G", 1e-3), 2.0) == pytest.approx(2e-3)
+    assert capacitor_charge(LinearModel("C", 100e-6), 5.0) == pytest.approx(500e-6)
 
 
 def test_eval_diode_inversion_consistency():
     v = composite_diode_voltage(DIODE_RD, 1e-3)
-    assert eval_element(DIODE_RD, v) == pytest.approx(1e-3, rel=1e-10)
+    assert conductor_current(DIODE_RD, v) == pytest.approx(1e-3, rel=1e-10)
 
 
 def test_source_values():

@@ -57,6 +57,15 @@ def test_zero_sources_zero_history_stay_zero():
         assert np.allclose(s.phi, 0.0) and np.allclose(s.q_c, 0.0)
 
 
+def test_source_free_rc_discharge():
+    # no source sets the Newton tolerance scale: it falls back to 1
+    graph, inc, binds = _setup("R1 1 0 1e3\nC1 1 0 1e-6\n")
+    cfg = TransientConfig(scheme="trapezoidal", t_end=1e-3, steps=100,
+                          init=InitialCondition(q_c0=np.array([1e-6])))
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    assert trace.states[-1].v_c[0] == pytest.approx(math.exp(-1.0), rel=1e-5)
+
+
 def test_trapezoidal_rc_accuracy():
     graph, inc, binds = _setup(RC_NET)
     cfg = TransientConfig(scheme="trapezoidal", t_end=5e-3, steps=1000)
