@@ -1,20 +1,26 @@
-"""Measurement sets, weighted nearest-neighbor queries and weighting factors.
+"""Measurement sets, their weighted metric, nearest-neighbor search and weights.
 
 Pairs are stored in measurement order: (v, i) for conductive elements (G),
 (v, q) for capacitors (C) and (psi, i) for inductors (L).  The metric weight
 multiplies the voltage coordinate for G and C and the current coordinate for
 L; the complementary coordinate carries the reciprocal weight, so both terms
 of a distance have power (G) or energy (C, L) units.
+
+`NearestNeighborIndex` answers exact weighted k-nearest queries under any
+weight, with no rebuild, from two sorted orders of a set's coordinates.  It
+agrees with the brute-force scan `nearest_measurement`, ties included (the
+lowest index wins).  `local_tangent_weight` turns the k nearest pairs around
+a state into a local-slope weight.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import elements as em
 from .netlist import CircuitGraph, DataRef
@@ -168,8 +174,16 @@ def pair_norm(p, w: float, kind: str) -> float:
 
 def _distances(pairs: np.ndarray, query, w: float, kind: str) -> np.ndarray:
     iw = _W_COL[kind]
-    da = pairs[:, iw] - query[iw]
-    db = pairs[:, 1 - iw] - query[1 - iw]
+    return _ab_distances(pairs[:, iw], pairs[:, 1 - iw], query[iw], query[1 - iw], w)
+
+
+def _ab_distances(a, b, qa, qb, w: float):
+    """Half-weighted squared distances of pairs (a, b) from (qa, qb).
+
+    a carries the weight.  Arrays and scalars give bit-identical values.
+    """
+    da = a - qa
+    db = b - qb
     return 0.5 * w * da * da + 0.5 / w * db * db
 
 
@@ -179,51 +193,109 @@ def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarr
     return mset.pairs[idx].copy(), idx
 
 
-class NearestNeighborIndex:
-    """kd-tree over metric-scaled pairs; exact for the weight it was built with.
+# A slab half-width h around coordinate q grows by this fraction of |q| + h,
+# which covers the rounding of a computed distance and of the bounds q -/+ h.
+_SLAB_ULPS = 8.0 * np.finfo(float).eps
 
-    Queries with a different weight (local-tangent mode) fall back to a
-    vectorized brute-force scan, since the tree geometry assumes a fixed
-    metric.
+
+class NearestNeighborIndex:
+    """Exact weighted k-nearest search in one measurement set, for any weight.
+
+    The index holds the set's pairs in two sorted orders: by the
+    weight-carrying coordinate a and by the other coordinate b.  A query under
+    weight w first bounds the k-th nearest distance by r, the k-th smallest
+    distance among the pairs around the query's insertion point in the a
+    order.  Every pair within r lies in the slab |a - a_q| <= sqrt(2 r / w)
+    and in the slab |b - b_q| <= sqrt(2 r w); the smaller slab is ranked.
+    Distances use the expression of `nearest_measurement`, and ties break to
+    the lowest index, so every answer equals the brute-force one.
+
+    `weight` is only the default weight of `query`.
     """
 
     def __init__(self, mset: MeasurementSet, weight: float):
         self.mset = mset
         self.weight = float(weight)
-        self._scale = self._scaling(mset.kind, self.weight)
-        self._tree = cKDTree(mset.pairs * self._scale)
-
-    @staticmethod
-    def _scaling(kind: str, w: float) -> np.ndarray:
-        iw = _W_COL[kind]
-        s = np.empty(2)
-        s[iw] = np.sqrt(0.5 * w)
-        s[1 - iw] = np.sqrt(0.5 / w)
-        return s
+        self._ia = _W_COL[mset.kind]
+        a, b = mset.pairs[:, self._ia], mset.pairs[:, 1 - self._ia]
+        # Per order: (original index, a, b), all sorted by that order's key.
+        self._orders = []
+        for key in (a, b):
+            order = np.argsort(key, kind="stable")
+            self._orders.append((order, a[order], b[order]))
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
-        if w is None or w == self.weight:
-            _, idx = self._tree.query(np.asarray(pair, float) * self._scale)
-            idx = int(idx)
+        """Nearest stored pair under weight w (default: the index weight)."""
+        w = self.weight if w is None else w
+        qa, qb = float(pair[self._ia]), float(pair[1 - self._ia])
+        _, a_a, b_a = self._orders[0]
+        # Seed: the two pairs that bracket the query in the a order.
+        j = int(a_a.searchsorted(qa))
+        r = math.inf
+        for i in range(max(j - 1, 0), min(j + 1, len(a_a))):
+            r = min(r, _ab_distances(a_a.item(i), b_a.item(i), qa, qb, w))
+        cand, a, b = self._slab(qa, qb, r, w)
+        if len(cand) == 1:
+            idx = int(cand[0])
         else:
-            idx = int(np.argmin(_distances(self.mset.pairs, pair, w, self.mset.kind)))
+            d = _ab_distances(a, b, qa, qb, w)
+            idx = int(cand[d == d.min()].min())
         return self.mset.pairs[idx].copy(), idx
 
+    def k_nearest(self, pair, k: int, w: float | None = None) -> np.ndarray:
+        """Indices of the k nearest pairs under weight w, sorted ascending.
 
-def local_tangent_weight(mset: MeasurementSet, state_pair, k: int,
+        Ties at the k-th distance take the lowest indices.
+        """
+        w = self.weight if w is None else w
+        k = min(k, len(self.mset))
+        qa, qb = float(pair[self._ia]), float(pair[1 - self._ia])
+        # Seed: the 2k pairs around the query's insertion point in the a order.
+        _, a_a, b_a = self._orders[0]
+        n = len(a_a)
+        lo = max(0, min(int(a_a.searchsorted(qa)) - k, n - 2 * k))
+        hi = min(n, lo + 2 * k)
+        d = _ab_distances(a_a[lo:hi], b_a[lo:hi], qa, qb, w)
+        r = float(np.partition(d, k - 1)[k - 1])
+        cand, a, b = self._slab(qa, qb, r, w)
+        d = _ab_distances(a, b, qa, qb, w)
+        near = d <= np.partition(d, k - 1)[k - 1]
+        cand, d = cand[near], d[near]
+        return np.sort(cand[np.lexsort((cand, d))[:k]])
+
+    def _slab(self, qa: float, qb: float, r: float, w: float):
+        """(original indices, a, b) of a slab holding every pair within r."""
+        idx_a, a_a, b_a = self._orders[0]
+        idx_b, a_b, b_b = self._orders[1]
+        # A pair at computed distance <= r may lie a few roundings outside
+        # the exact slab, so each half-width is widened by a few ulps.
+        ha = math.sqrt(2.0 * r / w)
+        hb = math.sqrt(2.0 * r * w)
+        ha += _SLAB_ULPS * (abs(qa) + ha)
+        hb += _SLAB_ULPS * (abs(qb) + hb)
+        lo_a = a_a.searchsorted(qa - ha, side="left")
+        hi_a = a_a.searchsorted(qa + ha, side="right")
+        lo_b = b_b.searchsorted(qb - hb, side="left")
+        hi_b = b_b.searchsorted(qb + hb, side="right")
+        if hi_a - lo_a <= hi_b - lo_b:
+            return idx_a[lo_a:hi_a], a_a[lo_a:hi_a], b_a[lo_a:hi_a]
+        return idx_b[lo_b:hi_b], a_b[lo_b:hi_b], b_b[lo_b:hi_b]
+
+
+def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
                          current: ElementWeight,
                          w_min: float, w_max: float) -> ElementWeight:
     """Absolute least-squares slope through the k nearest pairs around a state.
 
-    The slope is response over drive (di/dv for G, dq/dv for C, dpsi/di for L),
-    clamped to [w_min, w_max].  A degenerate neighborhood (no spread in the
-    drive coordinate) keeps the current weight.
+    The neighbours are found under the current weight and fitted in ascending
+    index order.  The slope is response over drive (di/dv for G, dq/dv for C,
+    dpsi/di for L), clamped to [w_min, w_max].  A degenerate neighborhood (no
+    spread in the drive coordinate) keeps the current weight.
     """
+    mset = index.mset
     if len(mset) < 2 or k < 2:
         raise ValueError("local tangent needs at least two pairs and k >= 2")
-    k = min(k, len(mset))
-    d = _distances(mset.pairs, state_pair, current.value, mset.kind)
-    neighbors = mset.pairs[np.argpartition(d, k - 1)[:k]]
+    neighbors = mset.pairs[index.k_nearest(state_pair, k, current.value)]
     ia = _W_COL[mset.kind]
     a = neighbors[:, ia]
     b = neighbors[:, 1 - ia]

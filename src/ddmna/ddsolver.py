@@ -17,6 +17,7 @@ method on the known part.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ from .dataset import (
 )
 from .netlist import CircuitGraph, IncidenceSet
 from .state import CircuitState, TransientConfig, TransientTrace, march
+
+log = logging.getLogger(__name__)
 
 MISMATCH_FLOOR = 1e-30
 # Local-tangent weights: neighbours in the slope fit, and the clamp range
@@ -71,9 +74,16 @@ class DDStepTrace:
     iterations: int = 0
     em_history: list = field(default_factory=list)
     selected_indices: list = field(default_factory=list)  # dd-index tuple per iteration
-    converged: bool = True
+    # why the step stopped: "selection-fixed" (the selection repeated),
+    # "mismatch-floor", "stall" (the mismatch stopped moving) or "cap"
+    # (max_iters reached)
+    stop_reason: str = "cap"
     final_mismatch: float = np.nan
     feasibility_residual: float = np.nan
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
 
 
 @dataclass
@@ -168,11 +178,11 @@ class DDSolver:
 
     # ------------------------------------------------------------------
     def set_weight(self, name: str, value: float) -> None:
-        """Override one element's metric coefficient (rebuilds its NN index)."""
+        """Override one element's metric coefficient (and its index's default)."""
         self.weights[name] = ElementWeight(float(value))
         self.w_ref[name] = float(value)
         if name in self.nn:
-            self.nn[name] = NearestNeighborIndex(self.nn[name].mset, float(value))
+            self.nn[name].weight = float(value)
 
     def sources(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([em.source_value(w, t) for w in self.v_waves]),
@@ -394,7 +404,7 @@ class DDSolver:
                     continue
                 ref = self.w_ref[b.name]
                 self.weights[b.name] = local_tangent_weight(
-                    b.data, zx.pair(group, j), TANGENT_K, self.weights[b.name],
+                    self.nn[b.name], zx.pair(group, j), TANGENT_K, self.weights[b.name],
                     w_min=W_MIN_FACTOR * ref, w_max=W_MAX_FACTOR * ref)
 
     # ------------------------------------------------------------------
@@ -422,16 +432,17 @@ class DDSolver:
             if em_first is None:
                 em_first = mismatch
             if prev_sel is not None and _selections_equal(sel, prev_sel):
+                trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
             if mismatch <= MISMATCH_FLOOR:
+                trace.stop_reason = "mismatch-floor"
                 break
             if em_prev is not None and abs(em_prev - mismatch) <= \
                     cfg.tol_em * (em_first + MISMATCH_FLOOR):
+                trace.stop_reason = "stall"
                 break
             em_prev = mismatch
-        else:
-            trace.converged = False
         trace.final_mismatch = trace.em_history[-1]
         trace.feasibility_residual = self.feasibility_residual(
             zo, alpha, rhs_c, rhs_l, v_src, i_src)
@@ -562,7 +573,12 @@ def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
         zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *solver.sources(t))
         return zo, zx, trace.iterations, trace.converged, trace
 
-    return march(graph, config, state0, zx0, step)
+    trace = march(graph, config, state0, zx0, step)
+    capped = int(np.count_nonzero(~trace.converged))
+    if capped:
+        log.warning("%d of %d data-driven steps stopped at max_iters=%d",
+                    capped, config.steps, solver.config.max_iters)
+    return trace
 
 
 def brute_force_timestep(solver: DDSolver, alpha: float,

@@ -153,11 +153,22 @@ def test_kdtree_off_weight_query_falls_back():
     assert i_tree == i_scan
 
 
+def test_index_tie_at_build_weight_breaks_to_lowest_index():
+    # Each query sits half way between two grid pairs, at the weight the
+    # index was built with: an exact tie that the lower index must win.
+    a = np.arange(20.0)
+    ms = MeasurementSet("G", np.column_stack([a, np.zeros_like(a)]))
+    index = NearestNeighborIndex(ms, weight=2.0)
+    for m in range(19):
+        q = np.array([m + 0.5, 0.0])
+        assert index.query(q)[1] == nearest_measurement(ms, q, 2.0)[1] == m
+
+
 def test_local_tangent_exact_on_linear_data():
     a = np.linspace(-1, 1, 30)
     ms = MeasurementSet("G", np.column_stack([a, 3.0 * a]))
     for k in (2, 4, 10):
-        w = local_tangent_weight(ms, np.array([0.2, 0.6]), k,
+        w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.2, 0.6]), k,
                                  ElementWeight(1.0), w_min=1e-12, w_max=1e12)
         assert w.value == pytest.approx(3.0)
 
@@ -166,7 +177,7 @@ def test_local_tangent_near_mlcc_origin():
     mlcc = MlccCapacitorModel(10e-6, 2e-6, 1.0)
     v = np.linspace(-0.05, 0.05, 101)
     ms = MeasurementSet("C", np.column_stack([v, mlcc_charge(mlcc, v)]))
-    w = local_tangent_weight(ms, np.array([0.0, 0.0]), 10,
+    w = local_tangent_weight(NearestNeighborIndex(ms, 5e-6), np.array([0.0, 0.0]), 10,
                              ElementWeight(5e-6), w_min=1e-12, w_max=1.0)
     assert mlcc.cinf <= w.value <= mlcc.c0
     assert w.value == pytest.approx(mlcc.c0, rel=1e-2)
@@ -175,7 +186,7 @@ def test_local_tangent_near_mlcc_origin():
 def test_local_tangent_clamps():
     a = np.linspace(-1, 1, 20)
     ms = MeasurementSet("G", np.column_stack([a, 1e-30 * a]))
-    w = local_tangent_weight(ms, np.array([0.0, 0.0]), 5,
+    w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.0, 0.0]), 5,
                              ElementWeight(1.0), w_min=1e-9, w_max=1e9)
     assert w.value == 1e-9
 
@@ -183,8 +194,8 @@ def test_local_tangent_clamps():
 def test_local_tangent_degenerate_keeps_previous():
     ms = MeasurementSet("G", np.array([[1.0, 0.0], [1.0, 2.0], [1.0, -1.0]]))
     prev = ElementWeight(0.7)
-    w = local_tangent_weight(ms, np.array([1.0, 0.5]), 3, prev,
-                             w_min=1e-9, w_max=1e9)
+    w = local_tangent_weight(NearestNeighborIndex(ms, prev.value), np.array([1.0, 0.5]), 3,
+                             prev, w_min=1e-9, w_max=1e9)
     assert w.value == prev.value
 
 

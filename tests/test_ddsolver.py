@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,24 @@ def test_non_convergence_flag_on_tiny_budget():
                           DDConfig(max_iters=1, tol_em=1e-30))
     flags = [s.converged for s in dd.step_details[1:]]
     assert not all(flags)
+
+
+def test_stop_reasons_and_one_warning_for_capped_steps(caplog):
+    graph, inc, known, binds, cfg, trad = rc_data_setup(steps=5, n=2000)
+    with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
+        dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
+    reasons = {s.stop_reason for s in dd.step_details[1:]}
+    assert reasons <= {"selection-fixed", "mismatch-floor", "stall"}
+    assert not caplog.records
+
+    with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
+        dd = run_transient_dd(graph, inc, binds, cfg,
+                              DDConfig(max_iters=1, tol_em=1e-30))
+    steps = dd.step_details[1:]
+    assert [s.stop_reason for s in steps] == ["cap"] * 5
+    assert not any(s.converged for s in steps)
+    assert [r.getMessage() for r in caplog.records] == \
+        ["5 of 5 data-driven steps stopped at max_iters=1"]
 
 
 def test_kcl_residual_on_data_driven_traces():
