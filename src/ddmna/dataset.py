@@ -209,6 +209,8 @@ class NearestNeighborIndex:
     and in the slab |b - b_q| <= sqrt(2 r w); the smaller slab is ranked.
     Distances use the expression of `nearest_measurement`, and ties break to
     the lowest index, so every answer equals the brute-force one.
+    `step_in_a` walks the a order, which is how a solver reaches a pick's
+    neighbours on the set's measurement curve.
 
     `weight` is only the default weight of `query`.
     """
@@ -223,6 +225,18 @@ class NearestNeighborIndex:
         for key in (a, b):
             order = np.argsort(key, kind="stable")
             self._orders.append((order, a[order], b[order]))
+        # Position of each original index in the a order.
+        self._rank_a = np.empty(len(a), dtype=np.intp)
+        self._rank_a[self._orders[0][0]] = np.arange(len(a))
+
+    def step_in_a(self, idx: int, shift: int) -> int:
+        """Index of the pair `shift` places from pair idx in the a order.
+
+        The position is clamped to the ends of the order.
+        """
+        order = self._orders[0][0]
+        pos = min(max(int(self._rank_a[idx]) + shift, 0), len(order) - 1)
+        return int(order[pos])
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
         """Nearest stored pair under weight w (default: the index weight)."""

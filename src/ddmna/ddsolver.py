@@ -12,6 +12,13 @@ the constraints as its tangent line y = slope * x + offset.  A linear model is
 its own constant tangent; a nonlinear one (diode, MLCC) is re-linearised at
 the Kirchhoff state in every data half-step, so the alternation runs Newton's
 method on the known part.
+
+Both half-steps are exact minimisers, so under constant weights the mismatch
+falls to a fixed point, but that fixed point can be a local minimum one
+measured pair away from the global one.  Each step therefore also tries the
+two neighbouring selections (every data pick moved one place along its set,
+down or up), screens each with one solve, reruns the alternation from those
+the screen does not send back, and keeps the run with the lowest mismatch.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ class DDConfig:
 
 @dataclass
 class DDStepTrace:
-    """Per-time-step fixed-point diagnostics."""
+    """Per-time-step fixed-point diagnostics of the run the step accepted."""
 
     iterations: int = 0
     em_history: list = field(default_factory=list)
@@ -80,6 +87,9 @@ class DDStepTrace:
     stop_reason: str = "cap"
     final_mismatch: float = np.nan
     feasibility_residual: float = np.nan
+    # Kirchhoff solves of the step outside the run described above: the
+    # neighbour screens and the runs that were not accepted
+    restart_iterations: int = 0
 
     @property
     def converged(self) -> bool:
@@ -164,8 +174,13 @@ class DDSolver:
                     tangent = KnownTangent(j, b.model, 0.0)
                     tangent.relinearize(0.0)
                     self.known[group].append(tangent)
+        self._tangents = [t for group in "GCL" for t in self.known[group]]
         self._known_by_name = {self.bindings[group][t.index].name: t
                                for group in "GCL" for t in self.known[group]}
+        # (group, column, binding) of every data element, in selection order
+        self._data_elements = [(group, j, b) for group in "GCL"
+                               for j, b in enumerate(self.bindings[group])
+                               if b.mode == "data"]
 
         self.v_waves = [e.waveform for e in graph.groups["V"]]
         self.i_waves = [e.waveform for e in graph.groups["I"]]
@@ -199,7 +214,7 @@ class DDSolver:
         return tuple(sorted((k, w.value) for k, w in self.weights.items()))
 
     def _slopes_key(self) -> tuple:
-        return tuple(t.slope for group in "GCL" for t in self.known[group])
+        return tuple(t.slope for t in self._tangents)
 
     # ------------------------------------------------------------------
     def layout(self) -> dict[str, slice]:
@@ -233,7 +248,10 @@ class DDSolver:
         # the two projection sets become nearly parallel and the fixed-point
         # iteration stalls.  The factor cancels inside each element's nearest
         # neighbor search; it only rebalances elements against each other.
-        # The q and psi stationarity rows below are divided through by alpha.
+        # The q and psi stationarity rows below are divided through by alpha,
+        # so a known C or L tangent's multiplier column, which spans a q or
+        # psi row and a drive row (phi or i_l) that is not divided, carries
+        # the factor alpha in the drive row.
         m[blk("phi", "phi")] = (inc.a_g * w.g) @ inc.a_g.T \
             + alpha * (inc.a_c * w.c) @ inc.a_c.T
         m[blk("phi", "lam_l")] = -inc.a_l
@@ -256,17 +274,20 @@ class DDSolver:
         m[blk("lam_v", "phi")] = inc.a_v.T
 
         self._fold_known(m, "G", lay["mu_g"], lay["i_g"], lay["phi"], inc.a_g)
-        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c)
-        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(self.n_l))
+        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c, alpha)
+        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(self.n_l), alpha)
         return m
 
     def _fold_known(self, m: np.ndarray, group: str, mu: slice, response: slice,
-                    drive: slice, drive_map: np.ndarray) -> None:
+                    drive: slice, drive_map: np.ndarray, scale: float = 1.0) -> None:
         """Fold the group's known tangents into m as constraint rows.
 
         Row k of `mu` reads response_j - slope * (drive_map[:, j] . drive) =
         offset; the offset goes on the right-hand side.  The multiplier
-        columns carry the transposed entries with flipped sign.
+        columns carry the transposed entries with flipped sign, the drive
+        entries multiplied by `scale`: the ratio of the drive rows' scale to
+        the response row's (alpha when only the response row is divided by
+        alpha).
         """
         for k, t in enumerate(self.known[group]):
             r = mu.start + k
@@ -274,7 +295,7 @@ class DDSolver:
             m[r, response.start + t.index] = 1.0
             m[r, drive] = -col
             m[response.start + t.index, r] = -1.0
-            m[drive, r] = col
+            m[drive, r] = scale * col
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -411,24 +432,65 @@ class DDSolver:
     def solve_timestep(self, zx_seed: CircuitState, alpha: float, rhs_c: np.ndarray,
                        rhs_l: np.ndarray, v_src: np.ndarray, i_src: np.ndarray
                        ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
-        """Alternate the two projections to a fixed point for one time step."""
+        """Alternate the two projections to a fixed point for one time step.
+
+        The alternation runs from the warm start zx_seed, and may settle at a
+        local minimum of the mismatch.  Two neighbour candidates follow: every
+        data pick of the converged run moved one place down, or one place up,
+        its set's order by the weighted coordinate.  A candidate is screened
+        with one Kirchhoff solve and one data projection, and the alternation
+        reruns from it, from the step's starting weights, only when the
+        screen selects other data than the converged run.  The run with the
+        lowest final mismatch is accepted; ties keep the warm-started run.
+        The returned states, the trace and the solver's weights are those of
+        the accepted run.
+        """
+        args = (alpha, rhs_c, rhs_l, v_src, i_src)
+        start = self._snapshot()
+        zo, zx, trace = self._alternate(zx_seed, *args)
+        warm_end = self._snapshot()
+        best = (zo, zx, trace, warm_end)
+        spent = trace.iterations
+        picks = trace.selected_indices[-1]
+        for shift in (-1, 1):
+            cand = self._shift_picks(zx, picks, shift)
+            if cand is None:
+                continue
+            self._restore(warm_end)
+            _, screen = self.project_to_data(self.project_to_kirchhoff(cand, *args))
+            spent += 1
+            if screen[0] == picks:
+                continue
+            self._restore(start)
+            run = self._alternate(cand, *args)
+            spent += run[2].iterations
+            if run[2].final_mismatch < best[2].final_mismatch:
+                best = (*run, self._snapshot())
+        zo, zx, trace, end = best
+        self._restore(end)
+        trace.restart_iterations = spent - trace.iterations
+        trace.feasibility_residual = self.feasibility_residual(zo, *args)
+        return zo, zx, trace
+
+    def _alternate(self, zx: CircuitState, alpha: float, rhs_c: np.ndarray,
+                   rhs_l: np.ndarray, v_src: np.ndarray, i_src: np.ndarray
+                   ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
+        """One alternation from data state zx until a stop test fires."""
         cfg = self.config
-        zx = zx_seed
         prev_sel = None
         trace = DDStepTrace()
         em_first = None
         em_prev = None
-        zo = zx_seed
+        zo = zx
         for p in range(1, cfg.max_iters + 1):
             if cfg.weight_rule == "local-tangent":
                 self._update_tangent_weights(zx)
             zo = self.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-            zx_new, sel = self.project_to_data(zo)
-            mismatch = self.energy_mismatch(zo, zx_new, alpha)
+            zx, sel = self.project_to_data(zo)
+            mismatch = self.energy_mismatch(zo, zx, alpha)
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
             trace.iterations = p
-            zx = zx_new
             if em_first is None:
                 em_first = mismatch
             if prev_sel is not None and _selections_equal(sel, prev_sel):
@@ -444,9 +506,31 @@ class DDSolver:
                 break
             em_prev = mismatch
         trace.final_mismatch = trace.em_history[-1]
-        trace.feasibility_residual = self.feasibility_residual(
-            zo, alpha, rhs_c, rhs_l, v_src, i_src)
         return zo, zx, trace
+
+    def _shift_picks(self, zx: CircuitState, picks: tuple, shift: int
+                     ) -> CircuitState | None:
+        """zx with every data pick moved `shift` places in its set's a order.
+
+        Returns None when no pick moves (every one sits at an end).
+        """
+        cand = zx.copy()
+        moved = False
+        for (group, j, b), idx in zip(self._data_elements, picks):
+            new = self.nn[b.name].step_in_a(idx, shift)
+            moved = moved or new != idx
+            cand.set_pair(group, j, b.data.pairs[new])
+        return cand if moved else None
+
+    def _snapshot(self) -> tuple:
+        """The state an alternation moves: weights and known tangents."""
+        return dict(self.weights), [(t.slope, t.offset) for t in self._tangents]
+
+    def _restore(self, snap: tuple) -> None:
+        weights, tangents = snap
+        self.weights.update(weights)
+        for t, (slope, offset) in zip(self._tangents, tangents):
+            t.slope, t.offset = slope, offset
 
     # ------------------------------------------------------------------
     def seed_state(self, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
@@ -593,8 +677,7 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     most 200 passes).  Returns
     (best K-feasible state, best index tuple, global minimum mismatch).
     """
-    dd_elems = [(group, j, b) for group in "GCL"
-                for j, b in enumerate(solver.bindings[group]) if b.mode == "data"]
+    dd_elems = solver._data_elements
     sizes = [len(b.data) for _, _, b in dd_elems]
     n_tuples = int(np.prod(sizes)) if sizes else 1
     if n_tuples > cap:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -182,12 +184,15 @@ class CellResult:
     true_model: object
     group: str
     index: int
+    stop_reasons: dict[str, int]  # data-driven steps per DDStepTrace.stop_reason
+    wall_s: float                 # the whole cell, reference run included
 
 
 def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
              dd_config: DDConfig | None = None,
              t_end: float | None = None) -> CellResult:
     """Run one (scheme, K, N) sweep cell: traditional + data-driven + metrics."""
+    t_start = time.perf_counter()
     scenario = SCENARIOS[scenario_name]
     graph, inc, known = build_scenario(scenario)
     config = TransientConfig(scheme=scheme, t0=0.0,
@@ -221,6 +226,8 @@ def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
         median_iters=float(np.median(dd.iterations[1:])),
         dd_trace=dd, trad_trace=trad, ref_trace=ref,
         true_model=true_model, group=group, index=index,
+        stop_reasons=dict(Counter(s.stop_reason for s in dd.step_details[1:])),
+        wall_s=time.perf_counter() - t_start,
     )
 
 
@@ -263,11 +270,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
                        "steps": res.steps, "n": res.n,
                        "weight_rule": scenario.weight_rule,
                        "t_end": scenario.t_end}, fh, indent=2)
+        restarts = sum(s.restart_iterations for s in res.dd_trace.step_details[1:])
         sweep_rows.append((res.scenario, res.scheme, res.steps, res.n,
-                           res.rms, res.median_iters))
+                           res.rms, res.median_iters, res.stop_reasons.get("cap", 0),
+                           restarts, f"{res.wall_s:.3f}"))
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("scenario,scheme,K,N,rms,median_iters\n")
+        fh.write("scenario,scheme,K,N,rms,median_iters,nonconverged,"
+                 "restart_iterations,wall_s\n")
         for row in sweep_rows:
             fh.write(",".join(str(x) for x in row) + "\n")
 

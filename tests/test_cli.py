@@ -124,7 +124,9 @@ def test_experiment_sweep_artifacts(tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert [r["N"] for r in rows] == ["50", "200"]
     assert set(rows[0]) == {"scenario", "scheme", "K", "N", "rms",
-                            "median_iters"}
+                            "median_iters", "nonconverged",
+                            "restart_iterations", "wall_s"}
+    assert all(r["nonconverged"] == "0" for r in rows)
     assert float(rows[1]["rms"]) < float(rows[0]["rms"])
     cell = out / "trapezoidal_K50_N200"
     for name in ("trace_dd.csv", "trace_traditional.csv", "error_series.csv",

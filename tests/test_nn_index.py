@@ -62,3 +62,14 @@ def test_index_equals_brute_force(case, k):
         assert np.array_equal(nearest, brute_k_nearest(index.mset, q, k, w))
         if w == index.weight:
             assert index.query(q)[1] == idx
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(indexed_queries(), st.integers(-3, 3))
+def test_step_in_a_walks_the_weighted_coordinate_order(case, shift):
+    index = case[0]
+    pairs, ia = index.mset.pairs, 1 if index.mset.kind == "L" else 0
+    order = np.argsort(pairs[:, ia], kind="stable")
+    for pos, idx in enumerate(order):
+        expected = order[min(max(pos + shift, 0), len(order) - 1)]
+        assert index.step_in_a(int(idx), shift) == expected
