@@ -28,7 +28,7 @@ from .dataset import (
     save_measurements,
 )
 from .ddsolver import DDConfig, DDSolverError, run_transient_dd
-from .netlist import NetlistError, build_incidence, parse_netlist
+from .netlist import build_incidence, parse_netlist
 from .reference import SolverError, kcl_residual, run_transient_traditional
 from .state import TransientConfig
 from .scenarios import SCENARIOS, ExperimentSpec, run_experiment, write_convergence_csv
@@ -160,36 +160,34 @@ def _get(args, attr, default=None, convert=None, required=False):
     return val
 
 
+def _set_options(args, **converters) -> dict:
+    """The named options the user set, converted; the config class owns the defaults."""
+    return {attr: _get(args, attr, convert=convert) for attr, convert in converters.items()
+            if getattr(args, attr) is not None}
+
+
 # ---------------------------------------------------------------------------
 def cmd_run(args: argparse.Namespace) -> int:
     netlist_path = _get(args, "netlist", required=True)
     if not os.path.exists(netlist_path):
-        print(f"error: netlist file not found: {netlist_path}", file=sys.stderr)
-        return 2
+        raise UsageError(f"netlist file not found: {netlist_path}")
     with open(netlist_path) as fh:
         graph = parse_netlist(fh.read())
     inc = build_incidence(graph)
     bindings = bindings_from_graph(graph, base_dir=os.path.dirname(netlist_path) or ".")
 
-    config = TransientConfig(
-        scheme=_get(args, "scheme", "backward-euler", convert=_scheme),
-        t0=_get(args, "t0", 0.0, convert=float),
-        t_end=_get(args, "t_end", 1.0, convert=float),
-        steps=_get(args, "steps", 100, convert=_positive_int),
-    )
+    config = TransientConfig(**_set_options(args, scheme=_scheme, t0=float, t_end=float,
+                                            steps=_positive_int))
     solver = _get(args, "solver", "traditional")
     out_dir = _get(args, "out", "out")
     os.makedirs(out_dir, exist_ok=True)
 
     if solver == "traditional":
         trace = run_transient_traditional(graph, inc, bindings, config)
-        residual = kcl_residual(inc, trace, _i_src_fn(graph))
+        residual = kcl_residual(inc, trace)
     else:
-        dd_config = DDConfig(
-            tol_em=_get(args, "tol_em", 1e-10, convert=float),
-            max_iters=_get(args, "max_iters", 500, convert=_positive_int),
-            weight_rule=_get(args, "weight_rule", "constant"),
-        )
+        dd_config = DDConfig(**_set_options(args, tol_em=float, max_iters=_positive_int,
+                                            weight_rule=None))
         trace = run_transient_dd(graph, inc, bindings, config, dd_config)
         residual = max((d.feasibility_residual for d in trace.step_details
                         if d is not None), default=0.0)
@@ -198,6 +196,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_run_convergence(trace, solver, os.path.join(out_dir, "convergence.csv"))
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         fh.write("key,value\n")
+        fh.write(f"version,{__version__}\n")
         fh.write(f"netlist,{netlist_path}\n")
         fh.write(f"solver,{solver}\n")
         fh.write(f"scheme,{config.scheme}\n")
@@ -209,13 +208,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write(f"constraint_residual,{residual:.17g}\n")
     print(f"wrote trace.csv, convergence.csv, summary.csv to {out_dir}")
     return 0
-
-
-def _i_src_fn(graph):
-    waves = [e.waveform for e in graph.groups["I"]]
-    if not waves:
-        return None
-    return lambda t: np.array([em.source_value(w, t) for w in waves])
 
 
 def _write_run_convergence(trace, solver: str, path: str) -> None:
@@ -308,10 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return handlers[args.command](args)
-    except (UsageError, NetlistError, configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, configparser.Error) as exc:
+        # ValueError covers UsageError and NetlistError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, DDSolverError) as exc:

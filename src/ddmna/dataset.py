@@ -422,3 +422,24 @@ def bindings_from_graph(graph: CircuitGraph, base_dir: str = ".") -> list[Elemen
             else:
                 bindings.append(ElementBinding(e.name, group, "known", model=e.payload))
     return bindings
+
+
+def held_values(graph: CircuitGraph, bindings: list[ElementBinding], q_c0: np.ndarray,
+                psi_l0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacitor voltages and inductor currents that hold q_c0 and psi_l0 at t0:
+    the model's, or those of the data pair nearest in charge (C) or flux (L)."""
+    by_name = {b.name: b for b in bindings}
+    v_c0, i_l0 = np.zeros(len(q_c0)), np.zeros(len(psi_l0))
+    for j, e in enumerate(graph.groups["C"]):
+        b = by_name[e.name]
+        if b.mode == "known":
+            v_c0[j] = em.capacitor_voltage_from_charge(b.model, q_c0[j])
+        else:
+            v_c0[j] = b.data.pairs[np.argmin(np.abs(b.data.pairs[:, 1] - q_c0[j])), 0]
+    for j, e in enumerate(graph.groups["L"]):
+        b = by_name[e.name]
+        if b.mode == "known":
+            i_l0[j] = psi_l0[j] / b.model.value
+        else:
+            i_l0[j] = b.data.pairs[np.argmin(np.abs(b.data.pairs[:, 0] - psi_l0[j])), 1]
+    return v_c0, i_l0

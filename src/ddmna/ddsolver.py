@@ -19,13 +19,17 @@ measured pair away from the global one.  Each step therefore also tries the
 two neighbouring selections (every data pick moved one place along its set,
 down or up), screens each with one solve, reruns the alternation from those
 the screen does not send back, and keeps the run with the lowest mismatch.
+
+The consistent state at t0 is found by the same code: the held circuit
+(`netlist.held_circuit`) is one more `KirchhoffSystem`, alternated with the
+data until the selection repeats.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -37,13 +41,14 @@ from .dataset import (
     NearestNeighborIndex,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
+    held_values,
     local_tangent_weight,
     nearest_measurement,
     project_known_linear,
     weighted_pair_distance,
 )
-from .netlist import CircuitGraph, IncidenceSet
-from .state import CircuitState, TransientConfig, TransientTrace, march
+from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
+from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 log = logging.getLogger(__name__)
 
@@ -130,6 +135,128 @@ class KnownTangent:
         return np.array([x, f])
 
 
+@dataclass
+class KirchhoffSystem:
+    """The incidence and known tangents one saddle-point system assembles, and
+    its block layout; `tag` keeps its LU factors apart from other systems'."""
+
+    tag: str
+    inc: IncidenceSet
+    known: dict  # group -> list[KnownTangent]
+    lay: dict = field(init=False)
+
+    def __post_init__(self):
+        inc = self.inc
+        nphi, n_l, n_v = inc.a_g.shape[0], inc.a_l.shape[1], inc.a_v.shape[1]
+        sizes = [("phi", nphi), ("i_g", inc.a_g.shape[1]), ("q_c", inc.a_c.shape[1]),
+                 ("i_l", n_l), ("psi", n_l), ("i_v", n_v),
+                 ("eta", nphi), ("lam_l", n_l), ("lam_v", n_v),
+                 ("mu_g", len(self.known["G"])),
+                 ("mu_c", len(self.known["C"])),
+                 ("mu_l", len(self.known["L"]))]
+        self.lay, pos = {}, 0
+        for name, sz in sizes:
+            self.lay[name] = slice(pos, pos + sz)
+            pos += sz
+        self.lay["total"] = pos
+
+    def matrix(self, alpha: float, w: WeightSet) -> np.ndarray:
+        """Stationarity-plus-constraints system matrix."""
+        lay, inc = self.lay, self.inc
+        n_l = inc.a_l.shape[1]
+        m = np.zeros((lay["total"], lay["total"]))
+
+        def blk(row, col):
+            return (lay[row], lay[col])
+
+        # Dynamic (C, L) element distances carry an extra factor alpha: the
+        # time-discrete constraints couple charge/flux rates, so the metric
+        # must weight those elements at their companion-conductance scale or
+        # the two projection sets become nearly parallel and the fixed-point
+        # iteration stalls.  The factor cancels inside each element's nearest
+        # neighbor search; it only rebalances elements against each other.
+        # The q and psi stationarity rows below are divided through by alpha,
+        # so a known C or L tangent's multiplier column, which spans a q or
+        # psi row and a drive row (phi or i_l) that is not divided, carries
+        # the factor alpha in the drive row.
+        m[blk("phi", "phi")] = (inc.a_g * w.g) @ inc.a_g.T \
+            + alpha * (inc.a_c * w.c) @ inc.a_c.T
+        m[blk("phi", "lam_l")] = -inc.a_l
+        m[blk("phi", "lam_v")] = -inc.a_v
+        m[blk("i_g", "i_g")] = np.diag(1.0 / w.g)
+        m[blk("i_g", "eta")] = -inc.a_g.T
+        m[blk("q_c", "q_c")] = np.diag(1.0 / w.c)
+        m[blk("q_c", "eta")] = -inc.a_c.T
+        m[blk("i_l", "i_l")] = alpha * np.diag(w.l)
+        m[blk("i_l", "eta")] = -inc.a_l.T
+        m[blk("psi", "psi")] = np.diag(1.0 / w.l)
+        m[blk("psi", "lam_l")] = np.eye(n_l)
+        m[blk("i_v", "eta")] = -inc.a_v.T
+        m[blk("eta", "i_g")] = inc.a_g
+        m[blk("eta", "q_c")] = alpha * inc.a_c
+        m[blk("eta", "i_l")] = inc.a_l
+        m[blk("eta", "i_v")] = inc.a_v
+        m[blk("lam_l", "phi")] = inc.a_l.T
+        m[blk("lam_l", "psi")] = -alpha * np.eye(n_l)
+        m[blk("lam_v", "phi")] = inc.a_v.T
+
+        self._fold_known(m, "G", lay["mu_g"], lay["i_g"], lay["phi"], inc.a_g)
+        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c, alpha)
+        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(n_l), alpha)
+        return m
+
+    def _fold_known(self, m: np.ndarray, group: str, mu: slice, response: slice,
+                    drive: slice, drive_map: np.ndarray, scale: float = 1.0) -> None:
+        """Fold the group's known tangents into m as constraint rows.
+
+        Row k of `mu` reads response_j - slope * (drive_map[:, j] . drive) =
+        offset; the offset goes on the right-hand side.  The multiplier
+        columns carry the transposed entries with flipped sign, the drive
+        entries multiplied by `scale`: the ratio of the drive rows' scale to
+        the response row's (alpha when only the response row is divided by
+        alpha).
+        """
+        for k, t in enumerate(self.known[group]):
+            r = mu.start + k
+            col = t.slope * drive_map[:, t.index]
+            m[r, response.start + t.index] = 1.0
+            m[r, drive] = -col
+            m[response.start + t.index, r] = -1.0
+            m[drive, r] = scale * col
+
+    def rhs(self, zx: CircuitState, alpha: float, rhs_c: np.ndarray, rhs_l: np.ndarray,
+            v_src: np.ndarray, i_src: np.ndarray, w: WeightSet) -> np.ndarray:
+        """Right-hand side of the projection of data state zx."""
+        lay, inc = self.lay, self.inc
+        b = np.zeros(lay["total"])
+        b[lay["phi"]] = inc.a_g @ (w.g * zx.v_g) + alpha * (inc.a_c @ (w.c * zx.v_c))
+        b[lay["i_g"]] = zx.i_g / w.g
+        b[lay["q_c"]] = zx.q_c / w.c
+        b[lay["i_l"]] = alpha * (w.l * zx.i_l)
+        b[lay["psi"]] = zx.psi_l / w.l
+        b[lay["eta"]] = inc.a_i @ i_src + inc.a_c @ rhs_c
+        b[lay["lam_l"]] = -rhs_l
+        b[lay["lam_v"]] = v_src
+        for group in "GCL":
+            b[lay["mu_" + group.lower()]] = [t.offset for t in self.known[group]]
+        return b
+
+    def state(self, z: np.ndarray) -> CircuitState:
+        """The circuit state in a solution z of the system."""
+        lay, inc = self.lay, self.inc
+        phi = z[lay["phi"]]
+        return CircuitState(
+            phi=phi,
+            v_g=inc.a_g.T @ phi,
+            i_g=z[lay["i_g"]],
+            v_c=inc.a_c.T @ phi,
+            q_c=z[lay["q_c"]],
+            psi_l=z[lay["psi"]],
+            i_l=z[lay["i_l"]],
+            i_v=z[lay["i_v"]],
+        )
+
+
 class DDSolver:
     """Alternating-projection solver bound to one circuit and its datasets."""
 
@@ -182,8 +309,7 @@ class DDSolver:
                                for j, b in enumerate(self.bindings[group])
                                if b.mode == "data"]
 
-        self.v_waves = [e.waveform for e in graph.groups["V"]]
-        self.i_waves = [e.waveform for e in graph.groups["I"]]
+        self.system = KirchhoffSystem("step", inc, self.known)
         self.nphi = graph.n - 1
         self.n_g = graph.count("G")
         self.n_c = graph.count("C")
@@ -199,10 +325,6 @@ class DDSolver:
         if name in self.nn:
             self.nn[name].weight = float(value)
 
-    def sources(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([em.source_value(w, t) for w in self.v_waves]),
-                np.array([em.source_value(w, t) for w in self.i_waves]))
-
     def weight_arrays(self) -> WeightSet:
         return WeightSet(
             g=np.array([self.weights[b.name].value for b in self.bindings["G"]]),
@@ -217,136 +339,38 @@ class DDSolver:
         return tuple(t.slope for t in self._tangents)
 
     # ------------------------------------------------------------------
-    def layout(self) -> dict[str, slice]:
-        sizes = [("phi", self.nphi), ("i_g", self.n_g), ("q_c", self.n_c),
-                 ("i_l", self.n_l), ("psi", self.n_l), ("i_v", self.n_v),
-                 ("eta", self.nphi), ("lam_l", self.n_l), ("lam_v", self.n_v),
-                 ("mu_g", len(self.known["G"])),
-                 ("mu_c", len(self.known["C"])),
-                 ("mu_l", len(self.known["L"]))]
-        out, pos = {}, 0
-        for name, sz in sizes:
-            out[name] = slice(pos, pos + sz)
-            pos += sz
-        out["total"] = pos
-        return out
-
     def assemble_projection_matrix(self, alpha: float,
                                    weights: WeightSet | None = None) -> np.ndarray:
         """Stationarity-plus-constraints system matrix for one projection solve."""
-        w = weights or self.weight_arrays()
-        lay = self.layout()
-        inc = self.inc
-        m = np.zeros((lay["total"], lay["total"]))
-
-        def blk(row, col):
-            return (lay[row], lay[col])
-
-        # Dynamic (C, L) element distances carry an extra factor alpha: the
-        # time-discrete constraints couple charge/flux rates, so the metric
-        # must weight those elements at their companion-conductance scale or
-        # the two projection sets become nearly parallel and the fixed-point
-        # iteration stalls.  The factor cancels inside each element's nearest
-        # neighbor search; it only rebalances elements against each other.
-        # The q and psi stationarity rows below are divided through by alpha,
-        # so a known C or L tangent's multiplier column, which spans a q or
-        # psi row and a drive row (phi or i_l) that is not divided, carries
-        # the factor alpha in the drive row.
-        m[blk("phi", "phi")] = (inc.a_g * w.g) @ inc.a_g.T \
-            + alpha * (inc.a_c * w.c) @ inc.a_c.T
-        m[blk("phi", "lam_l")] = -inc.a_l
-        m[blk("phi", "lam_v")] = -inc.a_v
-        m[blk("i_g", "i_g")] = np.diag(1.0 / w.g)
-        m[blk("i_g", "eta")] = -inc.a_g.T
-        m[blk("q_c", "q_c")] = np.diag(1.0 / w.c)
-        m[blk("q_c", "eta")] = -inc.a_c.T
-        m[blk("i_l", "i_l")] = alpha * np.diag(w.l)
-        m[blk("i_l", "eta")] = -inc.a_l.T
-        m[blk("psi", "psi")] = np.diag(1.0 / w.l)
-        m[blk("psi", "lam_l")] = np.eye(self.n_l)
-        m[blk("i_v", "eta")] = -inc.a_v.T
-        m[blk("eta", "i_g")] = inc.a_g
-        m[blk("eta", "q_c")] = alpha * inc.a_c
-        m[blk("eta", "i_l")] = inc.a_l
-        m[blk("eta", "i_v")] = inc.a_v
-        m[blk("lam_l", "phi")] = inc.a_l.T
-        m[blk("lam_l", "psi")] = -alpha * np.eye(self.n_l)
-        m[blk("lam_v", "phi")] = inc.a_v.T
-
-        self._fold_known(m, "G", lay["mu_g"], lay["i_g"], lay["phi"], inc.a_g)
-        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c, alpha)
-        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(self.n_l), alpha)
-        return m
-
-    def _fold_known(self, m: np.ndarray, group: str, mu: slice, response: slice,
-                    drive: slice, drive_map: np.ndarray, scale: float = 1.0) -> None:
-        """Fold the group's known tangents into m as constraint rows.
-
-        Row k of `mu` reads response_j - slope * (drive_map[:, j] . drive) =
-        offset; the offset goes on the right-hand side.  The multiplier
-        columns carry the transposed entries with flipped sign, the drive
-        entries multiplied by `scale`: the ratio of the drive rows' scale to
-        the response row's (alpha when only the response row is divided by
-        alpha).
-        """
-        for k, t in enumerate(self.known[group]):
-            r = mu.start + k
-            col = t.slope * drive_map[:, t.index]
-            m[r, response.start + t.index] = 1.0
-            m[r, drive] = -col
-            m[response.start + t.index, r] = -1.0
-            m[drive, r] = scale * col
+        return self.system.matrix(alpha, weights or self.weight_arrays())
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
                                 v_src: np.ndarray, i_src: np.ndarray,
                                 weights: WeightSet | None = None) -> np.ndarray:
-        w = weights or self.weight_arrays()
-        lay = self.layout()
-        inc = self.inc
-        b = np.zeros(lay["total"])
-        b[lay["phi"]] = inc.a_g @ (w.g * zx.v_g) + alpha * (inc.a_c @ (w.c * zx.v_c))
-        b[lay["i_g"]] = zx.i_g / w.g
-        b[lay["q_c"]] = zx.q_c / w.c
-        b[lay["i_l"]] = alpha * (w.l * zx.i_l)
-        b[lay["psi"]] = zx.psi_l / w.l
-        b[lay["eta"]] = inc.a_i @ i_src + inc.a_c @ rhs_c
-        b[lay["lam_l"]] = -rhs_l
-        b[lay["lam_v"]] = v_src
-        for group in "GCL":
-            b[lay["mu_" + group.lower()]] = [t.offset for t in self.known[group]]
-        return b
+        return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src,
+                               weights or self.weight_arrays())
 
-    def _factor(self, key: tuple, assemble):
-        """LU factors of assemble(), refactored only when key changes."""
+    def _solve(self, system: KirchhoffSystem, alpha: float, b: np.ndarray,
+               assemble) -> CircuitState:
+        """Solve system for b with the LU factors of assemble(), kept in one slot
+        and refactored when the system, alpha, a weight or a slope changes."""
+        key = (system.tag, alpha, self._weights_key(), self._slopes_key())
         if self._lu_slot is None or self._lu_slot[0] != key:
             try:
                 lu = scipy.linalg.lu_factor(assemble())
             except scipy.linalg.LinAlgError as exc:
                 raise DDSolverError(f"singular projection system: {exc}") from None
             self._lu_slot = (key, lu)
-        return self._lu_slot[1]
+        return system.state(scipy.linalg.lu_solve(self._lu_slot[1], b))
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
                              v_src: np.ndarray, i_src: np.ndarray) -> CircuitState:
         """Closest Kirchhoff-feasible state to zx in the weighted metric."""
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-        lu = self._factor((alpha, self._weights_key(), self._slopes_key()),
-                          lambda: self.assemble_projection_matrix(alpha))
-        z = scipy.linalg.lu_solve(lu, b)
-        lay = self.layout()
-        phi = z[lay["phi"]]
-        return CircuitState(
-            phi=phi,
-            v_g=self.inc.a_g.T @ phi,
-            i_g=z[lay["i_g"]],
-            v_c=self.inc.a_c.T @ phi,
-            q_c=z[lay["q_c"]],
-            psi_l=z[lay["psi"]],
-            i_l=z[lay["i_l"]],
-            i_v=z[lay["i_v"]],
-        )
+        return self._solve(self.system, alpha, b,
+                           lambda: self.assemble_projection_matrix(alpha))
 
     def feasibility_residual(self, state: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -493,7 +517,7 @@ class DDSolver:
             trace.iterations = p
             if em_first is None:
                 em_first = mismatch
-            if prev_sel is not None and _selections_equal(sel, prev_sel):
+            if sel == prev_sel:
                 trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
@@ -550,100 +574,33 @@ class DDSolver:
                       ) -> tuple[CircuitState, CircuitState]:
         """Data-driven consistent state at t0 with charges and fluxes pinned.
 
-        Static variant of the projection: capacitor voltages are pinned to the
-        value matching the pinned initial charge (model inverse, or the data
-        pair nearest in charge), capacitor branch currents are free unknowns,
-        inductor currents are fixed, and the fixed point iterates only over
-        the remaining free element pairs.  Returns (accepted state, final data
-        state) for warm starting the first step.
+        The held circuit (`netlist.held_circuit` at `dataset.held_values`) is
+        alternated with its G elements' data until the selection repeats, on
+        the step's assembler and LU slot.  Returns (accepted state, final
+        data state); the latter warm-starts the first step.
         """
-        inc = self.inc
-        i_l0 = self._initial_inductor_currents(psi_l0)
-        v_c0 = self._initial_capacitor_voltages(q_c0)
-        v_src, i_src = self.sources(t0)
-
-        nphi, n_g, n_c, n_v = self.nphi, self.n_g, self.n_c, self.n_v
-        n_mu = len(self.known["G"])
-        n = nphi + n_g + n_c + n_v + nphi + n_c + n_v + n_mu
-        s_phi = slice(0, nphi)
-        s_ig = slice(nphi, nphi + n_g)
-        s_ic = slice(s_ig.stop, s_ig.stop + n_c)
-        s_iv = slice(s_ic.stop, s_ic.stop + n_v)
-        s_eta = slice(s_iv.stop, s_iv.stop + nphi)
-        s_lc = slice(s_eta.stop, s_eta.stop + n_c)
-        s_lv = slice(s_lc.stop, s_lc.stop + n_v)
-        s_mu = slice(s_lv.stop, n)
-
-        w = self.weight_arrays()
-
-        def assemble():
-            m = np.zeros((n, n))
-            m[s_phi, s_phi] = (inc.a_g * w.g) @ inc.a_g.T
-            m[s_phi, s_lc] = -inc.a_c
-            m[s_phi, s_lv] = -inc.a_v
-            m[s_ig, s_ig] = np.diag(1.0 / w.g)
-            m[s_ig, s_eta] = -inc.a_g.T
-            m[s_ic, s_eta] = -inc.a_c.T
-            m[s_iv, s_eta] = -inc.a_v.T
-            m[s_eta, s_ig] = inc.a_g
-            m[s_eta, s_ic] = inc.a_c
-            m[s_eta, s_iv] = inc.a_v
-            m[s_lc, s_phi] = inc.a_c.T
-            m[s_lv, s_phi] = inc.a_v.T
-            self._fold_known(m, "G", s_mu, s_ig, s_phi, inc.a_g)
-            return m
+        v_c0, i_l0 = held_values(self.graph, self.bindings["C"] + self.bindings["L"],
+                                 q_c0, psi_l0)
+        graph = held_circuit(self.graph, v_c0, i_l0)
+        held = KirchhoffSystem("held", build_incidence(graph),
+                               {"G": self.known["G"], "C": [], "L": []})
+        v_src, i_src = sources(graph, t0)
+        none = np.zeros(0)
+        w = replace(self.weight_arrays(), c=none, l=none)
 
         zx = self.seed_state(q_c0, psi_l0)
-        state = None
         prev_sel = None
         for _ in range(self.config.max_iters):
-            lu = self._factor(("initial", self._weights_key(), self._slopes_key()),
-                              assemble)
-            b = np.zeros(n)
-            b[s_phi] = inc.a_g @ (w.g * zx.v_g)
-            b[s_ig] = zx.i_g / w.g
-            b[s_eta] = inc.a_i @ i_src - inc.a_l @ i_l0
-            b[s_lc] = v_c0
-            b[s_lv] = v_src
-            b[s_mu] = [t.offset for t in self.known["G"]]
-            z = scipy.linalg.lu_solve(lu, b)
-            phi = z[s_phi]
-            state = CircuitState(
-                phi=phi, v_g=inc.a_g.T @ phi, i_g=z[s_ig],
-                v_c=inc.a_c.T @ phi, q_c=q_c0.copy(),
-                psi_l=psi_l0.copy(), i_l=i_l0.copy(), i_v=z[s_iv])
+            b = held.rhs(replace(zx, v_c=none, q_c=none, psi_l=none, i_l=none),
+                         0.0, none, none, v_src, i_src, w)
+            state = release_held(self._solve(held, 0.0, b, lambda: held.matrix(0.0, w)),
+                                 self.inc.a_c, q_c0, psi_l0, i_l0)
             zx, sel = self.project_to_data(state)
-            zx.q_c = q_c0.copy()
-            zx.psi_l = psi_l0.copy()
-            if prev_sel is not None and _selections_equal(sel, prev_sel):
+            if sel == prev_sel:
                 break
             prev_sel = sel
+        zx.q_c, zx.psi_l = q_c0.copy(), psi_l0.copy()
         return state, zx
-
-    def _initial_capacitor_voltages(self, q_c0: np.ndarray) -> np.ndarray:
-        v_c0 = np.zeros(self.n_c)
-        for j, b in enumerate(self.bindings["C"]):
-            if b.mode == "known":
-                v_c0[j] = em.capacitor_voltage_from_charge(b.model, q_c0[j])
-            else:
-                k = int(np.argmin(np.abs(b.data.pairs[:, 1] - q_c0[j])))
-                v_c0[j] = b.data.pairs[k, 0]
-        return v_c0
-
-    def _initial_inductor_currents(self, psi_l0: np.ndarray) -> np.ndarray:
-        i_l0 = np.zeros(self.n_l)
-        for j, b in enumerate(self.bindings["L"]):
-            if b.mode == "known":
-                i_l0[j] = psi_l0[j] / b.model.value
-            else:
-                k = int(np.argmin(np.abs(b.data.pairs[:, 0] - psi_l0[j])))
-                i_l0[j] = b.data.pairs[k, 1]
-        return i_l0
-
-
-def _selections_equal(a: tuple, b: tuple) -> bool:
-    return a[0] == b[0] and len(a[1]) == len(b[1]) and \
-        all(x == y for x, y in zip(a[1], b[1]))
 
 
 def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
@@ -654,7 +611,7 @@ def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
     state0, zx0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
     def step(zx, t, alpha, rhs_c, rhs_l):
-        zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *solver.sources(t))
+        zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *sources(graph, t))
         return zo, zx, trace.iterations, trace.converged, trace
 
     trace = march(graph, config, state0, zx0, step)

@@ -30,6 +30,7 @@ from .elements import (
     MlccCapacitorModel,
     ShockleyDiodeModel,
     SourceWaveform,
+    source_value,
 )
 
 KINDS = ("resistor", "capacitor", "inductor", "vsource", "isource", "diode")
@@ -316,3 +317,28 @@ def build_incidence(graph: CircuitGraph) -> IncidenceSet:
         mats[group] = a
     return IncidenceSet(a_g=mats["G"], a_c=mats["C"], a_l=mats["L"],
                         a_v=mats["V"], a_i=mats["I"])
+
+
+def sources(graph: CircuitGraph, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(V source voltages, I source currents) at time t, in incidence column order."""
+    return (np.array([source_value(e.waveform, t) for e in graph.groups["V"]]),
+            np.array([source_value(e.waveform, t) for e in graph.groups["I"]]))
+
+
+def held_circuit(graph: CircuitGraph, v_c0, i_l0) -> CircuitGraph:
+    """The circuit at t0: each capacitor a DC voltage source at v_c0, each
+    inductor a DC current source at i_l0, as in a DC operating point.
+
+    The capacitor sources lead the V group, so the held source currents read
+    (i_c, i_v).  The inductor sources run from node_neg to node_pos, because
+    source currents enter KCL on the other side from element currents.
+    """
+    held_c = [ElementDecl(e.name, "vsource", e.node_pos, e.node_neg,
+                          waveform=SourceWaveform("DC", dc_value=float(v)))
+              for e, v in zip(graph.groups["C"], v_c0)]
+    held_l = [ElementDecl(e.name, "isource", e.node_neg, e.node_pos,
+                          waveform=SourceWaveform("DC", dc_value=float(i)))
+              for e, i in zip(graph.groups["L"], i_l0)]
+    kept = [e for e in graph.elements if e.kind not in ("capacitor", "inductor")]
+    return CircuitGraph(nodes=graph.nodes, elements=held_c + kept + held_l,
+                        ground=graph.ground)

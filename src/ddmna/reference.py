@@ -4,7 +4,8 @@ Unknowns per step are (phi, i_L, i_V); capacitor charges are eliminated via
 q = q(v) and resistive currents via i = i(v).  The companion scheme and the
 time grid come from `state.march`.  Nonlinear steps are solved with damped
 Newton; for an all-linear circuit the step Jacobian is factored once per step
-size.
+size.  The consistent state at t0 is one step of the held circuit
+(`netlist.held_circuit`), so `step` holds the only Newton loop.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import elements as em
-from .dataset import ElementBinding
-from .netlist import CircuitGraph, IncidenceSet
-from .state import CircuitState, TransientConfig, TransientTrace, march
+from .dataset import ElementBinding, held_values
+from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
+from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 8
@@ -59,22 +60,15 @@ class TraditionalSolver:
                  bindings: list[ElementBinding]):
         self.graph = graph
         self.inc = inc
+        self.bindings = bindings
         models = models_by_group(graph, bindings)
         self.g_models = models["G"]
         self.c_models = models["C"]
         self.l_values = np.array([m.value for m in models["L"]])
-        self.v_waves = [e.waveform for e in graph.groups["V"]]
-        self.i_waves = [e.waveform for e in graph.groups["I"]]
         self.nphi = graph.n - 1
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
         self._linear_lu = None  # (alpha, jac, lu, piv, info) of the last factored Jacobian
-
-    # -- sources --------------------------------------------------------
-    def sources(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        v_src = np.array([em.source_value(w, t) for w in self.v_waves])
-        i_src = np.array([em.source_value(w, t) for w in self.i_waves])
-        return v_src, i_src
 
     @staticmethod
     def _source_scale(v_src: np.ndarray, i_src: np.ndarray) -> float:
@@ -155,7 +149,7 @@ class TraditionalSolver:
     def step(self, x0: np.ndarray, t: float, alpha: float, rhs_c: np.ndarray,
              rhs_l: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve the companion system at time t from x0; returns (x, Newton iterations)."""
-        v_src, i_src = self.sources(t)
+        v_src, i_src = sources(self.graph, t)
         tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
         if self.linear_values is not None:
             # f(x) = jac @ x - b: the same Newton loop, on a kept factorization
@@ -231,57 +225,15 @@ class TraditionalSolver:
 
     # -- consistent initial state -----------------------------------------
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
-        """Algebraic operating point with charges/fluxes pinned at their initial values."""
-        inc = self.inc
-        n_c = self.graph.count("C")
-        v_c0 = np.array([em.capacitor_voltage_from_charge(m, q)
-                         for m, q in zip(self.c_models, q_c0)])
-        i_l0 = psi_l0 / self.l_values if self.n_l else np.zeros(0)
-        v_src, i_src = self.sources(t0)
-        tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
-
-        n = self.nphi + n_c + self.n_v
-        y = np.zeros(n)
-        for it in range(NEWTON_MAX_ITER):
-            phi = y[:self.nphi]
-            i_c = y[self.nphi:self.nphi + n_c]
-            i_v = y[self.nphi + n_c:]
-            v_g = inc.a_g.T @ phi
-            i_g = np.array([em.conductor_current(m, v) for m, v in zip(self.g_models, v_g)])
-            g_g = np.array([em.conductor_conductance(m, v) for m, v in zip(self.g_models, v_g)])
-            f = np.concatenate([
-                inc.a_g @ i_g + inc.a_c @ i_c + inc.a_l @ i_l0 + inc.a_v @ i_v
-                - inc.a_i @ i_src,
-                inc.a_c.T @ phi - v_c0,
-                inc.a_v.T @ phi - v_src,
-            ])
-            if np.linalg.norm(f, np.inf) <= tol:
-                break
-            jac = np.zeros((n, n))
-            jac[:self.nphi, :self.nphi] = (inc.a_g * g_g) @ inc.a_g.T
-            jac[:self.nphi, self.nphi:self.nphi + n_c] = inc.a_c
-            jac[:self.nphi, self.nphi + n_c:] = inc.a_v
-            jac[self.nphi:self.nphi + n_c, :self.nphi] = inc.a_c.T
-            jac[self.nphi + n_c:, :self.nphi] = inc.a_v.T
-            try:
-                y = y + np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular initial-state system: {exc}") from None
-        else:
-            raise SolverError("initial operating point did not converge")
-
-        phi = y[:self.nphi]
-        v_g = inc.a_g.T @ phi
-        return CircuitState(
-            phi=phi.copy(),
-            v_g=v_g,
-            i_g=np.array([em.conductor_current(m, v) for m, v in zip(self.g_models, v_g)]),
-            v_c=v_c0,
-            q_c=q_c0.copy(),
-            psi_l=psi_l0.copy(),
-            i_l=i_l0.copy(),
-            i_v=y[self.nphi + n_c:].copy(),
-        )
+        """Consistent state at t0: one step from zeros of the held circuit
+        (`netlist.held_circuit` at `dataset.held_values`), which has no charge
+        or flux, so its step at companion factor 0 is the DC operating point."""
+        v_c0, i_l0 = held_values(self.graph, self.bindings, q_c0, psi_l0)
+        graph = held_circuit(self.graph, v_c0, i_l0)
+        held = TraditionalSolver(graph, build_incidence(graph), self.bindings)
+        none = np.zeros(0)
+        x, _ = held.step(np.zeros(held.nphi + held.n_v), t0, 0.0, none, none)
+        return release_held(held.state_from_x(x), self.inc.a_c, q_c0, psi_l0, i_l0)
 
 
 def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
@@ -299,19 +251,17 @@ def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
                  np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
 
 
-def kcl_residual(inc: IncidenceSet, trace: TransientTrace,
-                 i_src_of=None) -> float:
+def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:
     """Max discrete KCL residual over accepted steps, relative to the current scale.
 
     Uses the charge rates recorded by `state.march`, so it applies to both
-    schemes and both solvers.  `i_src_of(t)` supplies source currents
-    (defaults to none).
+    schemes and both solvers.  Source currents are read from `trace.graph`.
     """
     worst = 0.0
     for k in range(1, len(trace.states)):
         s = trace.states[k]
         qdot = trace.rates[k][0]
-        i_src = i_src_of(trace.times[k]) if i_src_of else np.zeros(inc.a_i.shape[1])
+        _, i_src = sources(trace.graph, trace.times[k])
         r = inc.a_g @ s.i_g + inc.a_c @ qdot + inc.a_l @ s.i_l + inc.a_v @ s.i_v \
             - inc.a_i @ i_src
         scale = max(1e-30, np.abs(s.i_g).max(initial=0.0), np.abs(s.i_v).max(initial=0.0),

@@ -15,11 +15,11 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import elements as em
+from . import __version__, elements as em
 from .dataset import (
     ElementBinding,
     SamplingPlan,
@@ -231,27 +231,21 @@ def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
     )
 
 
-def _run_cell_task(args):
-    scenario_name, scheme, steps, n, weight_rule = args
-    res = run_cell(scenario_name, scheme, steps, n,
-                   dd_config=DDConfig(weight_rule=weight_rule))
-    return res
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: str,
                    workers: int = 1) -> list[CellResult]:
     """Execute a sweep and write per-cell artifacts plus the sweep summary CSV."""
     scenario = SCENARIOS[spec.scenario]
+    dd_config = DDConfig(weight_rule=scenario.weight_rule)
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(spec.scenario, scheme, steps, n, scenario.weight_rule)
+    tasks = [(spec.scenario, scheme, steps, n, dd_config)
              for scheme in spec.schemes
              for steps in spec.steps_values
              for n in spec.n_values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_task, tasks))
+            results = list(pool.map(run_cell, *zip(*tasks)))
     else:
-        results = [_run_cell_task(t) for t in tasks]
+        results = [run_cell(*t) for t in tasks]
 
     sweep_rows = []
     for res in results:
@@ -266,10 +260,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
         series.write_csv(os.path.join(cell_dir, "error_series.csv"))
         _write_convergence_log(res.dd_trace, cell_dir)
         with open(os.path.join(cell_dir, "config.json"), "w") as fh:
-            json.dump({"scenario": res.scenario, "scheme": res.scheme,
+            json.dump({"version": __version__,
+                       "scenario": res.scenario, "scheme": res.scheme,
                        "steps": res.steps, "n": res.n,
-                       "weight_rule": scenario.weight_rule,
-                       "t_end": scenario.t_end}, fh, indent=2)
+                       "t_end": scenario.t_end,
+                       "dd_config": asdict(dd_config)}, fh, indent=2)
         restarts = sum(s.restart_iterations for s in res.dd_trace.step_details[1:])
         sweep_rows.append((res.scenario, res.scheme, res.steps, res.n,
                            res.rms, res.median_iters, res.stop_reasons.get("cap", 0),
@@ -299,12 +294,14 @@ def write_convergence_csv(dd_trace: TransientTrace, path: str) -> None:
 def _write_convergence_log(dd_trace: TransientTrace, cell_dir: str) -> None:
     write_convergence_csv(dd_trace, os.path.join(cell_dir, "convergence.csv"))
     with open(os.path.join(cell_dir, "summary.csv"), "w", newline="") as fh:
-        fh.write("step,iterations,converged,final_mismatch\n")
+        fh.write("step,iterations,converged,final_mismatch,stop_reason,"
+                 "restart_iterations,feasibility_residual\n")
         for k, step in enumerate(dd_trace.step_details):
             if step is None:
                 continue
             fh.write(f"{k},{step.iterations},{int(step.converged)},"
-                     f"{step.final_mismatch:.17g}\n")
+                     f"{step.final_mismatch:.17g},{step.stop_reason},"
+                     f"{step.restart_iterations},{step.feasibility_residual:.17g}\n")
 
 
 def _write_slope_report(results: list[CellResult], spec: ExperimentSpec,

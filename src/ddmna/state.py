@@ -60,6 +60,15 @@ class CircuitState:
             raise KeyError(group)
 
 
+def release_held(held: CircuitState, a_c: np.ndarray, q_c0: np.ndarray,
+                 psi_l0: np.ndarray, i_l0: np.ndarray) -> CircuitState:
+    """The circuit's state at t0 from a solved held circuit (`netlist.held_circuit`),
+    whose leading source currents are the capacitor currents."""
+    return CircuitState(phi=held.phi, v_g=held.v_g, i_g=held.i_g, v_c=a_c.T @ held.phi,
+                        q_c=q_c0.copy(), psi_l=psi_l0.copy(), i_l=i_l0.copy(),
+                        i_v=held.i_v[a_c.shape[1]:])
+
+
 @dataclass
 class InitialCondition:
     q_c0: np.ndarray | None = None

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddmna import __version__
 from ddmna.cli import main
+from ddmna.ddsolver import DDConfig
 from ddmna.elements import ShockleyDiodeModel, composite_diode_voltage
 from ddmna.reference import analytic_rc_voltage
 
@@ -32,7 +36,8 @@ def test_run_traditional_artifacts(tmp_path, capsys):
     assert rc == 0
     assert (out / "trace.csv").exists()
     assert (out / "convergence.csv").exists()
-    assert (out / "summary.csv").exists()
+    summary = {r["key"]: r["value"] for r in _read_csv(out / "summary.csv")}
+    assert summary["version"] == __version__
     rows = _read_csv(out / "trace.csv")
     assert len(rows) == 101
     v_end = float(rows[-1]["v_C1"])
@@ -132,6 +137,16 @@ def test_experiment_sweep_artifacts(tmp_path):
     for name in ("trace_dd.csv", "trace_traditional.csv", "error_series.csv",
                  "convergence.csv", "summary.csv", "config.json"):
         assert (cell / name).exists()
+    summary = _read_csv(cell / "summary.csv")
+    assert len(summary) == 50
+    assert set(summary[0]) == {"step", "iterations", "converged", "final_mismatch",
+                               "stop_reason", "restart_iterations",
+                               "feasibility_residual"}
+    assert all(r["stop_reason"] != "cap" for r in summary)
+    assert all(float(r["feasibility_residual"]) <= 1e-10 for r in summary)
+    config = json.loads((cell / "config.json").read_text())
+    assert config["version"] == __version__
+    assert config["dd_config"] == dataclasses.asdict(DDConfig())
 
 
 def test_experiment_decade_span_parsing(tmp_path):
@@ -146,7 +161,7 @@ def test_experiment_decade_span_parsing(tmp_path):
 
 def test_experiment_unknown_scenario_exits_2(tmp_path):
     assert main(["experiment", "--n", "10",
-                 "--out", str(tmp_path / "x")]) == 2 or True
+                 "--out", str(tmp_path / "x")]) == 2
     rc = main(["experiment", "rc-linear", "--n", "0",
                "--out", str(tmp_path / "y")])
     assert rc == 2

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from ddmna.ddsolver import DDConfig, DDSolver, brute_force_timestep, run_transient_dd
+from ddmna.netlist import sources
 from ddmna.reference import run_transient_traditional
 from ddmna.scenarios import SCENARIOS, Scenario, build_scenario, run_cell, synthesize_datasets
 from ddmna.state import CircuitState, TransientConfig, march
@@ -209,11 +210,11 @@ def test_rectifier_steps_reach_global_minimum():
 
     def step(zx, t, alpha, rhs_c, rhs_l):
         k = next(calls)
-        sources = solver.sources(t)
-        zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *sources)
+        src = sources(graph, t)
+        zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *src)
         if k in steps_checked:
             # under the weights the accepted run ended with
-            _, _, best = brute_force_timestep(solver, alpha, rhs_c, rhs_l, *sources)
+            _, _, best = brute_force_timestep(solver, alpha, rhs_c, rhs_l, *src)
             ratios[k] = trace.final_mismatch / best
             if k == steps_checked[-1]:
                 raise _Done

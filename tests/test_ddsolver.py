@@ -10,10 +10,10 @@ from ddmna.ddsolver import (
     brute_force_timestep,
     run_transient_dd,
 )
-from ddmna.netlist import build_incidence, parse_netlist
+from ddmna.netlist import build_incidence, parse_netlist, sources
 from ddmna.reference import kcl_residual, run_transient_traditional
-from ddmna.scenarios import SCENARIOS, build_scenario, synthesize_datasets
-from ddmna.state import CircuitState, TransientConfig
+from ddmna.scenarios import SCENARIOS, Scenario, build_scenario, synthesize_datasets
+from ddmna.state import CircuitState, InitialCondition, TransientConfig
 
 NO_L = np.zeros(0)
 
@@ -197,7 +197,7 @@ def test_seeded_dataset_exact_states_are_fixed_points():
     times = cfg.times()
     for k in range(1, len(times)):
         rhs_c = alpha * trad.states[k - 1].q_c
-        v_src, i_src = solver.sources(times[k])
+        v_src, i_src = sources(graph, times[k])
         zx = trad.states[k].copy()
         zo, _, trace = solver.solve_timestep(zx, alpha, rhs_c, NO_L,
                                              v_src, i_src)
@@ -220,16 +220,33 @@ def test_seeded_dataset_run_stays_close():
     assert np.abs(got - ref).max() <= 3 * spacing
 
 
+RLC_ISRC_NET = "I1 0 1 DC 1e-3\nR1 1 2 1e3\nL1 2 0 1e-1\nC1 1 0 1e-6\n"
+STATE_FIELDS = ("phi", "v_g", "i_g", "v_c", "q_c", "psi_l", "i_l", "i_v")
+
+
 def test_all_known_matches_traditional_both_schemes():
-    scenario = SCENARIOS["rc-linear"]
-    graph, inc, known = build_scenario(scenario)
-    for scheme in ("backward-euler", "trapezoidal"):
-        cfg = TransientConfig(scheme=scheme, t_end=5e-3, steps=200)
-        trad = run_transient_traditional(graph, inc, known, cfg)
-        dd = run_transient_dd(graph, inc, known, cfg, DDConfig())
-        ref = np.array([s.v_c[0] for s in trad.states])
-        got = np.array([s.v_c[0] for s in dd.states])
-        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+    # The RLC case starts from nonzero charge and flux, so both solvers' t0
+    # states come from a held circuit with a voltage and a current source.
+    # The last case runs backward Euler at h = 1 s, where a step's alpha is 1.
+    cases = [
+        (SCENARIOS["rc-linear"].netlist, 5e-3, 200, InitialCondition()),
+        (RLC_ISRC_NET, 2e-3, 200,
+         InitialCondition(q_c0=np.array([2e-6]), psi_l0=np.array([1e-4]))),
+        ("V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-3\n", 10.0, 10, InitialCondition()),
+    ]
+    for net, t_end, steps, init in cases:
+        graph = parse_netlist(net)
+        inc = build_incidence(graph)
+        known = bindings_from_graph(graph)
+        for scheme in ("backward-euler", "trapezoidal"):
+            cfg = TransientConfig(scheme=scheme, t_end=t_end, steps=steps, init=init)
+            trad = run_transient_traditional(graph, inc, known, cfg)
+            dd = run_transient_dd(graph, inc, known, cfg, DDConfig())
+            for name in STATE_FIELDS:
+                ref = np.array([getattr(s, name) for s in trad.states])
+                got = np.array([getattr(s, name) for s in dd.states])
+                assert np.abs(got - ref).max(initial=0.0) \
+                    <= 1e-9 * np.abs(ref).max(initial=0.0), (net, scheme, name)
 
 
 def test_monotone_descent_and_feasibility():
@@ -277,7 +294,7 @@ def test_weight_scaling_leaves_projection_unchanged():
         solver = DDSolver(graph, inc, binds, DDConfig())
         for name in list(solver.weights):
             solver.set_weight(name, solver.weights[name].value * scale)
-        v_src, i_src = solver.sources(cfg.h)
+        v_src, i_src = sources(graph, cfg.h)
         zo = solver.project_to_kirchhoff(zx, alpha, np.zeros(1), NO_L,
                                          v_src, i_src)
         outs.append(np.concatenate([zo.phi, zo.i_g, zo.q_c, zo.i_v]))
@@ -324,7 +341,10 @@ def test_stop_reasons_and_one_warning_for_capped_steps(caplog):
 def test_kcl_residual_on_data_driven_traces():
     # the march records the rates each data-driven step solved for, so the
     # reference's discrete KCL check applies to the accepted Kirchhoff states
-    for scenario in SCENARIOS.values():
+    isource = Scenario(name="isource", netlist="I1 0 1 DC 1e-3\nR1 1 0 1e3\nC1 1 0 1e-6\n",
+                       dd_names=("R1",), scheme="trapezoidal", steps=50, t_end=1e-2,
+                       metric_element="C1")
+    for scenario in (*SCENARIOS.values(), isource):
         graph, inc, known = build_scenario(scenario)
         for scheme in ("backward-euler", "trapezoidal"):
             cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end / 10, steps=40)

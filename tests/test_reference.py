@@ -87,7 +87,8 @@ def test_scheme_orders_of_accuracy():
 
 
 def test_kcl_residual_small():
-    for net in (RC_NET, MLCC_NET, RECT_NET):
+    # the current-source circuit checks that the residual reads the sources
+    for net in (RC_NET, MLCC_NET, RECT_NET, "I1 0 1 DC 1e-3\nR1 1 0 1e3\nC1 1 0 1e-6\n"):
         graph, inc, binds = _setup(net)
         cfg = TransientConfig(scheme="trapezoidal", t_end=1e-3, steps=50)
         trace = run_transient_traditional(graph, inc, binds, cfg)
