@@ -1,5 +1,5 @@
 """Analytic element models: linear R/C/L, voltage-dependent MLCC capacitor,
-Shockley diode with series resistance, and source waveforms.
+closed-form Shockley diode with series resistance, and source waveforms.
 
 These serve three purposes: they drive the traditional reference solver,
 they synthesize measurement data for the data-driven solver, and they
@@ -16,6 +16,9 @@ import numpy as np
 # Arguments of exp() are clamped here to avoid float overflow at untested
 # operating points (exp(200) ~ 7e86 still fits in a double).
 EXP_CLAMP = 200.0
+
+# Stop test and iteration cap of the MLCC charge -> voltage Newton inversion.
+CHARGE_TOL, CHARGE_MAX_ITER = 1e-14, 100
 
 
 class ModelDomainError(ValueError):
@@ -106,10 +109,10 @@ def shockley_current(model: ShockleyDiodeModel, v_d):
     return float(out) if np.isscalar(v_d) or np.ndim(v_d) == 0 else out
 
 
-def shockley_conductance(model: ShockleyDiodeModel, v_d: float) -> float:
+def shockley_conductance(model: ShockleyDiodeModel, v_d):
     """di/dv of the junction at junction voltage v_d."""
-    arg = min(v_d / model.nvt, EXP_CLAMP)
-    return model.i_s / model.nvt * math.exp(arg)
+    out = model.i_s / model.nvt * np.exp(np.minimum(np.divide(v_d, model.nvt), EXP_CLAMP))
+    return float(out) if np.ndim(v_d) == 0 else out
 
 
 def composite_diode_voltage(model: ShockleyDiodeModel, i):
@@ -125,53 +128,28 @@ def composite_diode_voltage(model: ShockleyDiodeModel, i):
     return float(out) if np.ndim(i) == 0 else out
 
 
-def composite_diode_current(model: ShockleyDiodeModel, v: float,
-                            tol: float = 1e-15, max_iter: int = 200) -> float:
+def composite_diode_current(model: ShockleyDiodeModel, v):
     """Terminal current of the diode + series resistor at terminal voltage v.
 
-    Solves v = v_j + r_series * i(v_j) for the junction voltage with a
-    bracketed Newton iteration (bisection fallback on overshoot).
+    Closed form (Banwell & Jayakumar, 2000): with a = i_s R / (n vT) and omega
+    the overflow-free Wright omega, i = (n vT/R) omega(ln a + a + v/(n vT)) - i_s.
     """
     if model.r_series == 0.0:
         return shockley_current(model, v)
-    # g(u) = u + R i(u) - v is strictly increasing in the junction voltage u.
-    if v <= 0.0:
-        lo, hi = v, 0.0
-    else:
-        lo, hi = 0.0, min(v, model.nvt * EXP_CLAMP)
-        while _composite_gap(model, hi, v) < 0.0:  # only if clamp kicked in
-            hi += model.nvt
-    u = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        g = _composite_gap(model, u, v)
-        if g > 0.0:
-            hi = u
-        else:
-            lo = u
-        dg = 1.0 + model.r_series * shockley_conductance(model, u)
-        step = g / dg
-        u_new = u - step
-        if not (lo < u_new < hi):
-            u_new = 0.5 * (lo + hi)
-        if abs(u_new - u) <= tol * (abs(u) + model.nvt):
-            u = u_new
-            break
-        u = u_new
-    else:
-        raise RuntimeError("composite diode current solve did not converge")
-    return shockley_current(model, u)
+    # Imported here: loading scipy.special would slow `import ddmna`.
+    from scipy.special import wrightomega
+    a = model.i_s * model.r_series / model.nvt
+    x = math.log(a) + a + np.asarray(v, dtype=float) / model.nvt
+    out = model.nvt / model.r_series * wrightomega(x) - model.i_s
+    return float(out) if np.ndim(v) == 0 else out
 
 
-def composite_diode_conductance(model: ShockleyDiodeModel, v: float) -> float:
+def composite_diode_conductance(model: ShockleyDiodeModel, v):
     """di/dv of the composite diode + series resistor at terminal voltage v."""
     i = composite_diode_current(model, v)
     u = v - model.r_series * i
     g_j = shockley_conductance(model, u)
     return g_j / (1.0 + model.r_series * g_j)
-
-
-def _composite_gap(model: ShockleyDiodeModel, u: float, v: float) -> float:
-    return u + model.r_series * shockley_current(model, u) - v
 
 
 def mlcc_capacitance(model: MlccCapacitorModel, v):
@@ -206,16 +184,16 @@ def capacitor_capacitance(model, v):
     raise TypeError(f"not a capacitor model: {model!r}")
 
 
-def capacitor_voltage_from_charge(model, q: float, tol: float = 1e-14, max_iter: int = 100) -> float:
+def capacitor_voltage_from_charge(model, q: float) -> float:
     """Invert q(v) for a capacitor model; q(v) is strictly increasing."""
     if isinstance(model, LinearModel):
         return q / model.value
     # Newton on the monotone q(v); C(v) >= cinf > 0 keeps it well behaved.
     v = q / model.cinf
-    for _ in range(max_iter):
+    for _ in range(CHARGE_MAX_ITER):
         step = (mlcc_charge(model, v) - q) / mlcc_capacitance(model, v)
         v -= step
-        if abs(step) <= tol * (abs(v) + model.v0):
+        if abs(step) <= CHARGE_TOL * (abs(v) + model.v0):
             return v
     raise RuntimeError("capacitor charge inversion did not converge")
 
@@ -225,9 +203,7 @@ def conductor_current(model, v):
     if isinstance(model, LinearModel):
         return model.value * v
     if isinstance(model, ShockleyDiodeModel):
-        if np.ndim(v) == 0:
-            return composite_diode_current(model, v)
-        return np.array([composite_diode_current(model, float(x)) for x in np.asarray(v)])
+        return composite_diode_current(model, v)
     raise TypeError(f"not a conductive element model: {model!r}")
 
 

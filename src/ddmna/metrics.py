@@ -49,8 +49,7 @@ def true_weights(true_model, ref_pairs: np.ndarray, group: str) -> np.ndarray:
     if isinstance(true_model, em.MlccCapacitorModel):
         return em.mlcc_capacitance(true_model, ref_pairs[:, 0])
     if isinstance(true_model, em.ShockleyDiodeModel):
-        return np.array([em.composite_diode_conductance(true_model, v)
-                         for v in ref_pairs[:, 0]])
+        return em.composite_diode_conductance(true_model, ref_pairs[:, 0])
     raise TypeError(f"no true-parameter weight for {true_model!r}")
 
 

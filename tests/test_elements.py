@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddmna
 from ddmna.elements import (
     LinearModel,
     MlccCapacitorModel,
@@ -10,6 +15,7 @@ from ddmna.elements import (
     ShockleyDiodeModel,
     SourceWaveform,
     capacitor_charge,
+    composite_diode_conductance,
     composite_diode_current,
     composite_diode_voltage,
     conductor_current,
@@ -23,6 +29,11 @@ DIODE = ShockleyDiodeModel(i_s=2.52e-9, n_ideality=1.752, v_t=25.85e-3,
                            r_series=0.0)
 DIODE_RD = ShockleyDiodeModel(i_s=2.52e-9, n_ideality=1.752, v_t=25.85e-3,
                               r_series=10e-3)
+# n vT is about 1 V here, so -2 V is a shallow reverse bias whose conductance
+# a finite difference of the current still resolves.
+SOFT = ShockleyDiodeModel(i_s=1e-6, n_ideality=40.0, v_t=25.85e-3)
+SOFT_RD = ShockleyDiodeModel(i_s=1e-6, n_ideality=40.0, v_t=25.85e-3,
+                             r_series=50.0)
 MLCC = MlccCapacitorModel(c0=10e-6, cinf=2e-6, v0=1.0)
 
 
@@ -70,10 +81,57 @@ def test_composite_round_trip():
 
 
 def test_composite_round_trip_wide_range():
-    for i_star in np.logspace(-9, 1, 21):
+    reverse = [-0.9 * DIODE_RD.i_s, -0.5 * DIODE_RD.i_s]
+    for i_star in np.concatenate([reverse, np.logspace(-9, 3, 25)]):
         v = composite_diode_voltage(DIODE_RD, i_star)
         assert composite_diode_current(DIODE_RD, v) == pytest.approx(
-            i_star, rel=1e-10)
+            i_star, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [DIODE, DIODE_RD])
+def test_composite_array_matches_scalar(model):
+    v = np.linspace(-3.0, 3.0, 121)
+    for fn in (composite_diode_current, composite_diode_conductance):
+        out = fn(model, v)
+        assert isinstance(out, np.ndarray) and out.shape == v.shape
+        scalars = [fn(model, float(x)) for x in v]
+        assert all(type(x) is float for x in scalars)
+        assert np.array_equal(out, scalars)
+
+
+@pytest.mark.parametrize("model, v", [
+    (DIODE, 0.7), (DIODE, 0.0), (DIODE_RD, 0.7), (DIODE_RD, 0.0),
+    (SOFT, 1.0), (SOFT, 0.0), (SOFT, -2.0),
+    (SOFT_RD, 1.0), (SOFT_RD, 0.0), (SOFT_RD, -2.0),
+])
+def test_composite_conductance_matches_finite_difference(model, v):
+    h = 1e-4 * model.nvt
+    fd = (composite_diode_current(model, v + h)
+          - composite_diode_current(model, v - h)) / (2.0 * h)
+    assert composite_diode_conductance(model, v) == pytest.approx(fd, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [DIODE, DIODE_RD])
+def test_composite_conductance_deep_reverse_bias(model):
+    # At -2 V, i + i_s is ~1e-19 of i_s: a finite difference of the current
+    # cannot resolve it, so compare with the reverse-saturation asymptote.
+    # The current is -i_s there, so the junction sits at v + r_series * i_s.
+    v = -2.0
+    expected = model.i_s / model.nvt * math.exp((v + model.r_series * model.i_s) / model.nvt)
+    assert composite_diode_conductance(model, v) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_import_does_not_load_scipy_special():
+    # The composite diode imports scipy.special on first use; loading it at
+    # import time would slow every `import ddmna`.
+    src = str(Path(ddmna.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ddmna; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_composite_voltage_domain_error():
