@@ -125,12 +125,7 @@ class KnownTangent:
 
     def relinearize(self, x: float) -> np.ndarray:
         """Move the tangent to drive x; returns the model pair (x, f(x))."""
-        if isinstance(self.model, em.ShockleyDiodeModel):
-            f = em.conductor_current(self.model, x)
-            self.slope = em.conductor_conductance(self.model, x)
-        else:
-            f = em.capacitor_charge(self.model, x)
-            self.slope = em.capacitor_capacitance(self.model, x)
+        f, self.slope = em.response_slope(self.model, x)
         self.offset = f - self.slope * x
         return np.array([x, f])
 

@@ -144,9 +144,11 @@ def composite_diode_current(model: ShockleyDiodeModel, v):
     return float(out) if np.ndim(v) == 0 else out
 
 
-def composite_diode_conductance(model: ShockleyDiodeModel, v):
-    """di/dv of the composite diode + series resistor at terminal voltage v."""
-    i = composite_diode_current(model, v)
+def composite_diode_conductance(model: ShockleyDiodeModel, v, i=None):
+    """di/dv of the composite diode + series resistor at terminal voltage v;
+    pass the current `i` at v when it is already known."""
+    if i is None:
+        i = composite_diode_current(model, v)
     u = v - model.r_series * i
     g_j = shockley_conductance(model, u)
     return g_j / (1.0 + model.r_series * g_j)
@@ -172,15 +174,6 @@ def capacitor_charge(model, v):
         return model.value * np.asarray(v, dtype=float) if np.ndim(v) else model.value * v
     if isinstance(model, MlccCapacitorModel):
         return mlcc_charge(model, v)
-    raise TypeError(f"not a capacitor model: {model!r}")
-
-
-def capacitor_capacitance(model, v):
-    """Differential capacitance dq/dv at voltage v."""
-    if isinstance(model, LinearModel):
-        return model.value if np.ndim(v) == 0 else np.full(np.shape(v), model.value)
-    if isinstance(model, MlccCapacitorModel):
-        return mlcc_capacitance(model, v)
     raise TypeError(f"not a capacitor model: {model!r}")
 
 
@@ -214,3 +207,12 @@ def conductor_conductance(model, v):
     if isinstance(model, ShockleyDiodeModel):
         return composite_diode_conductance(model, v)
     raise TypeError(f"not a conductive element model: {model!r}")
+
+
+def response_slope(model, v):
+    """(i, di/dv) of a diode or (q, dq/dv) of an MLCC capacitor at voltage v,
+    evaluating the diode current once."""
+    if isinstance(model, ShockleyDiodeModel):
+        i = composite_diode_current(model, v)
+        return i, composite_diode_conductance(model, v, i)
+    return mlcc_charge(model, v), mlcc_capacitance(model, v)

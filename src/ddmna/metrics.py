@@ -42,7 +42,7 @@ class ConvergencePoint:
             raise ValueError("invalid convergence point")
 
 
-def true_weights(true_model, ref_pairs: np.ndarray, group: str) -> np.ndarray:
+def true_weights(true_model, ref_pairs: np.ndarray) -> np.ndarray:
     """Per-step metric weight from the true model along the reference trace."""
     if isinstance(true_model, em.LinearModel):
         return np.full(len(ref_pairs), true_model.value)
@@ -62,7 +62,7 @@ def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
         raise ValueError("traces must share the time grid")
     pairs = trace.pairs(group, index)
     ref_pairs = ref_trace.pairs(group, index)
-    w = true_weights(true_model, ref_pairs, group)
+    w = true_weights(true_model, ref_pairs)
     values = np.array([weighted_pair_distance(p, pr, wk, group)
                        for p, pr, wk in zip(pairs, ref_pairs, w)])
     return ErrorSeries(element=element, times=trace.times.copy(),

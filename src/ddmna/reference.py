@@ -2,9 +2,12 @@
 
 Unknowns per step are (phi, i_L, i_V); capacitor charges are eliminated via
 q = q(v) and resistive currents via i = i(v).  The companion scheme and the
-time grid come from `state.march`.  Nonlinear steps are solved with damped
-Newton; for an all-linear circuit the step Jacobian is factored once per step
-size.  The consistent state at t0 is one step of the held circuit
+time grid come from `state.march`.  Every step is solved with one damped
+Newton loop.  The linear stamp (incidence blocks, inductors, linear G and C)
+is built and LU-factored once per step size; the nonlinear elements add their
+currents, charges and rank-1 stamps on top of it at each iterate, from one
+model evaluation each.  An all-linear circuit reuses the kept factors.  The
+consistent state at t0 is one step of the held circuit
 (`netlist.held_circuit`), so `step` holds the only Newton loop.
 """
 
@@ -68,81 +71,76 @@ class TraditionalSolver:
         self.nphi = graph.n - 1
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
-        self._linear_lu = None  # (alpha, jac, lu, piv, info) of the last factored Jacobian
+        self._lu = None  # (alpha, linear stamp, lu, piv, info) of the last alpha
 
     @staticmethod
     def _source_scale(v_src: np.ndarray, i_src: np.ndarray) -> float:
         return max([1.0, *(abs(x) for x in v_src), *(abs(x) for x in i_src)])
 
-    # -- residual / Jacobian ---------------------------------------------
     def _split(self, x: np.ndarray):
         return (x[:self.nphi],
                 x[self.nphi:self.nphi + self.n_l],
                 x[self.nphi + self.n_l:])
 
-    def residual_jacobian(self, x: np.ndarray, alpha: float,
-                          rhs_c: np.ndarray, rhs_l: np.ndarray,
-                          v_src: np.ndarray, i_src: np.ndarray):
-        inc = self.inc
-        phi, i_l, i_v = self._split(x)
-        v_g = inc.a_g.T @ phi
-        v_c = inc.a_c.T @ phi
-        i_g = np.array([em.conductor_current(m, v) for m, v in zip(self.g_models, v_g)])
-        g_g = np.array([em.conductor_conductance(m, v) for m, v in zip(self.g_models, v_g)])
-        q_c = np.array([em.capacitor_charge(m, v) for m, v in zip(self.c_models, v_c)])
-        c_c = np.array([em.capacitor_capacitance(m, v) for m, v in zip(self.c_models, v_c)])
-        qdot = alpha * q_c - rhs_c
-        psi = self.l_values * i_l
-        psidot = alpha * psi - rhs_l
-
-        f = np.concatenate([
-            inc.a_g @ i_g + inc.a_c @ qdot + inc.a_l @ i_l + inc.a_v @ i_v - inc.a_i @ i_src,
-            inc.a_l.T @ phi - psidot,
-            inc.a_v.T @ phi - v_src,
-        ])
-        n = self.nphi + self.n_l + self.n_v
-        jac = np.zeros((n, n))
-        jac[:self.nphi, :self.nphi] = (inc.a_g * g_g) @ inc.a_g.T \
-            + alpha * (inc.a_c * c_c) @ inc.a_c.T
-        jac[:self.nphi, self.nphi:self.nphi + self.n_l] = inc.a_l
-        jac[:self.nphi, self.nphi + self.n_l:] = inc.a_v
-        jac[self.nphi:self.nphi + self.n_l, :self.nphi] = inc.a_l.T
-        jac[self.nphi:self.nphi + self.n_l, self.nphi:self.nphi + self.n_l] = \
-            -alpha * np.diag(self.l_values) if self.n_l else np.zeros((0, 0))
-        jac[self.nphi + self.n_l:, :self.nphi] = inc.a_v.T
-        return f, jac
-
-    # -- all-linear circuits -----------------------------------------------
+    # -- the linear stamp and the nonlinear columns ------------------------
     @functools.cached_property
-    def linear_values(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(conductances, capacitances) when every G and C model is linear, else None.
-
-        Such a circuit has a step Jacobian that depends on alpha only; it is
-        built and factored once per alpha (see `_linear_system`).
-        """
-        if not all(isinstance(m, em.LinearModel) for m in (*self.g_models, *self.c_models)):
-            return None
-        return (np.array([m.value for m in self.g_models], dtype=float),
-                np.array([m.value for m in self.c_models], dtype=float))
+    def _columns(self):
+        """G and C split on first use: the linear values (0 at nonlinear
+        columns), the nonlinear columns' indices in G and in C, their models,
+        their incidence columns and which of them are C, G first."""
+        g_lin, c_lin = (np.array([m.value if isinstance(m, em.LinearModel) else 0.0 for m in ms])
+                        for ms in (self.g_models, self.c_models))
+        nl_g, nl_c = (np.flatnonzero(values == 0.0) for values in (g_lin, c_lin))
+        models = [self.g_models[k] for k in nl_g] + [self.c_models[k] for k in nl_c]
+        a_n = np.hstack([self.inc.a_g[:, nl_g], self.inc.a_c[:, nl_c]])
+        return g_lin, c_lin, nl_g, nl_c, models, a_n, np.arange(len(models)) >= len(nl_g)
 
     def _linear_system(self, alpha: float):
-        """Step Jacobian of an all-linear circuit and its LU factors, kept for one alpha."""
-        if self._linear_lu is None or self._linear_lu[0] != alpha:
-            inc = self.inc
-            n = self.nphi + self.n_l + self.n_v
-            _, jac = self.residual_jacobian(
-                np.zeros(n), alpha, np.zeros(inc.a_c.shape[1]), np.zeros(self.n_l),
-                np.zeros(self.n_v), np.zeros(inc.a_i.shape[1]))
+        """Linear stamp J_lin(alpha) (incidence blocks, -alpha L, the linear G
+        and alpha C) and its LU factors, kept for one alpha."""
+        if self._lu is None or self._lu[0] != alpha:
+            inc, nphi, n_l = self.inc, self.nphi, self.n_l
+            g_lin, c_lin, *_ = self._columns
+            jac = np.zeros((nphi + n_l + self.n_v,) * 2)
+            jac[:nphi, :nphi] = (inc.a_g * g_lin) @ inc.a_g.T \
+                + alpha * (inc.a_c * c_lin) @ inc.a_c.T
+            jac[:nphi, nphi:nphi + n_l] = inc.a_l
+            jac[:nphi, nphi + n_l:] = inc.a_v
+            jac[nphi:nphi + n_l, :nphi] = inc.a_l.T
+            jac[nphi:nphi + n_l, nphi:nphi + n_l] = -alpha * np.diag(self.l_values)
+            jac[nphi + n_l:, :nphi] = inc.a_v.T
             lu, piv, info = lapack.dgetrf(jac)
-            self._linear_lu = (alpha, jac, lu, piv, info)
-        return self._linear_lu
+            self._lu = (alpha, jac, lu, piv, info)
+        return self._lu
 
-    def _linear_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the factored Jacobian of `_linear_system`."""
-        _, _, lu, piv, info = self._linear_lu
+    def residual_jacobian(self, x: np.ndarray, alpha: float, b: np.ndarray):
+        """Residual f = J_lin @ x - b plus the nonlinear columns' a i(v) and
+        alpha a q(v), and its Jacobian: J_lin itself when every column is
+        linear, else a copy with the nonlinear rank-1 stamps added.  Each
+        nonlinear column's model is evaluated once: (i, di/dv) for G, (q, dq/dv)
+        for C."""
+        jac = self._linear_system(alpha)[1]
+        f = jac @ x - b
+        *_, models, a_n, is_c = self._columns
+        if models:
+            response, slope = np.array([em.response_slope(m, v)
+                                        for m, v in zip(models, a_n.T @ x[:self.nphi])]).T
+            scale = np.where(is_c, alpha, 1.0)
+            f[:self.nphi] += a_n @ (scale * response)
+            jac = jac.copy()
+            jac[:self.nphi, :self.nphi] += (a_n * (scale * slope)) @ a_n.T
+        return f, jac
+
+    def _solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve jac @ x = rhs: with the kept LU when jac is the linear stamp,
+        else with one dgesv."""
+        _, lin_jac, lu, piv, info = self._lu
+        if jac is not lin_jac:
+            _, _, x, info = lapack.dgesv(jac, rhs)
+        elif info == 0:
+            x, _ = lapack.dgetrs(lu, piv, rhs)
         if info != 0:
             raise np.linalg.LinAlgError("Singular matrix")
-        x, _ = lapack.dgetrs(lu, piv, rhs)
         return x
 
     # -- one implicit step ------------------------------------------------
@@ -151,26 +149,11 @@ class TraditionalSolver:
         """Solve the companion system at time t from x0; returns (x, Newton iterations)."""
         v_src, i_src = sources(self.graph, t)
         tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
-        if self.linear_values is not None:
-            # f(x) = jac @ x - b: the same Newton loop, on a kept factorization
-            _, lin_jac, _, _, _ = self._linear_system(alpha)
-            inc = self.inc
-            b = np.concatenate([inc.a_c @ rhs_c + inc.a_i @ i_src, -rhs_l, v_src])
-
-            def residual_jacobian(x):
-                return lin_jac @ x - b, lin_jac
-
-            def solve(jac, rhs):
-                return self._linear_solve(rhs)
-        else:
-            def residual_jacobian(x):
-                return self.residual_jacobian(x, alpha, rhs_c, rhs_l, v_src, i_src)
-
-            solve = np.linalg.solve
-
+        inc = self.inc
+        b = np.concatenate([inc.a_c @ rhs_c + inc.a_i @ i_src, -rhs_l, v_src])
         x = x0.copy()
-        f, jac = residual_jacobian(x)
-        norm = np.linalg.norm(f, np.inf)
+        f, jac = self.residual_jacobian(x, alpha, b)
+        norm = np.abs(f).max(initial=0.0)
         for it in range(1, NEWTON_MAX_ITER + 1):
             if norm <= tol:
                 # one undamped polish step: quadratic convergence drives the
@@ -178,22 +161,22 @@ class TraditionalSolver:
                 # clean relative to even the smallest current scales
                 if norm > 0.0:
                     try:
-                        delta = solve(jac, -f)
+                        delta = self._solve(jac, -f)
                     except np.linalg.LinAlgError:
                         return x, it - 1
-                    f_try, _ = residual_jacobian(x + delta)
-                    if np.linalg.norm(f_try, np.inf) < norm:
+                    f_try, _ = self.residual_jacobian(x + delta, alpha, b)
+                    if np.abs(f_try).max(initial=0.0) < norm:
                         x = x + delta
                 return x, it - 1
             try:
-                delta = solve(jac, -f)
+                delta = self._solve(jac, -f)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular MNA system at t={t}: {exc}") from None
             lam = 1.0
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 x_try = x + lam * delta
-                f_try, jac_try = residual_jacobian(x_try)
-                norm_try = np.linalg.norm(f_try, np.inf)
+                f_try, jac_try = self.residual_jacobian(x_try, alpha, b)
+                norm_try = np.abs(f_try).max(initial=0.0)
                 if norm_try < norm or norm <= tol:
                     break
                 lam *= 0.5
@@ -205,13 +188,13 @@ class TraditionalSolver:
     def state_from_x(self, x: np.ndarray) -> CircuitState:
         inc = self.inc
         phi, i_l, i_v = self._split(x)
+        g_lin, c_lin, nl_g, nl_c, *_ = self._columns
         v_g = inc.a_g.T @ phi
         v_c = inc.a_c.T @ phi
-        if self.linear_values is not None:
-            i_g, q_c = self.linear_values[0] * v_g, self.linear_values[1] * v_c
-        else:
-            i_g = np.array([em.conductor_current(m, v) for m, v in zip(self.g_models, v_g)])
-            q_c = np.array([em.capacitor_charge(m, v) for m, v in zip(self.c_models, v_c)])
+        # the linear columns as arrays; the nonlinear ones need no slope here
+        i_g, q_c = g_lin * v_g, c_lin * v_c
+        i_g[nl_g] = [em.conductor_current(self.g_models[k], v_g[k]) for k in nl_g]
+        q_c[nl_c] = [em.capacitor_charge(self.c_models[k], v_c[k]) for k in nl_c]
         return CircuitState(
             phi=phi.copy(),
             v_g=v_g,

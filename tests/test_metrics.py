@@ -148,7 +148,7 @@ def test_slope_needs_three_points():
 
 def test_true_weights_linear_and_tangent():
     pairs = np.array([[0.0, 0.0], [1.0, 1e-6]])
-    w = true_weights(LinearModel("C", 1e-6), pairs, "C")
+    w = true_weights(LinearModel("C", 1e-6), pairs)
     assert np.allclose(w, 1e-6)
 
 

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ddmna import reference
 from ddmna.dataset import bindings_from_graph
 from ddmna.netlist import build_incidence, parse_netlist
 from ddmna.reference import (
+    SolverError,
+    TraditionalSolver,
     analytic_rc_voltage,
     kcl_residual,
     run_transient_traditional,
@@ -18,6 +21,16 @@ RECT_NET = ("V1 1 0 SIN 0 5 100\n"
             "D1 1 2 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n"
             "C1 2 0 1e-4\n"
             "R1 2 0 1e3\n")
+# every element kind: a linear R-C stage, a diode with series R, an MLCC, an
+# inductor and a current source
+MIXED_NET = ("V1 1 0 SIN 0 5 100\n"
+             "R1 1 2 1e3\n"
+             "C1 2 0 1e-6\n"
+             "D1 2 3 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n"
+             "C2 3 0 MODEL mlcc(1e-5,2e-6,1.0)\n"
+             "L1 3 4 1e-3\n"
+             "R2 4 0 100\n"
+             "I1 0 4 DC 1e-3\n")
 
 
 def _setup(net):
@@ -150,3 +163,62 @@ def test_rectifier_charges_toward_peak():
     trace = run_transient_traditional(graph, inc, binds, cfg)
     peak = max(s.v_c[0] for s in trace.states)
     assert 3.5 <= peak <= 5.0
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 1e-4, 2.0 / 1e-4], ids=["be", "tr"])
+def test_split_jacobian_is_the_true_jacobian(alpha):
+    # the linear stamp plus the nonlinear rank-1 stamps must be the derivative
+    # of the residual, alpha scaling included.  The diode is held in forward
+    # bias, where its conductance stands well above the difference's rounding.
+    graph, inc, binds = _setup(MIXED_NET)
+    solver = TraditionalSolver(graph, inc, binds)
+    a_d = inc.a_g[:, [e.name for e in graph.groups["G"]].index("D1")]
+    rng = np.random.default_rng(7)
+    n = solver.nphi + solver.n_l + solver.n_v
+    b = rng.uniform(-1e-3, 1e-3, n)
+    for _ in range(5):
+        x = rng.uniform(-0.3, 0.3, n)
+        v_d = a_d @ x[:solver.nphi]
+        x[:solver.nphi] += a_d * (rng.uniform(0.45, 0.65) - v_d) / 2.0
+        _, jac = solver.residual_jacobian(x, alpha, b)
+        fd = np.empty((n, n))
+        for j in range(n):
+            dx = np.zeros(n)
+            dx[j] = 1e-6 * max(1.0, abs(x[j]))
+            f_hi, _ = solver.residual_jacobian(x + dx, alpha, b)
+            f_lo, _ = solver.residual_jacobian(x - dx, alpha, b)
+            fd[:, j] = (f_hi - f_lo) / (2.0 * dx[j])
+        assert jac == pytest.approx(fd, rel=1e-6, abs=0.0)
+
+
+def test_linear_circuit_factors_once_per_step_size(monkeypatch):
+    # 100 trapezoidal steps: one LU for the h/100 bootstrap alpha and one for
+    # the step alpha; the held circuit at t0 is a different, larger system
+    stages = 5
+    net = "V1 1 0 SIN 0 1 1000\n" + "".join(
+        f"R{k} {k} {k + 1} 1e3\nC{k} {k + 1} 0 1e-8\n" for k in range(1, stages + 1))
+    graph, inc, binds = _setup(net)
+    shapes = []
+    dgetrf = reference.lapack.dgetrf
+
+    def counting_dgetrf(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return dgetrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(reference.lapack, "dgetrf", counting_dgetrf)
+    cfg = TransientConfig(scheme="trapezoidal", t_end=1e-3, steps=100)
+    run_transient_traditional(graph, inc, binds, cfg)
+    n = graph.n - 1 + graph.count("L") + graph.count("V")
+    assert shapes.count((n, n)) == 2
+    assert len(shapes) == 3
+
+
+@pytest.mark.parametrize("load", ["R1 1 2 1e3\nC1 2 0 1e-6\n",
+                                  "R1 1 2 2e4\nC1 2 0 MODEL mlcc(1e-5,2e-6,1.0)\n",
+                                  RECT_NET.split("\n", 1)[1]],
+                         ids=["linear", "mlcc", "diode"])
+def test_parallel_voltage_sources_raise_solver_error(load):
+    graph, inc, binds = _setup("V1 1 0 DC 1\nV2 1 0 DC 2\n" + load)
+    cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=10)
+    with pytest.raises(SolverError, match="singular MNA system"):
+        run_transient_traditional(graph, inc, binds, cfg)
