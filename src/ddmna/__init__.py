@@ -20,7 +20,6 @@ from .elements import (
 )
 from .dataset import (
     ElementBinding,
-    ElementWeight,
     MeasurementSet,
     NearestNeighborIndex,
     SamplingPlan,

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -182,6 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _get(args, "out", "out")
     os.makedirs(out_dir, exist_ok=True)
 
+    dd_rows = []  # data-driven only: steps per stop reason, restart iterations
     if solver == "traditional":
         trace = run_transient_traditional(graph, inc, bindings, config)
         residual = kcl_residual(inc, trace)
@@ -189,8 +191,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         dd_config = DDConfig(**_set_options(args, tol_em=float, max_iters=_positive_int,
                                             weight_rule=None))
         trace = run_transient_dd(graph, inc, bindings, config, dd_config)
-        residual = max((d.feasibility_residual for d in trace.step_details
-                        if d is not None), default=0.0)
+        steps = trace.step_details[1:]
+        residual = max((d.feasibility_residual for d in steps), default=0.0)
+        stops = Counter(d.stop_reason for d in steps)
+        dd_rows = [f"stop_reason_{reason},{stops[reason]}" for reason in sorted(stops)]
+        dd_rows.append(f"restart_iterations,{sum(d.restart_iterations for d in steps)}")
 
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     _write_run_convergence(trace, solver, os.path.join(out_dir, "convergence.csv"))
@@ -206,6 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write(f"max_iterations,{int(trace.iterations.max())}\n")
         fh.write(f"median_iterations,{float(np.median(trace.iterations[1:]))}\n")
         fh.write(f"constraint_residual,{residual:.17g}\n")
+        fh.writelines(row + "\n" for row in dd_rows)
     print(f"wrote trace.csv, convergence.csv, summary.csv to {out_dir}")
     return 0
 

@@ -108,17 +108,6 @@ def _log_symmetric_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 @dataclass
-class ElementWeight:
-    """Computational metric coefficient for one element (not a physical value)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value < np.inf):
-            raise ValueError(f"weight must satisfy 0 < w < inf, got {self.value}")
-
-
-@dataclass
 class ElementBinding:
     """How one passive element is resolved: known model or measurement data."""
 
@@ -158,23 +147,29 @@ def generate_measurements(model, plan: SamplingPlan, kind: str | None = None) ->
     raise TypeError(f"cannot generate measurements for {model!r}")
 
 
-def weighted_pair_distance(p, p_ref, w: float, kind: str) -> float:
-    """Half-weighted squared distance between two pairs of one element kind."""
+def checked_weight(value) -> float:
+    """A metric weight as a float; it must satisfy 0 < w < inf."""
+    w = float(value)
+    if not (0.0 < w < np.inf):
+        raise ValueError(f"weight must satisfy 0 < w < inf, got {w}")
+    return w
+
+
+def weighted_pair_distance(p, p_ref, w, kind: str):
+    """Half-weighted squared distance between pairs of one element kind.
+
+    p and p_ref are pairs or arrays of pairs (last axis), w a weight or one
+    weight per pair; the result broadcasts over the leading axes.
+    """
     iw = _W_COL[kind]
-    da = p[iw] - p_ref[iw]
-    db = p[1 - iw] - p_ref[1 - iw]
-    return 0.5 * w * da * da + 0.5 / w * db * db
+    return _ab_distances(p[..., iw], p[..., 1 - iw], p_ref[..., iw], p_ref[..., 1 - iw], w)
 
 
-def pair_norm(p, w: float, kind: str) -> float:
-    """Half-weighted squared norm of a single pair."""
+def pair_norm(p, w, kind: str):
+    """Half-weighted squared norm of a pair, or of each pair of an array.  Squares
+    go through pow(), as a scalar's `** 2` does; an array's `** 2` multiplies."""
     iw = _W_COL[kind]
-    return 0.5 * w * p[iw] ** 2 + 0.5 / w * p[1 - iw] ** 2
-
-
-def _distances(pairs: np.ndarray, query, w: float, kind: str) -> np.ndarray:
-    iw = _W_COL[kind]
-    return _ab_distances(pairs[:, iw], pairs[:, 1 - iw], query[iw], query[1 - iw], w)
+    return 0.5 * w * np.float_power(p[..., iw], 2) + 0.5 / w * np.float_power(p[..., 1 - iw], 2)
 
 
 def _ab_distances(a, b, qa, qb, w: float):
@@ -189,7 +184,7 @@ def _ab_distances(a, b, qa, qb, w: float):
 
 def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarray, int]:
     """Closest stored pair under the weighted metric; ties break to lowest index."""
-    idx = int(np.argmin(_distances(mset.pairs, query, w, mset.kind)))
+    idx = int(np.argmin(weighted_pair_distance(mset.pairs, np.asarray(query), w, mset.kind)))
     return mset.pairs[idx].copy(), idx
 
 
@@ -297,8 +292,7 @@ class NearestNeighborIndex:
 
 
 def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
-                         current: ElementWeight,
-                         w_min: float, w_max: float) -> ElementWeight:
+                         current: float, w_min: float, w_max: float) -> float:
     """Absolute least-squares slope through the k nearest pairs around a state.
 
     The neighbours are found under the current weight and fitted in ascending
@@ -309,7 +303,7 @@ def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
     mset = index.mset
     if len(mset) < 2 or k < 2:
         raise ValueError("local tangent needs at least two pairs and k >= 2")
-    neighbors = mset.pairs[index.k_nearest(state_pair, k, current.value)]
+    neighbors = mset.pairs[index.k_nearest(state_pair, k, current)]
     ia = _W_COL[mset.kind]
     a = neighbors[:, ia]
     b = neighbors[:, 1 - ia]
@@ -317,9 +311,9 @@ def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
     var = float(a_c @ a_c)
     if var <= 0.0:
         log.warning("degenerate local-tangent neighborhood; keeping previous weight")
-        return ElementWeight(current.value)
+        return current
     slope = abs(float(a_c @ (b - b.mean())) / var)
-    return ElementWeight(min(max(slope, w_min), w_max))
+    return min(max(slope, w_min), w_max)
 
 
 def project_known_linear(w: float, query, kind: str = "G") -> np.ndarray:
@@ -349,19 +343,19 @@ def chord_weight(mset: MeasurementSet) -> float:
     return 1.0
 
 
-def default_weight(binding: ElementBinding) -> ElementWeight:
+def default_weight(binding: ElementBinding) -> float:
     """Constant weighting factor: model coefficient if known, chord slope if data."""
     if binding.mode == "data":
-        return ElementWeight(chord_weight(binding.data))
+        return checked_weight(chord_weight(binding.data))
     model = binding.model
     if isinstance(model, em.LinearModel):
-        return ElementWeight(model.value)
+        return checked_weight(model.value)
     if isinstance(model, em.MlccCapacitorModel):
-        return ElementWeight(model.c0)
+        return checked_weight(model.c0)
     if isinstance(model, em.ShockleyDiodeModel):
         # Scale-aware stand-in: conductance at a 1 mA forward operating point.
         v_ref = em.composite_diode_voltage(model, 1e-3)
-        return ElementWeight(em.composite_diode_conductance(model, v_ref))
+        return checked_weight(em.composite_diode_conductance(model, v_ref))
     raise TypeError(f"no default weight for {model!r}")
 
 

@@ -3,9 +3,11 @@ Kirchhoff-feasible affine set of circuit states and the measurement set.
 
 Each solver iteration solves one saddle-point linear system (projection onto
 the constraints, unknowns extended by Lagrange multipliers) followed by
-independent per-element nearest-neighbor projections onto the data.  The
-iteration is a fixed point monitored through the energy mismatch, the
-weighted squared distance between the two projected states.
+independent per-element projections onto the data.  The iteration is a fixed
+point monitored through the energy mismatch, the weighted squared distance
+between the two projected states.  The weights are one vector in the order of
+the state's pair block, so the projections onto known lines and the mismatch
+are single array expressions over that block.
 
 Elements with a known model are not matched to data.  Each one is folded into
 the constraints as its tangent line y = slope * x + offset.  A linear model is
@@ -27,9 +29,11 @@ data until the selection repeats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -37,15 +41,13 @@ import scipy.linalg
 from . import elements as em
 from .dataset import (
     ElementBinding,
-    ElementWeight,
     NearestNeighborIndex,
+    checked_weight,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     held_values,
     local_tangent_weight,
     nearest_measurement,
-    project_known_linear,
-    weighted_pair_distance,
 )
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
@@ -240,16 +242,9 @@ class KirchhoffSystem:
         """The circuit state in a solution z of the system."""
         lay, inc = self.lay, self.inc
         phi = z[lay["phi"]]
-        return CircuitState(
-            phi=phi,
-            v_g=inc.a_g.T @ phi,
-            i_g=z[lay["i_g"]],
-            v_c=inc.a_c.T @ phi,
-            q_c=z[lay["q_c"]],
-            psi_l=z[lay["psi"]],
-            i_l=z[lay["i_l"]],
-            i_v=z[lay["i_v"]],
-        )
+        return CircuitState(phi=phi, v_g=inc.a_g.T @ phi, i_g=z[lay["i_g"]],
+                            v_c=inc.a_c.T @ phi, q_c=z[lay["q_c"]], psi_l=z[lay["psi"]],
+                            i_l=z[lay["i_l"]], i_v=z[lay["i_v"]])
 
 
 class DDSolver:
@@ -263,18 +258,26 @@ class DDSolver:
         by_name = {b.name: b for b in bindings}
         self.bindings: dict[str, list[ElementBinding]] = {}
         for group in "GCL":
-            self.bindings[group] = []
-            for e in graph.groups[group]:
-                b = by_name.get(e.name)
+            self.bindings[group] = [by_name.get(e.name) for e in graph.groups[group]]
+            for e, b in zip(graph.groups[group], self.bindings[group]):
                 if b is None:
                     raise ValueError(f"no binding for element {e.name}")
                 if b.group != group:
                     raise ValueError(f"binding group mismatch for {e.name}")
-                self.bindings[group].append(b)
 
-        self.w_ref: dict[str, float] = {}
-        self.weights: dict[str, ElementWeight] = {}
-        self.nn: dict[str, NearestNeighborIndex] = {}
+        self.nphi = graph.n - 1
+        self.n_g, self.n_c, self.n_l, self.n_v = (graph.count(group) for group in "GCLV")
+        # Per element, in the order of the state's pair block (G, C, then L):
+        # name, weight, reference weight and weight coordinate (1 for L).
+        elements = [(group, j, b) for group in "GCL" for j, b in enumerate(self.bindings[group])]
+        self.names = [b.name for _, _, b in elements]
+        self.weights = np.array([default_weight(b) for _, _, b in elements])
+        self.w_ref = self.weights.copy()
+        self.weight_set = WeightSet(*np.split(self.weights, [self.n_g, self.n_g + self.n_c]))
+        self._iw = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])
+        self._wcol = self._iw[:, None] == [0, 1]  # True at each weight coordinate
+
+        self.nn: dict[int, NearestNeighborIndex] = {}  # pair-block row -> index
         # Known elements are hard constraints of the Kirchhoff projection,
         # each folded as its tangent line with its own multiplier, so every
         # Kirchhoff state satisfies them exactly.  That does not end a step
@@ -283,74 +286,54 @@ class DDSolver:
         # and a step stops only when the data indices and the known pairs
         # repeat bit for bit, or on the mismatch floor or the stall test.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
-        for group in "GCL":
-            for j, b in enumerate(self.bindings[group]):
-                w = default_weight(b)
-                self.w_ref[b.name] = w.value
-                self.weights[b.name] = w
-                if b.mode == "data":
-                    self.nn[b.name] = NearestNeighborIndex(b.data, w.value)
-                elif isinstance(b.model, em.LinearModel):
-                    self.known[group].append(KnownTangent(j, b.model, b.model.value))
-                else:
-                    tangent = KnownTangent(j, b.model, 0.0)
-                    tangent.relinearize(0.0)
-                    self.known[group].append(tangent)
+        lin, self._nonlinear = [], []  # (row, model value), (row, tangent)
+        for row, (group, j, b) in enumerate(elements):
+            if b.mode == "data":
+                self.nn[row] = NearestNeighborIndex(b.data, self.weights[row])
+            elif isinstance(b.model, em.LinearModel):
+                self.known[group].append(KnownTangent(j, b.model, b.model.value))
+                lin.append((row, b.model.value))
+            else:
+                tangent = KnownTangent(j, b.model, 0.0)
+                tangent.relinearize(0.0)
+                self.known[group].append(tangent)
+                self._nonlinear.append((row, tangent))
+        self._known_rows = np.array([r for r in range(len(elements)) if r not in self.nn], np.intp)
+        self._lin_rows = np.array([row for row, _ in lin], dtype=np.intp)
+        self._lin_value = np.array([value for _, value in lin])
         self._tangents = [t for group in "GCL" for t in self.known[group]]
-        self._known_by_name = {self.bindings[group][t.index].name: t
-                               for group in "GCL" for t in self.known[group]}
-        # (group, column, binding) of every data element, in selection order
-        self._data_elements = [(group, j, b) for group in "GCL"
-                               for j, b in enumerate(self.bindings[group])
-                               if b.mode == "data"]
-
         self.system = KirchhoffSystem("step", inc, self.known)
-        self.nphi = graph.n - 1
-        self.n_g = graph.count("G")
-        self.n_c = graph.count("C")
-        self.n_l = graph.count("L")
-        self.n_v = graph.count("V")
         self._lu_slot: tuple | None = None  # (key, LU factors) of the last system
+        self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
 
     # ------------------------------------------------------------------
     def set_weight(self, name: str, value: float) -> None:
         """Override one element's metric coefficient (and its index's default)."""
-        self.weights[name] = ElementWeight(float(value))
-        self.w_ref[name] = float(value)
-        if name in self.nn:
-            self.nn[name].weight = float(value)
-
-    def weight_arrays(self) -> WeightSet:
-        return WeightSet(
-            g=np.array([self.weights[b.name].value for b in self.bindings["G"]]),
-            c=np.array([self.weights[b.name].value for b in self.bindings["C"]]),
-            l=np.array([self.weights[b.name].value for b in self.bindings["L"]]),
-        )
-
-    def _weights_key(self) -> tuple:
-        return tuple(sorted((k, w.value) for k, w in self.weights.items()))
-
-    def _slopes_key(self) -> tuple:
-        return tuple(t.slope for t in self._tangents)
+        w = checked_weight(value)
+        row = self.names.index(name)
+        self.weights[row] = self.w_ref[row] = w
+        if row in self.nn:
+            self.nn[row].weight = w
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float,
                                    weights: WeightSet | None = None) -> np.ndarray:
         """Stationarity-plus-constraints system matrix for one projection solve."""
-        return self.system.matrix(alpha, weights or self.weight_arrays())
+        return self.system.matrix(alpha, weights or self.weight_set)
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
                                 v_src: np.ndarray, i_src: np.ndarray,
                                 weights: WeightSet | None = None) -> np.ndarray:
         return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src,
-                               weights or self.weight_arrays())
+                               weights or self.weight_set)
 
     def _solve(self, system: KirchhoffSystem, alpha: float, b: np.ndarray,
                assemble) -> CircuitState:
         """Solve system for b with the LU factors of assemble(), kept in one slot
         and refactored when the system, alpha, a weight or a slope changes."""
-        key = (system.tag, alpha, self._weights_key(), self._slopes_key())
+        key = (system.tag, alpha, self.weights.tobytes(),
+               tuple(t.slope for t in self._tangents))
         if self._lu_slot is None or self._lu_slot[0] != key:
             try:
                 lu = scipy.linalg.lu_factor(assemble())
@@ -400,52 +383,57 @@ class DDSolver:
         Data elements take their nearest measured pair.  Known linear
         elements take the closest point on their line; known nonlinear ones
         take the model point at the Kirchhoff state's drive coordinate and
-        are re-linearised there.
+        are re-linearised there.  The selection is the data indices, then
+        the known pairs in element order.
         """
         zx = zo.copy()
+        p = zx.pairs()
+        w = self.weights.tolist()
         dd_indices = []
-        known_pairs = []
-        for group in "GCL":
-            for j, b in enumerate(self.bindings[group]):
-                w = self.weights[b.name]
-                pair = zo.pair(group, j)
-                if b.mode == "data":
-                    p, idx = self.nn[b.name].query(pair, w=w.value)
-                    dd_indices.append(idx)
-                elif isinstance(b.model, em.LinearModel):
-                    p = project_known_linear(b.model.value, pair, kind=group)
-                    known_pairs.append(p)
-                else:
-                    p = self._known_by_name[b.name].relinearize(float(pair[0]))
-                    known_pairs.append(p)
-                zx.set_pair(group, j, p)
-        return zx, (tuple(dd_indices), tuple(map(tuple, known_pairs)))
+        for row, index in self.nn.items():
+            p[row], idx = index.query(p[row], w=w[row])
+            dd_indices.append(idx)
+        # Closest points on the lines x_o = value * x_w (x_w: weight coordinate)
+        rows, value = self._lin_rows, self._lin_value
+        if len(rows):
+            iw = self._iw[rows]
+            a = 0.5 * (p[rows, iw] + p[rows, 1 - iw] / value)
+            p[rows, iw] = a
+            p[rows, 1 - iw] = value * a
+        for row, tangent in self._nonlinear:
+            p[row] = tangent.relinearize(float(p[row, 0]))
+        return zx, (tuple(dd_indices), tuple(map(tuple, p[self._known_rows].tolist())))
 
     def energy_mismatch(self, zo: CircuitState, zx: CircuitState,
                         alpha: float = 1.0) -> float:
         """Weighted squared distance between two states, summed over elements.
 
         Dynamic elements are scaled by alpha, matching the metric used by
-        project_to_kirchhoff.
+        project_to_kirchhoff.  The terms 0.5 w da da + 0.5 / w db db are added
+        left to right (np.sum adds pairwise, and the builtin sum compensates
+        from Python 3.12 on): the stop tests compare mismatches exactly.
         """
-        total = 0.0
-        for group in "GCL":
-            scale = 1.0 if group == "G" else alpha
-            for j, b in enumerate(self.bindings[group]):
-                total += scale * weighted_pair_distance(
-                    zo.pair(group, j), zx.pair(group, j),
-                    self.weights[b.name].value, group)
-        return total
+        d = zo.pairs() - zx.pairs()
+        q = self._coefficients() * d * d
+        t = q[:, 0] + q[:, 1]
+        t[self.n_g:] *= alpha
+        return functools.reduce(operator.add, t.tolist(), 0.0)
+
+    def _coefficients(self) -> np.ndarray:
+        """The mismatch's coefficients of the pair block, 0.5 w on each weight
+        coordinate and 0.5 / w on the other; kept for the last weights."""
+        key = self.weights.tobytes()
+        if self._coef_slot[0] != key:
+            w = self.weights[:, None]
+            self._coef_slot = (key, np.where(self._wcol, 0.5 * w, 0.5 / w))
+        return self._coef_slot[1]
 
     def _update_tangent_weights(self, zx: CircuitState) -> None:
-        for group in "GCL":
-            for j, b in enumerate(self.bindings[group]):
-                if b.mode != "data":
-                    continue
-                ref = self.w_ref[b.name]
-                self.weights[b.name] = local_tangent_weight(
-                    self.nn[b.name], zx.pair(group, j), TANGENT_K, self.weights[b.name],
-                    w_min=W_MIN_FACTOR * ref, w_max=W_MAX_FACTOR * ref)
+        p, w, ref = zx.pairs(), self.weights.tolist(), self.w_ref.tolist()
+        for row, index in self.nn.items():
+            self.weights[row] = local_tangent_weight(
+                index, p[row], TANGENT_K, w[row],
+                w_min=W_MIN_FACTOR * ref[row], w_max=W_MAX_FACTOR * ref[row])
 
     # ------------------------------------------------------------------
     def solve_timestep(self, zx_seed: CircuitState, alpha: float, rhs_c: np.ndarray,
@@ -534,20 +522,21 @@ class DDSolver:
         Returns None when no pick moves (every one sits at an end).
         """
         cand = zx.copy()
+        p = cand.pairs()
         moved = False
-        for (group, j, b), idx in zip(self._data_elements, picks):
-            new = self.nn[b.name].step_in_a(idx, shift)
+        for (row, index), idx in zip(self.nn.items(), picks):
+            new = index.step_in_a(idx, shift)
             moved = moved or new != idx
-            cand.set_pair(group, j, b.data.pairs[new])
+            p[row] = index.mset.pairs[new]
         return cand if moved else None
 
     def _snapshot(self) -> tuple:
         """The state an alternation moves: weights and known tangents."""
-        return dict(self.weights), [(t.slope, t.offset) for t in self._tangents]
+        return self.weights.copy(), [(t.slope, t.offset) for t in self._tangents]
 
     def _restore(self, snap: tuple) -> None:
         weights, tangents = snap
-        self.weights.update(weights)
+        self.weights[:] = weights
         for t, (slope, offset) in zip(self._tangents, tangents):
             t.slope, t.offset = slope, offset
 
@@ -555,14 +544,11 @@ class DDSolver:
     def seed_state(self, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
         """Data state nearest the zero pair per element (model origin if known)."""
         zx = CircuitState.zeros(self.graph)
+        p = zx.pairs()
         origin = np.zeros(2)
-        for group in "GCL":
-            for j, b in enumerate(self.bindings[group]):
-                if b.mode == "data":
-                    p, _ = nearest_measurement(b.data, origin, self.weights[b.name].value)
-                    zx.set_pair(group, j, p)
-        zx.q_c = q_c0.copy()
-        zx.psi_l = psi_l0.copy()
+        for row, index in self.nn.items():
+            p[row], _ = nearest_measurement(index.mset, origin, self.weights[row])
+        zx.q_c, zx.psi_l = q_c0, psi_l0  # written into zx.x
         return zx
 
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray
@@ -581,20 +567,21 @@ class DDSolver:
                                {"G": self.known["G"], "C": [], "L": []})
         v_src, i_src = sources(graph, t0)
         none = np.zeros(0)
-        w = replace(self.weight_arrays(), c=none, l=none)
+        w = WeightSet(self.weight_set.g, none, none)
 
         zx = self.seed_state(q_c0, psi_l0)
         prev_sel = None
         for _ in range(self.config.max_iters):
-            b = held.rhs(replace(zx, v_c=none, q_c=none, psi_l=none, i_l=none),
-                         0.0, none, none, v_src, i_src, w)
+            zg = CircuitState(phi=zx.phi, v_g=zx.v_g, i_g=zx.i_g, v_c=none, q_c=none,
+                              psi_l=none, i_l=none, i_v=zx.i_v)
+            b = held.rhs(zg, 0.0, none, none, v_src, i_src, w)
             state = release_held(self._solve(held, 0.0, b, lambda: held.matrix(0.0, w)),
                                  self.inc.a_c, q_c0, psi_l0, i_l0)
             zx, sel = self.project_to_data(state)
             if sel == prev_sel:
                 break
             prev_sel = sel
-        zx.q_c, zx.psi_l = q_c0.copy(), psi_l0.copy()
+        zx.q_c, zx.psi_l = q_c0, psi_l0
         return state, zx
 
 
@@ -629,26 +616,24 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     most 200 passes).  Returns
     (best K-feasible state, best index tuple, global minimum mismatch).
     """
-    dd_elems = solver._data_elements
-    sizes = [len(b.data) for _, _, b in dd_elems]
+    dd_elems = list(solver.nn.items())
+    sizes = [len(index.mset) for _, index in dd_elems]
     n_tuples = int(np.prod(sizes)) if sizes else 1
     if n_tuples > cap:
         raise DDSolverError(f"brute force cap exceeded: {n_tuples} > {cap}")
 
-    has_known = any(b.mode == "known" for group in "GCL" for b in solver.bindings[group])
+    has_known = len(solver._known_rows) > 0
     best = None
     for combo in itertools.product(*(range(s) for s in sizes)):
         zx = CircuitState.zeros(solver.graph)
-        for (group, j, b), idx in zip(dd_elems, combo):
-            zx.set_pair(group, j, b.data.pairs[idx])
+        for (row, index), idx in zip(dd_elems, combo):
+            zx.pairs()[row] = index.mset.pairs[idx]
         for _ in range(200 if has_known else 1):
             zo = solver.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
             zx_new, _ = solver.project_to_data(zo)
-            for (group, j, b), idx in zip(dd_elems, combo):
-                zx_new.set_pair(group, j, b.data.pairs[idx])  # tuple stays frozen
-            gap = max(abs(zx_new.pair(g, j2) - zx.pair(g, j2)).max()
-                      for g in "GCL" for j2 in range(solver.graph.count(g))) \
-                if has_known else 0.0
+            for (row, index), idx in zip(dd_elems, combo):
+                zx_new.pairs()[row] = index.mset.pairs[idx]  # tuple stays frozen
+            gap = np.abs(zx_new.pairs() - zx.pairs()).max() if has_known else 0.0
             zx = zx_new
             if gap == 0.0:
                 break

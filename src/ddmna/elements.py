@@ -20,6 +20,9 @@ EXP_CLAMP = 200.0
 # Stop test and iteration cap of the MLCC charge -> voltage Newton inversion.
 CHARGE_TOL, CHARGE_MAX_ITER = 1e-14, 100
 
+# scipy.special.wrightomega, imported on first use: scipy.special slows `import ddmna`
+_wrightomega = None
+
 
 class ModelDomainError(ValueError):
     """Raised when an element model is evaluated outside its domain."""
@@ -134,13 +137,14 @@ def composite_diode_current(model: ShockleyDiodeModel, v):
     Closed form (Banwell & Jayakumar, 2000): with a = i_s R / (n vT) and omega
     the overflow-free Wright omega, i = (n vT/R) omega(ln a + a + v/(n vT)) - i_s.
     """
+    global _wrightomega
     if model.r_series == 0.0:
         return shockley_current(model, v)
-    # Imported here: loading scipy.special would slow `import ddmna`.
-    from scipy.special import wrightomega
+    if _wrightomega is None:
+        from scipy.special import wrightomega as _wrightomega
     a = model.i_s * model.r_series / model.nvt
     x = math.log(a) + a + np.asarray(v, dtype=float) / model.nvt
-    out = model.nvt / model.r_series * wrightomega(x) - model.i_s
+    out = model.nvt / model.r_series * _wrightomega(x) - model.i_s
     return float(out) if np.ndim(v) == 0 else out
 
 

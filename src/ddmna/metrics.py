@@ -63,10 +63,8 @@ def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
     pairs = trace.pairs(group, index)
     ref_pairs = ref_trace.pairs(group, index)
     w = true_weights(true_model, ref_pairs)
-    values = np.array([weighted_pair_distance(p, pr, wk, group)
-                       for p, pr, wk in zip(pairs, ref_pairs, w)])
     return ErrorSeries(element=element, times=trace.times.copy(),
-                       values=values, weights=w)
+                       values=weighted_pair_distance(pairs, ref_pairs, w, group), weights=w)
 
 
 def rms_error(trace: TransientTrace, ref_trace: TransientTrace,
@@ -74,7 +72,8 @@ def rms_error(trace: TransientTrace, ref_trace: TransientTrace,
     """Relative RMS error over the whole interval (discrete-sum form)."""
     series = energy_mismatch_error(trace, ref_trace, true_model, group, index)
     ref_pairs = ref_trace.pairs(group, index)
-    denom = sum(pair_norm(p, wk, group) for p, wk in zip(ref_pairs, series.weights))
+    # summed in step order: cumsum adds left to right, np.sum pairwise
+    denom = np.cumsum(pair_norm(ref_pairs, series.weights, group))[-1]
     if denom <= 0.0:
         raise ValueError("degenerate all-zero reference trace")
     return float(np.sqrt(series.values.sum() / denom))

@@ -195,16 +195,8 @@ class TraditionalSolver:
         i_g, q_c = g_lin * v_g, c_lin * v_c
         i_g[nl_g] = [em.conductor_current(self.g_models[k], v_g[k]) for k in nl_g]
         q_c[nl_c] = [em.capacitor_charge(self.c_models[k], v_c[k]) for k in nl_c]
-        return CircuitState(
-            phi=phi.copy(),
-            v_g=v_g,
-            i_g=i_g,
-            v_c=v_c,
-            q_c=q_c,
-            psi_l=self.l_values * i_l,
-            i_l=i_l.copy(),
-            i_v=i_v.copy(),
-        )
+        return CircuitState(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
+                            psi_l=self.l_values * i_l, i_l=i_l, i_v=i_v)
 
     # -- consistent initial state -----------------------------------------
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:

@@ -125,14 +125,8 @@ def analytic_rc_trace(graph, times: np.ndarray, r: float, c: float, v: float) ->
     for t in times:
         v_c = float(analytic_rc_voltage(r, c, v, t))
         i = (v - v_c) / r
-        s = CircuitState.zeros(graph)
-        s.phi[:] = [v, v_c]
-        s.v_g[:] = v - v_c
-        s.i_g[:] = i
-        s.v_c[:] = v_c
-        s.q_c[:] = c * v_c
-        s.i_v[:] = -i
-        states.append(s)
+        states.append(CircuitState(phi=[v, v_c], v_g=[v - v_c], i_g=[i], v_c=[v_c],
+                                   q_c=[c * v_c], psi_l=[], i_l=[], i_v=[-i]))
     return TransientTrace(graph=graph, times=times, states=states,
                           iterations=np.zeros(len(times), int),
                           converged=np.ones(len(times), bool))

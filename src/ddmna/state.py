@@ -1,63 +1,90 @@
-"""Shared circuit-state containers and the time march of the transient solvers."""
+"""Shared circuit-state containers and the time march of the transient solvers.
+
+A `CircuitState` is one float vector `x`, laid out like a `trace.csv` row
+after `t`: node potentials phi; one pair per element, (v, i) per G element,
+(v, q) per capacitor, (psi, i) per inductor; voltage-source currents i_v.
+The pairs are one contiguous block, which `pairs()` views as an (n, 2)
+array; the eight named fields are views of `x` too.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .netlist import CircuitGraph
 
+_FIELDS = ("phi", "v_g", "i_g", "v_c", "q_c", "psi_l", "i_l", "i_v")
 
-@dataclass
+
+@lru_cache(maxsize=None)
+def _layout(nphi: int, n_g: int, n_c: int, n_l: int, n_v: int) -> dict:
+    """Slices of x: each field, each group's pair block (key "G", "C", "L"),
+    every element's pairs (key None), and the length of x (key "size")."""
+    g0, c0 = nphi, nphi + 2 * n_g
+    l0 = c0 + 2 * n_c
+    v0 = l0 + 2 * n_l
+    return {"phi": slice(0, g0), "v_g": slice(g0, c0, 2), "i_g": slice(g0 + 1, c0, 2),
+            "v_c": slice(c0, l0, 2), "q_c": slice(c0 + 1, l0, 2),
+            "psi_l": slice(l0, v0, 2), "i_l": slice(l0 + 1, v0, 2),
+            "i_v": slice(v0, v0 + n_v),
+            "G": slice(g0, c0), "C": slice(c0, l0), "L": slice(l0, v0), None: slice(g0, v0),
+            "size": v0 + n_v}
+
+
+def _field(name: str) -> property:
+    """A named part of x: reading gives a view, assigning writes into x."""
+    return property(lambda self: self.x[self._lay[name]],
+                    lambda self, value: self.x.__setitem__(self._lay[name], value))
+
+
 class CircuitState:
-    """Full per-step circuit state: node potentials plus per-element pairs."""
+    """Full per-step circuit state, stored as one vector `x`."""
 
-    phi: np.ndarray    # (n-1,) node potentials relative to ground
-    v_g: np.ndarray    # per G-element voltage
-    i_g: np.ndarray    # per G-element current
-    v_c: np.ndarray    # per capacitor voltage
-    q_c: np.ndarray    # per capacitor charge
-    psi_l: np.ndarray  # per inductor flux
-    i_l: np.ndarray    # per inductor current
-    i_v: np.ndarray    # per voltage-source current
+    __slots__ = ("x", "_lay")
+
+    phi = _field("phi")      # (n-1,) node potentials relative to ground
+    v_g = _field("v_g")      # per G-element voltage
+    i_g = _field("i_g")      # per G-element current
+    v_c = _field("v_c")      # per capacitor voltage
+    q_c = _field("q_c")      # per capacitor charge
+    psi_l = _field("psi_l")  # per inductor flux
+    i_l = _field("i_l")      # per inductor current
+    i_v = _field("i_v")      # per voltage-source current
+
+    def __init__(self, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
+        lay = self._lay = _layout(len(phi), len(v_g), len(v_c), len(psi_l), len(i_v))
+        x = self.x = np.empty(lay["size"])
+        for name, value in zip(_FIELDS, (phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)):
+            x[lay[name]] = value
+
+    @classmethod
+    def _of(cls, x: np.ndarray, lay: dict) -> "CircuitState":
+        s = object.__new__(cls)
+        s.x, s._lay = x, lay
+        return s
 
     @classmethod
     def zeros(cls, graph: CircuitGraph) -> "CircuitState":
-        return cls(
-            phi=np.zeros(graph.n - 1),
-            v_g=np.zeros(graph.count("G")),
-            i_g=np.zeros(graph.count("G")),
-            v_c=np.zeros(graph.count("C")),
-            q_c=np.zeros(graph.count("C")),
-            psi_l=np.zeros(graph.count("L")),
-            i_l=np.zeros(graph.count("L")),
-            i_v=np.zeros(graph.count("V")),
-        )
+        lay = _layout(graph.n - 1, *(graph.count(group) for group in "GCLV"))
+        return cls._of(np.zeros(lay["size"]), lay)
 
     def copy(self) -> "CircuitState":
-        return CircuitState(**{k: np.array(v) for k, v in vars(self).items()})
+        return CircuitState._of(self.x.copy(), self._lay)
+
+    def pairs(self, group: str | None = None) -> np.ndarray:
+        """(n, 2) view of one group's element pairs, or of all (G, C, then L):
+        (v,i) for G, (v,q) for C, (psi,i) for L."""
+        return self.x[self._lay[group]].reshape(-1, 2)
 
     def pair(self, group: str, index: int) -> np.ndarray:
-        """Element measurement-space pair: (v,i) for G, (v,q) for C, (psi,i) for L."""
-        if group == "G":
-            return np.array([self.v_g[index], self.i_g[index]])
-        if group == "C":
-            return np.array([self.v_c[index], self.q_c[index]])
-        if group == "L":
-            return np.array([self.psi_l[index], self.i_l[index]])
-        raise KeyError(group)
+        """A copy of one element's measurement-space pair."""
+        return self.pairs(group)[index].copy()
 
     def set_pair(self, group: str, index: int, pair) -> None:
-        a, b = float(pair[0]), float(pair[1])
-        if group == "G":
-            self.v_g[index], self.i_g[index] = a, b
-        elif group == "C":
-            self.v_c[index], self.q_c[index] = a, b
-        elif group == "L":
-            self.psi_l[index], self.i_l[index] = a, b
-        else:
-            raise KeyError(group)
+        self.pairs(group)[index] = pair
 
 
 def release_held(held: CircuitState, a_c: np.ndarray, q_c0: np.ndarray,
@@ -126,9 +153,10 @@ class TransientTrace:
 
     def pairs(self, group: str, index: int) -> np.ndarray:
         """(K+1, 2) array of one element's pairs over the whole trace."""
-        return np.array([s.pair(group, index) for s in self.states])
+        return np.array([s.pairs(group)[index] for s in self.states])
 
     def csv_header(self) -> list[str]:
+        """Column names of `write_csv`: t, then the layout of `CircuitState.x`."""
         cols = ["t"] + [f"phi_{nd}" for nd in self.graph.non_ground_nodes]
         for group, names in (("G", ("v", "i")), ("C", ("v", "q")), ("L", ("psi", "i"))):
             for e in self.graph.groups[group]:
@@ -137,18 +165,10 @@ class TransientTrace:
         return cols
 
     def write_csv(self, path) -> None:
-        rows = []
-        for t, s in zip(self.times, self.states):
-            row = [t, *s.phi]
-            for g in "GCL":
-                for j in range(self.graph.count(g)):
-                    row.extend(s.pair(g, j))
-            row.extend(s.i_v)
-            rows.append(row)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.csv_header()) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            for t, s in zip(self.times, self.states):
+                fh.write(",".join(f"{x:.17g}" for x in (t, *s.x.tolist())) + "\n")
 
 
 def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
@@ -190,12 +210,13 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
         s, warm, iters[k], converged[k], detail = step(warm, times[k], alpha, rhs_c, rhs_l)
         states.append(s)
         details.append(detail)
+        q_new, psi_new = s.q_c, s.psi_l
         if trapezoidal:
-            qdot = alpha * (s.q_c - q) - qdot
-            psidot = alpha * (s.psi_l - psi) - psidot
+            qdot = alpha * (q_new - q) - qdot
+            psidot = alpha * (psi_new - psi) - psidot
         else:
-            qdot, psidot = (s.q_c - q) / config.h, (s.psi_l - psi) / config.h
+            qdot, psidot = (q_new - q) / config.h, (psi_new - psi) / config.h
         rates.append((qdot, psidot))
-        q, psi = s.q_c, s.psi_l
+        q, psi = q_new, psi_new
     return TransientTrace(graph=graph, times=times, states=states, iterations=iters,
                           converged=converged, step_details=details, rates=rates)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 
 from ddmna import __version__
 from ddmna.cli import main
-from ddmna.ddsolver import DDConfig
+from ddmna.dataset import bindings_from_graph
+from ddmna.ddsolver import DDConfig, run_transient_dd
 from ddmna.elements import ShockleyDiodeModel, composite_diode_voltage
+from ddmna.netlist import build_incidence, parse_netlist
 from ddmna.reference import analytic_rc_voltage
+from ddmna.state import TransientConfig
 
 RC_NET = "V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n"
 
@@ -53,6 +57,17 @@ def test_run_data_driven_artifacts(tmp_path):
     assert rc == 0
     conv = _read_csv(out / "convergence.csv")
     assert set(conv[0]) == {"step", "iteration", "energy_mismatch"}
+    # the stop-reason counts and restart total match a run of the same circuit
+    summary = {r["key"]: r["value"] for r in _read_csv(out / "summary.csv")}
+    graph = parse_netlist(RC_NET)
+    trace = run_transient_dd(graph, build_incidence(graph), bindings_from_graph(graph),
+                             TransientConfig(scheme="backward-euler", steps=50))
+    steps = trace.step_details[1:]
+    stops = Counter(s.stop_reason for s in steps)
+    assert {k[len("stop_reason_"):]: int(v) for k, v in summary.items()
+            if k.startswith("stop_reason_")} == stops
+    assert sum(stops.values()) == 50
+    assert int(summary["restart_iterations"]) == sum(s.restart_iterations for s in steps)
 
 
 def test_run_missing_netlist_exits_2(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from ddmna.dataset import (
     ElementBinding,
-    ElementWeight,
     MeasurementSet,
     NearestNeighborIndex,
     SamplingPlan,
@@ -169,8 +168,8 @@ def test_local_tangent_exact_on_linear_data():
     ms = MeasurementSet("G", np.column_stack([a, 3.0 * a]))
     for k in (2, 4, 10):
         w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.2, 0.6]), k,
-                                 ElementWeight(1.0), w_min=1e-12, w_max=1e12)
-        assert w.value == pytest.approx(3.0)
+                                 1.0, w_min=1e-12, w_max=1e12)
+        assert w == pytest.approx(3.0)
 
 
 def test_local_tangent_near_mlcc_origin():
@@ -178,25 +177,25 @@ def test_local_tangent_near_mlcc_origin():
     v = np.linspace(-0.05, 0.05, 101)
     ms = MeasurementSet("C", np.column_stack([v, mlcc_charge(mlcc, v)]))
     w = local_tangent_weight(NearestNeighborIndex(ms, 5e-6), np.array([0.0, 0.0]), 10,
-                             ElementWeight(5e-6), w_min=1e-12, w_max=1.0)
-    assert mlcc.cinf <= w.value <= mlcc.c0
-    assert w.value == pytest.approx(mlcc.c0, rel=1e-2)
+                             5e-6, w_min=1e-12, w_max=1.0)
+    assert mlcc.cinf <= w <= mlcc.c0
+    assert w == pytest.approx(mlcc.c0, rel=1e-2)
 
 
 def test_local_tangent_clamps():
     a = np.linspace(-1, 1, 20)
     ms = MeasurementSet("G", np.column_stack([a, 1e-30 * a]))
     w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.0, 0.0]), 5,
-                             ElementWeight(1.0), w_min=1e-9, w_max=1e9)
-    assert w.value == 1e-9
+                             1.0, w_min=1e-9, w_max=1e9)
+    assert w == 1e-9
 
 
 def test_local_tangent_degenerate_keeps_previous():
     ms = MeasurementSet("G", np.array([[1.0, 0.0], [1.0, 2.0], [1.0, -1.0]]))
-    prev = ElementWeight(0.7)
-    w = local_tangent_weight(NearestNeighborIndex(ms, prev.value), np.array([1.0, 0.5]), 3,
+    prev = 0.7
+    w = local_tangent_weight(NearestNeighborIndex(ms, prev), np.array([1.0, 0.5]), 3,
                              prev, w_min=1e-9, w_max=1e9)
-    assert w.value == prev.value
+    assert w == prev
 
 
 def test_project_known_linear_hand_value():

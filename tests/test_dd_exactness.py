@@ -107,7 +107,8 @@ def _cosine(solver, r: CircuitState, d: CircuitState, alpha) -> float:
     if e_d == 0.0 or e_r == 0.0:
         return 0.0
     scale = np.sqrt(e_r / e_d)
-    both = CircuitState(**{k: v + scale * getattr(d, k) for k, v in vars(r).items()})
+    both = r.copy()
+    both.x += scale * d.x
     return (solver.energy_mismatch(both, zero, alpha) - 2.0 * e_r) / (2.0 * e_r)
 
 
@@ -116,7 +117,7 @@ def test_kirchhoff_projection_is_exact(name):
     scenario, graph, inc, cfg, binds = _setup(name)
     solver = DDSolver(graph, inc, binds, DDConfig(weight_rule=scenario.weight_rule))
     alpha = 2.0 / cfg.h
-    w = solver.weight_arrays()
+    w = solver.weight_set
     a = _constraints(solver, alpha)
     null = scipy.linalg.null_space(a)
     assert null.shape[1] > 0
@@ -141,7 +142,8 @@ def test_kirchhoff_projection_is_exact(name):
                 gap = abs(y - t.slope * drive[t.index] - t.offset)
                 worst_feas = max(worst_feas, gap / max(abs(y), 1e-30))
 
-        r = CircuitState(**{k: v - getattr(zx, k) for k, v in vars(zo).items()})
+        r = zo.copy()
+        r.x -= zx.x
         for d in null.T:
             worst_cos = max(worst_cos, abs(_cosine(solver, r, _state(solver, d), alpha)))
     print(f"{name}: null space dim {null.shape[1]}, worst cosine {worst_cos:.3g}, "

@@ -1,15 +1,27 @@
+import copy
 import logging
 
 import numpy as np
 import pytest
 
-from ddmna.dataset import ElementBinding, MeasurementSet, bindings_from_graph
+from ddmna.dataset import (
+    ElementBinding,
+    MeasurementSet,
+    SamplingPlan,
+    bindings_from_graph,
+    default_weight,
+    generate_measurements,
+    nearest_measurement,
+    project_known_linear,
+    weighted_pair_distance,
+)
 from ddmna.ddsolver import (
     DDConfig,
     DDSolver,
     brute_force_timestep,
     run_transient_dd,
 )
+from ddmna.elements import LinearModel
 from ddmna.netlist import build_incidence, parse_netlist, sources
 from ddmna.reference import kcl_residual, run_transient_traditional
 from ddmna.scenarios import SCENARIOS, Scenario, build_scenario, synthesize_datasets
@@ -103,7 +115,7 @@ def test_project_to_data_element_independence():
         data=MeasurementSet("C", np.array([[0.0, 0.0], [1.0, 1e-6]])))
         for b in binds]
     solver2 = DDSolver(graph, inc, binds2, DDConfig())
-    solver2.set_weight("R1", solver.weights["R1"].value)
+    solver2.set_weight("R1", solver.weights[solver.names.index("R1")])
     _, (sel_b, _) = solver2.project_to_data(zo)
     assert sel_a[0] == sel_b[0]
 
@@ -116,11 +128,10 @@ def test_energy_mismatch_additivity():
     zo.set_pair("G", 0, rng.normal(size=2))
     zo.set_pair("C", 0, rng.normal(size=2))
     total = solver.energy_mismatch(zo, zx, alpha=7.0)
+    w_r1, w_c1 = (solver.weights[solver.names.index(name)] for name in ("R1", "C1"))
     only_g = solver.energy_mismatch(zo, zx.copy(), 7.0) - 7.0 * 0.5 * (
-        solver.weights["C1"].value * zo.v_c[0] ** 2
-        + zo.q_c[0] ** 2 / solver.weights["C1"].value)
-    per_g = 0.5 * (solver.weights["R1"].value * zo.v_g[0] ** 2
-                   + zo.i_g[0] ** 2 / solver.weights["R1"].value)
+        w_c1 * zo.v_c[0] ** 2 + zo.q_c[0] ** 2 / w_c1)
+    per_g = 0.5 * (w_r1 * zo.v_g[0] ** 2 + zo.i_g[0] ** 2 / w_r1)
     assert only_g == pytest.approx(per_g)
     assert total == pytest.approx(only_g + (total - only_g))
 
@@ -292,8 +303,8 @@ def test_weight_scaling_leaves_projection_unchanged():
     outs = []
     for scale in (1.0, 10.0):
         solver = DDSolver(graph, inc, binds, DDConfig())
-        for name in list(solver.weights):
-            solver.set_weight(name, solver.weights[name].value * scale)
+        for name, w in zip(solver.names, solver.weights.tolist()):
+            solver.set_weight(name, w * scale)
         v_src, i_src = sources(graph, cfg.h)
         zo = solver.project_to_kirchhoff(zx, alpha, np.zeros(1), NO_L,
                                          v_src, i_src)
@@ -354,3 +365,117 @@ def test_kcl_residual_on_data_driven_traces():
                 dd = run_transient_dd(graph, inc, binds, cfg,
                                       DDConfig(weight_rule=scenario.weight_rule))
                 assert kcl_residual(inc, dd) <= 1e-10, (scenario.name, scheme)
+
+
+# A mixed circuit for the whole-block data half-step and mismatch: data G and
+# C elements, known linear G, C and L elements, a known diode and a known
+# MLCC; twelve elements, so a pairwise sum would differ from the running one.
+MIXED_NET = """V1 1 0 SIN 0 2 100
+R1 1 2 100
+R2 2 3 200
+R3 3 0 1e3
+L1 3 4 1e-3
+L2 4 5 2e-3
+C1 4 0 1e-6
+C2 5 0 2e-6
+D1 5 6 MODEL shockley(2.52e-9,1.752,0.02585,0.01)
+C3 6 0 MODEL mlcc(1e-5,2e-6,1.0)
+R4 6 7 2e3
+C4 7 0 5e-7
+R5 7 0 5e3
+"""
+MIXED_DATA = ("R1", "R2", "C1", "C4")
+
+
+def mixed_solver(rng, log_w=(-7.0, 3.0)):
+    """The mixed circuit's solver, with weights log-uniform in 10 ** log_w."""
+    graph = parse_netlist(MIXED_NET)
+    binds = []
+    for b in bindings_from_graph(graph):
+        if b.name in MIXED_DATA:
+            plan = SamplingPlan(-2.0, 2.0, 300)
+            b = ElementBinding(b.name, b.group, "data",
+                               data=generate_measurements(b.model, plan))
+        binds.append(b)
+    solver = DDSolver(graph, build_incidence(graph), binds, DDConfig())
+    for name in solver.names:
+        solver.set_weight(name, 10.0 ** rng.uniform(*log_w))
+    return graph, solver
+
+
+def per_element_half_step(solver, zo):
+    """The data half-step element by element, on copies of the solver's tangents."""
+    zx = zo.copy()
+    tangents = {(g, t.index): copy.copy(t) for g in "GCL" for t in solver.known[g]}
+    dd, known = [], []
+    for group in "GCL":
+        for j, b in enumerate(solver.bindings[group]):
+            w = float(solver.weights[solver.names.index(b.name)])
+            pair = zo.pair(group, j)
+            if b.mode == "data":
+                p, idx = nearest_measurement(b.data, pair, w)
+                dd.append(idx)
+            elif isinstance(b.model, LinearModel):
+                p = project_known_linear(b.model.value, pair, kind=group)
+                known.append(tuple(p))
+            else:
+                p = tangents[group, j].relinearize(float(pair[0]))
+                known.append(tuple(p))
+            zx.set_pair(group, j, p)
+    return zx, (tuple(dd), tuple(known)), tangents
+
+
+def per_element_mismatch(solver, zo, zx, alpha):
+    total = 0.0
+    for group in "GCL":
+        scale = 1.0 if group == "G" else alpha
+        for j, b in enumerate(solver.bindings[group]):
+            w = float(solver.weights[solver.names.index(b.name)])
+            total += scale * weighted_pair_distance(zo.pair(group, j), zx.pair(group, j),
+                                                    w, group)
+    return total
+
+
+def test_block_half_step_equals_per_element_rule():
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        graph, solver = mixed_solver(rng)
+        assert [len(solver.bindings[g]) for g in "GCL"] == [6, 4, 2]
+        for _ in range(4):
+            zo = CircuitState.zeros(graph)
+            zo.x[:] = rng.normal(size=zo.x.size) * 10.0 ** rng.uniform(-6, 0, zo.x.size)
+            ref, ref_sel, ref_tangents = per_element_half_step(solver, zo)
+            zx, sel = solver.project_to_data(zo)
+            assert (zx.x == ref.x).all()
+            assert sel == ref_sel
+            for g in "GCL":
+                for t in solver.known[g]:
+                    r = ref_tangents[g, t.index]
+                    assert (t.slope, t.offset) == (r.slope, r.offset)
+
+
+def test_block_mismatch_equals_per_element_sum():
+    # Weights and coordinates of one scale make terms of one size, whose
+    # running sum rounds differently from a pairwise one.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        graph, solver = mixed_solver(rng, log_w=(-0.3, 0.3))
+        zo, zx = CircuitState.zeros(graph), CircuitState.zeros(graph)
+        zo.x[:], zx.x[:] = rng.normal(size=(2, zo.x.size))
+        alpha = rng.uniform(1.0, 3.0)
+        assert solver.energy_mismatch(zo, zx, alpha) == \
+            per_element_mismatch(solver, zo, zx, alpha)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_weights_must_be_positive_and_finite(bad):
+    class UncheckedLinear(LinearModel):
+        def __post_init__(self):
+            pass
+
+    with pytest.raises(ValueError, match="0 < w < inf"):
+        default_weight(ElementBinding("R1", "G", "known", model=UncheckedLinear("G", bad)))
+    graph, solver = one_node_solver()
+    with pytest.raises(ValueError, match="0 < w < inf"):
+        solver.set_weight("R1", bad)
+    assert solver.weights.tolist() == solver.w_ref.tolist() == [1.0]

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ddmna.dataset import (  # noqa: E402
     MeasurementSet,
     NearestNeighborIndex,
-    _distances,
     nearest_measurement,
+    weighted_pair_distance,
 )
 
 
@@ -45,7 +45,7 @@ def indexed_queries(draw):
 
 
 def brute_k_nearest(mset, q, k, w):
-    d = _distances(mset.pairs, q, w, mset.kind)
+    d = weighted_pair_distance(mset.pairs, q, w, mset.kind)
     return np.sort(np.lexsort((np.arange(len(d)), d))[:k])
 
 
