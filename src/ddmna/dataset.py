@@ -6,11 +6,17 @@ multiplies the voltage coordinate for G and C and the current coordinate for
 L; the complementary coordinate carries the reciprocal weight, so both terms
 of a distance have power (G) or energy (C, L) units.
 
-`NearestNeighborIndex` answers exact weighted k-nearest queries under any
-weight, with no rebuild, from two sorted orders of a set's coordinates.  It
-agrees with the brute-force scan `nearest_measurement`, ties included (the
-lowest index wins).  `local_tangent_weight` turns the k nearest pairs around
-a state into a local-slope weight.
+`FlatIndex` holds several sets in one flat store: each set's pairs in two
+sorted orders of its coordinates, concatenated with per-set offsets.  Its
+search kernel `nearest` takes one query per set, each under its own weight,
+in one call with no Python loop over the sets, and a hint pair per query
+(any stored pair, such as the last pick) that bounds the search without
+changing the answer.  `NearestNeighborIndex` is one set's view of a flat
+index and answers exact weighted k-nearest queries under any weight, with
+no rebuild.  Every answer agrees with the brute-force scan
+`nearest_measurement`, ties included (the lowest index wins).
+`local_tangent_weight` turns the k nearest pairs around a state into a
+local-slope weight.
 """
 
 from __future__ import annotations
@@ -193,17 +199,127 @@ def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarr
 _SLAB_ULPS = 8.0 * np.finfo(float).eps
 
 
+class FlatIndex:
+    """Every pair of several measurement sets in two sorted orders, in flat arrays.
+
+    With S sets, segment s holds set s sorted by its weight-carrying
+    coordinate a, and segment S + s the same set sorted by its other
+    coordinate b (stable sorts).  Segment g occupies positions
+    off[g]:off[g + 1] of `ab` (rows a and b), `idx` (index in the set) and
+    `key` (g + 1j * the sort coordinate).  NumPy orders complex numbers by
+    real part, then imaginary part, so `key` is sorted, and one
+    `searchsorted` of keys g + 1j * x finds a place in every segment asked
+    for, as a `searchsorted` of x in each segment would.
+
+    `nearest` is the search kernel: the exact nearest pair for any number of
+    queries, each in its own set and under its own weight.
+    """
+
+    def __init__(self, msets):
+        self.msets = list(msets)
+        self.n_sets = len(self.msets)
+        sizes = [len(m) for m in self.msets]
+        self.off = np.cumsum([0] + sizes + sizes)
+        size = int(self.off[-1])
+        # Indices in 32 bits: the store is built for every solver, and
+        # its size is part of the program's peak memory.
+        self.ab = np.empty((2, size))
+        self.idx = np.empty(size, np.int32)
+        self.key = np.empty(size, np.complex128)
+        self._to_b = np.array([[0], [self.n_sets]])  # segment shift: a order to b order
+        for g in range(2 * self.n_sets):
+            mset = self.msets[g % self.n_sets]
+            ia = _W_COL[mset.kind]
+            by_b = g >= self.n_sets
+            lo, hi = self.off[g], self.off[g + 1]
+            a, b = mset.pairs[:, ia], mset.pairs[:, 1 - ia]
+            order = np.argsort(b if by_b else a, kind="stable")
+            self.idx[lo:hi] = order
+            self.ab[0, lo:hi] = a[order]
+            self.ab[1, lo:hi] = b[order]
+            self.key.real[lo:hi] = g
+            self.key.imag[lo:hi] = self.ab[int(by_b), lo:hi]
+            del order  # before the next argsort: the build's peak memory counts
+
+    def nearest(self, seg, q, w, hint=None) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest pair to query j, (a, b) = q[:, j], in set seg[j] under
+        weight w[j], for every j.
+
+        `hint` is one position per query, of any pair in either of its set's
+        segments: like the pair below the query in the a order, it only
+        bounds the search.  Returns each pick's index in its set and one of
+        its positions, which reads its a and b from `ab` and can be the next
+        hint.  Ties break to the lowest index, as in `nearest_measurement`.
+        """
+        k = len(seg)
+        # Seeds: the pair below each query in the a order, and the hint.
+        keys = np.empty(k, np.complex128)
+        keys.real, keys.imag = seg, q[0]
+        seeds = [np.maximum(self.key.searchsorted(keys) - 1, self.off[seg])]
+        if hint is not None:
+            seeds.append(hint)
+        # Per query: a, b and the coefficients 0.5 w, 0.5 / w of the two
+        # terms of `_ab_distances`.  With rows a and b at once, every
+        # distance below is bit-identical to `_ab_distances`.
+        qc = np.concatenate([q.ravel(), 0.5 * w, 0.5 / w]).reshape(4, 1, k)
+        d = self.ab.take(np.concatenate(seeds), axis=1).reshape(2, len(seeds), k)
+        d -= qc[:2]
+        t = qc[2:] * d
+        t *= d
+        # r, the seeds' smallest distance, bounds the nearest one's.  Every
+        # pair within r lies in the slab |a - qa| <= sqrt(2 r / w) of the a
+        # segment and in |b - qb| <= sqrt(2 r w) of the b segment.  A pair at
+        # computed distance <= r may lie a few roundings outside the exact
+        # slab, so each half-width is widened by a few ulps.
+        r2 = 2.0 * np.minimum.reduce(t[0] + t[1])
+        qc = qc.reshape(4, k)
+        q = q.ravel()
+        h = np.sqrt(np.concatenate([r2 / w, r2 * w]))
+        h += _SLAB_ULPS * (np.abs(q) + h)
+        # Both ends of both slabs in one search, each with side "left": just
+        # above x, that is side "right" at x.
+        keys = np.empty((2, 2, k), np.complex128)
+        keys.real = seg + self._to_b
+        keys.imag[0] = (q - h).reshape(2, k)
+        keys.imag[1] = np.nextafter(q + h, np.inf).reshape(2, k)
+        bounds = self.key.searchsorted(keys.ravel()).reshape(2, 2, k)
+        count = bounds[1] - bounds[0]
+        # Rank the smaller slab of each query, all slabs as one ragged array.
+        lo = np.where(count[1] < count[0], bounds[0, 1], bounds[0, 0])
+        count = np.minimum(count[0], count[1])
+        start = count.cumsum()
+        start -= count
+        pos = (lo - start).repeat(count)
+        pos += np.arange(len(pos))
+        qc = qc.repeat(count, axis=1)
+        d = self.ab.take(pos, axis=1)
+        d -= qc[:2]
+        t = qc[2:]
+        t *= d
+        t *= d
+        d = t[0] + t[1]
+        # The smallest distance, ties to the lowest index: NumPy takes the
+        # minimum of complex numbers by real part, then imaginary part.
+        cand = self.idx[pos]
+        z = np.empty(len(pos), np.complex128)
+        z.real, z.imag = d, cand
+        best = np.minimum.reduceat(z, start).imag.astype(self.idx.dtype)
+        # A slab holds each pair of its set once: one position per query wins.
+        return best, pos[cand == best.repeat(count)]
+
+
 class NearestNeighborIndex:
     """Exact weighted k-nearest search in one measurement set, for any weight.
 
-    The index holds the set's pairs in two sorted orders: by the
-    weight-carrying coordinate a and by the other coordinate b.  A query under
-    weight w first bounds the k-th nearest distance by r, the k-th smallest
-    distance among the pairs around the query's insertion point in the a
-    order.  Every pair within r lies in the slab |a - a_q| <= sqrt(2 r / w)
-    and in the slab |b - b_q| <= sqrt(2 r w); the smaller slab is ranked.
-    Distances use the expression of `nearest_measurement`, and ties break to
-    the lowest index, so every answer equals the brute-force one.
+    The index reads its set's two segments of a `FlatIndex`: the pairs
+    sorted by the weight-carrying coordinate a and by the other coordinate
+    b.  A query under weight w first bounds the k-th nearest distance by r:
+    `query` through `FlatIndex.nearest`, `k_nearest` by the k-th smallest
+    distance among the 2k pairs around the query's insertion point in the a
+    order.  Every pair within r lies in a slab of either order, and the
+    smaller slab is ranked.
+    Distances use the expression of `nearest_measurement`, and ties break
+    to the lowest index, so every answer equals the brute-force one.
     `step_in_a` walks the a order, which is how a solver reaches a pick's
     neighbours on the set's measurement curve.
 
@@ -211,44 +327,44 @@ class NearestNeighborIndex:
     """
 
     def __init__(self, mset: MeasurementSet, weight: float):
-        self.mset = mset
+        self._bind(FlatIndex([mset]), 0, weight)
+
+    @classmethod
+    def view(cls, flat: FlatIndex, seg: int, weight: float) -> "NearestNeighborIndex":
+        """The index of set `seg` of `flat`, reading its arrays."""
+        index = object.__new__(cls)
+        index._bind(flat, seg, weight)
+        return index
+
+    def _bind(self, flat: FlatIndex, seg: int, weight: float) -> None:
+        self.mset = flat.msets[seg]
         self.weight = float(weight)
-        self._ia = _W_COL[mset.kind]
-        a, b = mset.pairs[:, self._ia], mset.pairs[:, 1 - self._ia]
-        # Per order: (original index, a, b), all sorted by that order's key.
-        self._orders = []
-        for key in (a, b):
-            order = np.argsort(key, kind="stable")
-            self._orders.append((order, a[order], b[order]))
-        # Position of each original index in the a order.
-        self._rank_a = np.empty(len(a), dtype=np.intp)
-        self._rank_a[self._orders[0][0]] = np.arange(len(a))
+        self._flat = flat
+        self._seg = np.array([seg])
+        self._ia = _W_COL[self.mset.kind]
+        lo, hi = flat.off[seg], flat.off[seg + 1]
+        lo_b, hi_b = flat.off[flat.n_sets + seg], flat.off[flat.n_sets + seg + 1]
+        # Per order: index in the set, a and b.
+        self._idx_a, (self._a_a, self._b_a) = flat.idx[lo:hi], flat.ab[:, lo:hi]
+        self._idx_b, (self._a_b, self._b_b) = flat.idx[lo_b:hi_b], flat.ab[:, lo_b:hi_b]
 
     def step_in_a(self, idx: int, shift: int) -> int:
         """Index of the pair `shift` places from pair idx in the a order.
 
         The position is clamped to the ends of the order.
         """
-        order = self._orders[0][0]
-        pos = min(max(int(self._rank_a[idx]) + shift, 0), len(order) - 1)
-        return int(order[pos])
+        # Pairs of equal a stand in index order (stable sort).
+        a = self.mset.pairs[idx, self._ia]
+        lo, hi = self._a_a.searchsorted(a, "left"), self._a_a.searchsorted(a, "right")
+        pos = lo + int(self._idx_a[lo:hi].searchsorted(idx)) + shift
+        return int(self._idx_a[min(max(pos, 0), len(self._idx_a) - 1)])
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
         """Nearest stored pair under weight w (default: the index weight)."""
         w = self.weight if w is None else w
-        qa, qb = float(pair[self._ia]), float(pair[1 - self._ia])
-        _, a_a, b_a = self._orders[0]
-        # Seed: the two pairs that bracket the query in the a order.
-        j = int(a_a.searchsorted(qa))
-        r = math.inf
-        for i in range(max(j - 1, 0), min(j + 1, len(a_a))):
-            r = min(r, _ab_distances(a_a.item(i), b_a.item(i), qa, qb, w))
-        cand, a, b = self._slab(qa, qb, r, w)
-        if len(cand) == 1:
-            idx = int(cand[0])
-        else:
-            d = _ab_distances(a, b, qa, qb, w)
-            idx = int(cand[d == d.min()].min())
+        q = np.array([[pair[self._ia]], [pair[1 - self._ia]]], dtype=float)
+        idx, _ = self._flat.nearest(self._seg, q, np.array([w], dtype=float))
+        idx = int(idx[0])
         return self.mset.pairs[idx].copy(), idx
 
     def k_nearest(self, pair, k: int, w: float | None = None) -> np.ndarray:
@@ -260,7 +376,7 @@ class NearestNeighborIndex:
         k = min(k, len(self.mset))
         qa, qb = float(pair[self._ia]), float(pair[1 - self._ia])
         # Seed: the 2k pairs around the query's insertion point in the a order.
-        _, a_a, b_a = self._orders[0]
+        a_a, b_a = self._a_a, self._b_a
         n = len(a_a)
         lo = max(0, min(int(a_a.searchsorted(qa)) - k, n - 2 * k))
         hi = min(n, lo + 2 * k)
@@ -273,22 +389,19 @@ class NearestNeighborIndex:
         return np.sort(cand[np.lexsort((cand, d))[:k]])
 
     def _slab(self, qa: float, qb: float, r: float, w: float):
-        """(original indices, a, b) of a slab holding every pair within r."""
-        idx_a, a_a, b_a = self._orders[0]
-        idx_b, a_b, b_b = self._orders[1]
-        # A pair at computed distance <= r may lie a few roundings outside
-        # the exact slab, so each half-width is widened by a few ulps.
+        """(indices, a, b) of the smaller slab, as in `FlatIndex.nearest`,
+        that holds every pair within r of one query."""
         ha = math.sqrt(2.0 * r / w)
         hb = math.sqrt(2.0 * r * w)
         ha += _SLAB_ULPS * (abs(qa) + ha)
         hb += _SLAB_ULPS * (abs(qb) + hb)
-        lo_a = a_a.searchsorted(qa - ha, side="left")
-        hi_a = a_a.searchsorted(qa + ha, side="right")
-        lo_b = b_b.searchsorted(qb - hb, side="left")
-        hi_b = b_b.searchsorted(qb + hb, side="right")
+        lo_a = self._a_a.searchsorted(qa - ha, side="left")
+        hi_a = self._a_a.searchsorted(qa + ha, side="right")
+        lo_b = self._b_b.searchsorted(qb - hb, side="left")
+        hi_b = self._b_b.searchsorted(qb + hb, side="right")
         if hi_a - lo_a <= hi_b - lo_b:
-            return idx_a[lo_a:hi_a], a_a[lo_a:hi_a], b_a[lo_a:hi_a]
-        return idx_b[lo_b:hi_b], a_b[lo_b:hi_b], b_b[lo_b:hi_b]
+            return self._idx_a[lo_a:hi_a], self._a_a[lo_a:hi_a], self._b_a[lo_a:hi_a]
+        return self._idx_b[lo_b:hi_b], self._a_b[lo_b:hi_b], self._b_b[lo_b:hi_b]
 
 
 def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,

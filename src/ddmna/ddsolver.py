@@ -2,12 +2,15 @@
 Kirchhoff-feasible affine set of circuit states and the measurement set.
 
 Each solver iteration solves one saddle-point linear system (projection onto
-the constraints, unknowns extended by Lagrange multipliers) followed by
-independent per-element projections onto the data.  The iteration is a fixed
-point monitored through the energy mismatch, the weighted squared distance
-between the two projected states.  The weights are one vector in the order of
-the state's pair block, so the projections onto known lines and the mismatch
-are single array expressions over that block.
+the constraints, unknowns extended by Lagrange multipliers; LU factors from
+LAPACK, kept while the system is unchanged) followed by independent
+per-element projections onto the data.  The iteration is a fixed point
+monitored through the energy mismatch, the weighted squared distance between
+the two projected states.  The weights are one vector in the order of the
+state's pair block, so the projections onto known lines and the mismatch are
+single array expressions over that block.  Every data element's set is one
+set of a `dataset.FlatIndex`, and the data half-step picks all their nearest
+pairs in one search call, seeded by the last picks.
 
 Elements with a known model are not matched to data.  Each one is folded into
 the constraints as its tangent line y = slope * x + offset.  A linear model is
@@ -36,18 +39,20 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
+from scipy.linalg import lapack
 
 from . import elements as em
 from .dataset import (
     ElementBinding,
+    FlatIndex,
     NearestNeighborIndex,
     checked_weight,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     held_values,
     local_tangent_weight,
-    nearest_measurement,
+    nearest_measurement,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
 )
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
@@ -141,6 +146,7 @@ class KirchhoffSystem:
     inc: IncidenceSet
     known: dict  # group -> list[KnownTangent]
     lay: dict = field(init=False)
+    _state: object = field(init=False, repr=False)  # solution -> CircuitState
 
     def __post_init__(self):
         inc = self.inc
@@ -156,6 +162,13 @@ class KirchhoffSystem:
             self.lay[name] = slice(pos, pos + sz)
             pos += sz
         self.lay["total"] = pos
+        # A state from [z, v_g, v_c]: the solution and the element voltages.
+        lay, n_g = self.lay, inc.a_g.shape[1]
+        at = np.arange(pos + n_g + inc.a_c.shape[1])
+        self._state = CircuitState.gatherer(
+            phi=at[lay["phi"]], v_g=at[pos:pos + n_g], i_g=at[lay["i_g"]],
+            v_c=at[pos + n_g:], q_c=at[lay["q_c"]], psi_l=at[lay["psi"]],
+            i_l=at[lay["i_l"]], i_v=at[lay["i_v"]])
 
     def matrix(self, alpha: float, w: WeightSet) -> np.ndarray:
         """Stationarity-plus-constraints system matrix."""
@@ -240,11 +253,8 @@ class KirchhoffSystem:
 
     def state(self, z: np.ndarray) -> CircuitState:
         """The circuit state in a solution z of the system."""
-        lay, inc = self.lay, self.inc
-        phi = z[lay["phi"]]
-        return CircuitState(phi=phi, v_g=inc.a_g.T @ phi, i_g=z[lay["i_g"]],
-                            v_c=inc.a_c.T @ phi, q_c=z[lay["q_c"]], psi_l=z[lay["psi"]],
-                            i_l=z[lay["i_l"]], i_v=z[lay["i_v"]])
+        phi = z[self.lay["phi"]]
+        return self._state(np.concatenate([z, self.inc.a_g.T @ phi, self.inc.a_c.T @ phi]))
 
 
 class DDSolver:
@@ -277,7 +287,6 @@ class DDSolver:
         self._iw = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])
         self._wcol = self._iw[:, None] == [0, 1]  # True at each weight coordinate
 
-        self.nn: dict[int, NearestNeighborIndex] = {}  # pair-block row -> index
         # Known elements are hard constraints of the Kirchhoff projection,
         # each folded as its tangent line with its own multiplier, so every
         # Kirchhoff state satisfies them exactly.  That does not end a step
@@ -287,9 +296,10 @@ class DDSolver:
         # repeat bit for bit, or on the mismatch floor or the stall test.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
         lin, self._nonlinear = [], []  # (row, model value), (row, tangent)
+        data = []  # (row, measurement set)
         for row, (group, j, b) in enumerate(elements):
             if b.mode == "data":
-                self.nn[row] = NearestNeighborIndex(b.data, self.weights[row])
+                data.append((row, b.data))
             elif isinstance(b.model, em.LinearModel):
                 self.known[group].append(KnownTangent(j, b.model, b.model.value))
                 lin.append((row, b.model.value))
@@ -298,12 +308,26 @@ class DDSolver:
                 tangent.relinearize(0.0)
                 self.known[group].append(tangent)
                 self._nonlinear.append((row, tangent))
+        # One flat index over every data set, set s for the s-th data row.
+        self.flat = FlatIndex([mset for _, mset in data])
+        self.nn: dict[int, NearestNeighborIndex] = {  # pair-block row -> index
+            row: NearestNeighborIndex.view(self.flat, s, self.weights[row])
+            for s, (row, _) in enumerate(data)}
+        # Where the data pairs' coordinates a and b sit in the flat pair block.
+        self._data_rows = np.array(list(self.nn), dtype=np.intp)
+        iw = self._iw[self._data_rows]
+        self._data_ab = 2 * self._data_rows + np.stack([iw, 1 - iw])
+        self._data_sets = np.arange(len(data))
+        self._hint = None  # positions of the last data picks, which seed the next search
         self._known_rows = np.array([r for r in range(len(elements)) if r not in self.nn], np.intp)
-        self._lin_rows = np.array([row for row, _ in lin], dtype=np.intp)
+        # Where the known-linear pairs' weight and other coordinates sit in
+        # the flat pair block, and their model values.
+        rows = np.array([row for row, _ in lin], dtype=np.intp)
+        self._lin_ab = (2 * rows + self._iw[rows], 2 * rows + 1 - self._iw[rows])
         self._lin_value = np.array([value for _, value in lin])
         self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
-        self._lu_slot: tuple | None = None  # (key, LU factors) of the last system
+        self._lu_slot: tuple | None = None  # (key, LU, pivots) of the last system
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
 
     # ------------------------------------------------------------------
@@ -335,12 +359,14 @@ class DDSolver:
         key = (system.tag, alpha, self.weights.tobytes(),
                tuple(t.slope for t in self._tangents))
         if self._lu_slot is None or self._lu_slot[0] != key:
-            try:
-                lu = scipy.linalg.lu_factor(assemble())
-            except scipy.linalg.LinAlgError as exc:
-                raise DDSolverError(f"singular projection system: {exc}") from None
-            self._lu_slot = (key, lu)
-        return system.state(scipy.linalg.lu_solve(self._lu_slot[1], b))
+            lu, piv, info = lapack.dgetrf(assemble())
+            if info != 0:
+                raise DDSolverError(f"singular projection system (dgetrf info {info})")
+            self._lu_slot = (key, lu, piv)
+        z, info = lapack.dgetrs(*self._lu_slot[1:], b)
+        if info != 0:
+            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+        return system.state(z)
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -380,7 +406,8 @@ class DDSolver:
     def project_to_data(self, zo: CircuitState) -> tuple[CircuitState, tuple]:
         """Independent per-element projection onto data / known models.
 
-        Data elements take their nearest measured pair.  Known linear
+        Data elements take their nearest measured pair, all of them in one
+        search of the flat index, seeded by the last selection.  Known linear
         elements take the closest point on their line; known nonlinear ones
         take the model point at the Kirchhoff state's drive coordinate and
         are re-linearised there.  The selection is the data indices, then
@@ -388,21 +415,27 @@ class DDSolver:
         """
         zx = zo.copy()
         p = zx.pairs()
-        w = self.weights.tolist()
-        dd_indices = []
-        for row, index in self.nn.items():
-            p[row], idx = index.query(p[row], w=w[row])
-            dd_indices.append(idx)
+        idx = self._pick_data(p)
         # Closest points on the lines x_o = value * x_w (x_w: weight coordinate)
-        rows, value = self._lin_rows, self._lin_value
-        if len(rows):
-            iw = self._iw[rows]
-            a = 0.5 * (p[rows, iw] + p[rows, 1 - iw] / value)
-            p[rows, iw] = a
-            p[rows, 1 - iw] = value * a
+        (lin_w, lin_o), value = self._lin_ab, self._lin_value
+        if len(value):
+            pv = p.reshape(-1)
+            a = 0.5 * (pv[lin_w] + pv[lin_o] / value)
+            pv[lin_w] = a
+            pv[lin_o] = value * a
         for row, tangent in self._nonlinear:
             p[row] = tangent.relinearize(float(p[row, 0]))
-        return zx, (tuple(dd_indices), tuple(map(tuple, p[self._known_rows].tolist())))
+        return zx, (tuple(idx.tolist()), tuple(map(tuple, p[self._known_rows].tolist())))
+
+    def _pick_data(self, p: np.ndarray) -> np.ndarray:
+        """Move every data element's pair in the pair block p to its nearest
+        measured pair, in one search seeded by the last picks; returns the
+        picks' indices in their sets."""
+        p, ab = p.reshape(-1), self._data_ab
+        idx, self._hint = self.flat.nearest(self._data_sets, p[ab],
+                                            self.weights[self._data_rows], self._hint)
+        p[ab] = self.flat.ab.take(self._hint, axis=1)
+        return idx
 
     def energy_mismatch(self, zo: CircuitState, zx: CircuitState,
                         alpha: float = 1.0) -> float:
@@ -544,10 +577,7 @@ class DDSolver:
     def seed_state(self, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
         """Data state nearest the zero pair per element (model origin if known)."""
         zx = CircuitState.zeros(self.graph)
-        p = zx.pairs()
-        origin = np.zeros(2)
-        for row, index in self.nn.items():
-            p[row], _ = nearest_measurement(index.mset, origin, self.weights[row])
+        self._pick_data(zx.pairs())
         zx.q_c, zx.psi_l = q_c0, psi_l0  # written into zx.x
         return zx
 

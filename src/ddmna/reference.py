@@ -77,11 +77,6 @@ class TraditionalSolver:
     def _source_scale(v_src: np.ndarray, i_src: np.ndarray) -> float:
         return max([1.0, *(abs(x) for x in v_src), *(abs(x) for x in i_src)])
 
-    def _split(self, x: np.ndarray):
-        return (x[:self.nphi],
-                x[self.nphi:self.nphi + self.n_l],
-                x[self.nphi + self.n_l:])
-
     # -- the linear stamp and the nonlinear columns ------------------------
     @functools.cached_property
     def _columns(self):
@@ -185,9 +180,19 @@ class TraditionalSolver:
             raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
         return x, NEWTON_MAX_ITER
 
+    @functools.cached_property
+    def _state_gather(self):
+        """Builds a state from [x, v_g, i_g, v_c, q_c, psi_l]."""
+        n_g, n_c = self.inc.a_g.shape[1], self.inc.a_c.shape[1]
+        phi, i_l, i_v, v_g, i_g, v_c, q_c, psi_l = np.split(
+            np.arange(self.nphi + 2 * self.n_l + self.n_v + 2 * (n_g + n_c)),
+            np.cumsum([self.nphi, self.n_l, self.n_v, n_g, n_g, n_c, n_c]))
+        return CircuitState.gatherer(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
+                                     psi_l=psi_l, i_l=i_l, i_v=i_v)
+
     def state_from_x(self, x: np.ndarray) -> CircuitState:
         inc = self.inc
-        phi, i_l, i_v = self._split(x)
+        phi, i_l = x[:self.nphi], x[self.nphi:self.nphi + self.n_l]
         g_lin, c_lin, nl_g, nl_c, *_ = self._columns
         v_g = inc.a_g.T @ phi
         v_c = inc.a_c.T @ phi
@@ -195,8 +200,7 @@ class TraditionalSolver:
         i_g, q_c = g_lin * v_g, c_lin * v_c
         i_g[nl_g] = [em.conductor_current(self.g_models[k], v_g[k]) for k in nl_g]
         q_c[nl_c] = [em.capacitor_charge(self.c_models[k], v_c[k]) for k in nl_c]
-        return CircuitState(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
-                            psi_l=self.l_values * i_l, i_l=i_l, i_v=i_v)
+        return self._state_gather(np.concatenate([x, v_g, i_g, v_c, q_c, self.l_values * i_l]))
 
     # -- consistent initial state -----------------------------------------
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:

@@ -67,6 +67,14 @@ class CircuitState:
         return s
 
     @classmethod
+    def gatherer(cls, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
+        """A function src -> CircuitState that takes each field from the given
+        positions of one source vector src, with one gather."""
+        template = cls(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
+        index, lay = template.x.astype(np.intp), template._lay
+        return lambda src: cls._of(src.take(index), lay)
+
+    @classmethod
     def zeros(cls, graph: CircuitGraph) -> "CircuitState":
         lay = _layout(graph.n - 1, *(graph.count(group) for group in "GCLV"))
         return cls._of(np.zeros(lay["size"]), lay)

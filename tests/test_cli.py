@@ -15,7 +15,8 @@ from ddmna.ddsolver import DDConfig, run_transient_dd
 from ddmna.elements import ShockleyDiodeModel, composite_diode_voltage
 from ddmna.netlist import build_incidence, parse_netlist
 from ddmna.reference import analytic_rc_voltage
-from ddmna.state import TransientConfig
+from ddmna.scenarios import ExperimentSpec, run_experiment
+from ddmna.state import CircuitState, TransientConfig, TransientTrace
 
 RC_NET = "V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n"
 
@@ -162,6 +163,35 @@ def test_experiment_sweep_artifacts(tmp_path):
     config = json.loads((cell / "config.json").read_text())
     assert config["version"] == __version__
     assert config["dd_config"] == dataclasses.asdict(DDConfig())
+
+
+def _plain(x):
+    """x with arrays, states, traces and dataclasses as nested plain values."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, CircuitState):
+        return x.x.tolist()
+    if isinstance(x, TransientTrace):
+        return _plain([x.times, x.states, x.iterations, x.converged, x.step_details,
+                       x.rates])
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
+def test_experiment_workers_equal_one_process(tmp_path):
+    # Two worker processes give the cells one process gives, but for wall time.
+    spec = ExperimentSpec("rc-linear", [20, 50], ["backward-euler"], [20])
+    one = run_experiment(spec, str(tmp_path / "one"), workers=1)
+    two = run_experiment(spec, str(tmp_path / "two"), workers=2)
+    assert [(c.scheme, c.steps, c.n) for c in two] == [("backward-euler", 20, 20),
+                                                       ("backward-euler", 20, 50)]
+    assert [{**_plain(c), "wall_s": None} for c in one] == \
+        [{**_plain(c), "wall_s": None} for c in two]
 
 
 def test_experiment_decade_span_parsing(tmp_path):

@@ -384,7 +384,8 @@ R4 6 7 2e3
 C4 7 0 5e-7
 R5 7 0 5e3
 """
-MIXED_DATA = ("R1", "R2", "C1", "C4")
+# Data elements and their set sizes: the flat index holds sets of several sizes.
+MIXED_DATA = {"R1": 300, "R2": 7, "C1": 1, "C4": 60}
 
 
 def mixed_solver(rng, log_w=(-7.0, 3.0)):
@@ -393,7 +394,7 @@ def mixed_solver(rng, log_w=(-7.0, 3.0)):
     binds = []
     for b in bindings_from_graph(graph):
         if b.name in MIXED_DATA:
-            plan = SamplingPlan(-2.0, 2.0, 300)
+            plan = SamplingPlan(-2.0, 2.0, MIXED_DATA[b.name])
             b = ElementBinding(b.name, b.group, "data",
                                data=generate_measurements(b.model, plan))
         binds.append(b)

@@ -1,4 +1,4 @@
-"""Property test: the nearest-neighbour index equals brute force for any weight."""
+"""Property tests: the nearest-neighbour index equals brute force for any weight."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ddmna.dataset import (  # noqa: E402
+    FlatIndex,
     MeasurementSet,
     NearestNeighborIndex,
     nearest_measurement,
@@ -15,15 +16,14 @@ from ddmna.dataset import (  # noqa: E402
 
 
 @st.composite
-def indexed_queries(draw):
-    """(index, query pairs, query weight) on small integer lattices.
+def lattice_sets(draw, max_size=40):
+    """(measurement set, coordinate scale) on a small integer lattice.
 
     Coordinates are integers (curves: cumulative sums of non-negative steps)
-    times powers of two, and queries sit on the half-integer lattice, so
-    coordinates repeat and many distances tie exactly.
+    times powers of two, so coordinates repeat and many distances tie exactly.
     """
     kind = draw(st.sampled_from("GCL"))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_size))
     ints = st.integers(-6, 6)
     if draw(st.booleans()):
         xy = np.array(draw(st.lists(st.tuples(ints, ints), min_size=n, max_size=n)), float)
@@ -34,12 +34,22 @@ def indexed_queries(draw):
         if draw(st.booleans()):
             xy[:, 1] *= -1.0  # decreasing curve
     scale = np.array([2.0 ** draw(st.integers(-20, 20)), 2.0 ** draw(st.integers(-20, 20))])
-    mset = MeasurementSet(kind, xy * scale)
+    return MeasurementSet(kind, xy * scale), scale
+
+
+def half_lattice(draw, scale):
+    """A query on the half-integer lattice of a set with this scale."""
+    halves = st.integers(-16, 16)
+    return np.array(draw(st.tuples(halves, halves)), float) / 2.0 * scale
+
+
+@st.composite
+def indexed_queries(draw):
+    """(index, query pairs, query weight) of one lattice set."""
+    mset, scale = draw(lattice_sets())
     w0 = 2.0 ** draw(st.integers(-10, 10))
     index = NearestNeighborIndex(mset, w0)
-    halves = st.integers(-16, 16)
-    queries = [np.array(q, float) / 2.0 * scale
-               for q in draw(st.lists(st.tuples(halves, halves), min_size=1, max_size=8))]
+    queries = [half_lattice(draw, scale) for _ in range(draw(st.integers(1, 8)))]
     ratio = draw(st.one_of(st.just(1.0), st.floats(-9.0, 9.0).map(lambda e: 10.0 ** e)))
     return index, queries, w0 * ratio
 
@@ -73,3 +83,43 @@ def test_step_in_a_walks_the_weighted_coordinate_order(case, shift):
     for pos, idx in enumerate(order):
         expected = order[min(max(pos + shift, 0), len(order) - 1)]
         assert index.step_in_a(int(idx), shift) == expected
+
+
+def position(flat, g, i):
+    """Position of pair i of its set in segment g of a flat index."""
+    lo = flat.off[g]
+    return lo + int(np.flatnonzero(flat.idx[lo:flat.off[g + 1]] == i)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_flat_index_equals_per_set_brute_force(data):
+    # Several sets of mixed sizes and kinds in one flat index; any number of
+    # queries, each in any set under its own weight, answered in one call.
+    draw = data.draw
+    sets = draw(st.lists(lattice_sets(max_size=60), min_size=1, max_size=6))
+    flat = FlatIndex([mset for mset, _ in sets])
+    seg = np.array(draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=10)))
+    msets = [sets[s][0] for s in seg]
+    queries = [half_lattice(draw, sets[s][1]) for s in seg]
+    # powers of two keep lattice ties exact; other weights keep symmetric ones
+    w = np.array([draw(st.one_of(st.integers(-20, 20).map(lambda e: 2.0 ** e),
+                                 st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)))
+                  for _ in seg])
+    ia = np.array([1 if m.kind == "L" else 0 for m in msets])
+    rows = np.arange(len(seg))
+    q = np.array(queries)
+    q = np.array([q[rows, ia], q[rows, 1 - ia]])
+    expected = [nearest_measurement(m, p, wj)[1] for m, p, wj in zip(msets, queries, w)]
+    # The hint never changes the answer: none, arbitrary pairs, the farthest pairs.
+    arbitrary = [draw(st.integers(0, len(m) - 1)) for m in msets]
+    farthest = [int(np.argmax(weighted_pair_distance(m.pairs, p, wj, m.kind)))
+                for m, p, wj in zip(msets, queries, w)]
+    # as positions in the a segments and in the b segments
+    arbitrary = [position(flat, s, i) for s, i in zip(seg, arbitrary)]
+    farthest = [position(flat, s + len(sets), i) for s, i in zip(seg, farthest)]
+    for hint in (None, np.array(arbitrary), np.array(farthest)):
+        idx, pos = flat.nearest(seg, q, w, hint)
+        assert idx.tolist() == expected
+        picked = np.array([m.pairs[i] for m, i in zip(msets, expected)])
+        assert np.array_equal(flat.ab[:, pos], [picked[rows, ia], picked[rows, 1 - ia]])
