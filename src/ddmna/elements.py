@@ -114,6 +114,8 @@ def shockley_current(model: ShockleyDiodeModel, v_d):
 
 def shockley_conductance(model: ShockleyDiodeModel, v_d):
     """di/dv of the junction at junction voltage v_d."""
+    if isinstance(v_d, float):
+        return model.i_s / model.nvt * float(np.exp(min(v_d / model.nvt, EXP_CLAMP)))
     out = model.i_s / model.nvt * np.exp(np.minimum(np.divide(v_d, model.nvt), EXP_CLAMP))
     return float(out) if np.ndim(v_d) == 0 else out
 
@@ -143,9 +145,10 @@ def composite_diode_current(model: ShockleyDiodeModel, v):
     if _wrightomega is None:
         from scipy.special import wrightomega as _wrightomega
     a = model.i_s * model.r_series / model.nvt
-    x = math.log(a) + a + np.asarray(v, dtype=float) / model.nvt
+    scalar = isinstance(v, float)
+    x = math.log(a) + a + (v if scalar else np.asarray(v, dtype=float)) / model.nvt
     out = model.nvt / model.r_series * _wrightomega(x) - model.i_s
-    return float(out) if np.ndim(v) == 0 else out
+    return float(out) if scalar or np.ndim(v) == 0 else out
 
 
 def composite_diode_conductance(model: ShockleyDiodeModel, v, i=None):
@@ -160,16 +163,18 @@ def composite_diode_conductance(model: ShockleyDiodeModel, v, i=None):
 
 def mlcc_capacitance(model: MlccCapacitorModel, v):
     """Differential capacitance C(v)."""
-    v_arr = np.asarray(v, dtype=float)
-    out = model.cinf + (model.c0 - model.cinf) / (1.0 + (v_arr / model.v0) ** 2)
-    return float(out) if np.ndim(v) == 0 else out
+    scalar = isinstance(v, float)
+    u = (v if scalar else np.asarray(v, dtype=float)) / model.v0
+    out = model.cinf + (model.c0 - model.cinf) / (1.0 + u * u)
+    return float(out) if scalar or np.ndim(v) == 0 else out
 
 
 def mlcc_charge(model: MlccCapacitorModel, v):
     """Stored charge q(v), the exact antiderivative of C(v) with q(0) = 0."""
-    v_arr = np.asarray(v, dtype=float)
+    scalar = isinstance(v, float)
+    v_arr = v if scalar else np.asarray(v, dtype=float)
     out = model.cinf * v_arr + (model.c0 - model.cinf) * model.v0 * np.arctan(v_arr / model.v0)
-    return float(out) if np.ndim(v) == 0 else out
+    return float(out) if scalar or np.ndim(v) == 0 else out
 
 
 def capacitor_charge(model, v):

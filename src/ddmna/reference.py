@@ -1,14 +1,14 @@
 """Traditional model-based MNA transient solver (the reference solution).
 
-Unknowns per step are (phi, i_L, i_V); capacitor charges are eliminated via
-q = q(v) and resistive currents via i = i(v).  The companion scheme and the
-time grid come from `state.march`.  Every step is solved with one damped
-Newton loop.  The linear stamp (incidence blocks, inductors, linear G and C)
-is built and LU-factored once per step size; the nonlinear elements add their
-currents, charges and rank-1 stamps on top of it at each iterate, from one
-model evaluation each.  An all-linear circuit reuses the kept factors.  The
-consistent state at t0 is one step of the held circuit
-(`netlist.held_circuit`), so `step` holds the only Newton loop.
+Unknowns per step are x = (phi, i_L, i_V); capacitor charges and resistive
+currents are eliminated via q = q(v) and i = i(v).  `state.march` sets the
+companion scheme and the time grid; each step is one damped Newton loop.
+The linear stamp (incidence blocks, inductors, linear G and C) is LU-factored
+once per step size; nonlinear elements add their currents, charges and rank-1
+stamps at each iterate, from one model evaluation each.  The state is one
+exact lift of the accepted x, coef * (lift @ x), whose nonlinear columns are
+that iterate's model values.  The consistent state at t0 is one step of the
+held circuit (`netlist.held_circuit`), so `step` holds the only Newton loop.
 """
 
 from __future__ import annotations
@@ -42,18 +42,12 @@ def analytic_rc_voltage(r: float, c: float, v: float, t) -> float | np.ndarray:
 def models_by_group(graph: CircuitGraph, bindings: list[ElementBinding]) -> dict[str, list]:
     """Per-group model lists in incidence column order; every binding must be known."""
     by_name = {b.name: b for b in bindings}
-    out: dict[str, list] = {}
-    for group in "GCL":
-        models = []
-        for e in graph.groups[group]:
-            b = by_name.get(e.name)
-            if b is None:
-                raise ValueError(f"no binding for element {e.name}")
-            if b.mode != "known":
-                raise ValueError(f"traditional solver needs a model for {e.name}")
-            models.append(b.model)
-        out[group] = models
-    return out
+    for e in (e for group in "GCL" for e in graph.groups[group]):
+        if e.name not in by_name:
+            raise ValueError(f"no binding for element {e.name}")
+        if by_name[e.name].mode != "known":
+            raise ValueError(f"traditional solver needs a model for {e.name}")
+    return {group: [by_name[e.name].model for e in graph.groups[group]] for group in "GCL"}
 
 
 class TraditionalSolver:
@@ -64,31 +58,26 @@ class TraditionalSolver:
         self.graph = graph
         self.inc = inc
         self.bindings = bindings
-        models = models_by_group(graph, bindings)
-        self.g_models = models["G"]
-        self.c_models = models["C"]
-        self.l_values = np.array([m.value for m in models["L"]])
+        self.g_models, self.c_models, l_models = models_by_group(graph, bindings).values()
+        self.l_values = np.array([m.value for m in l_models])
         self.nphi = graph.n - 1
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
+        self._waves = [[e.waveform for e in graph.groups[group]] for group in "VI"]
         self._lu = None  # (alpha, linear stamp, lu, piv, info) of the last alpha
-
-    @staticmethod
-    def _source_scale(v_src: np.ndarray, i_src: np.ndarray) -> float:
-        return max([1.0, *(abs(x) for x in v_src), *(abs(x) for x in i_src)])
+        self.response = np.zeros(0)  # nonlinear columns' i or q at the last residual
 
     # -- the linear stamp and the nonlinear columns ------------------------
     @functools.cached_property
     def _columns(self):
-        """G and C split on first use: the linear values (0 at nonlinear
-        columns), the nonlinear columns' indices in G and in C, their models,
-        their incidence columns and which of them are C, G first."""
+        """G and C split on first use: linear values (0 at nonlinear columns);
+        the nonlinear columns' models, incidence columns and is-C flags, G first."""
         g_lin, c_lin = (np.array([m.value if isinstance(m, em.LinearModel) else 0.0 for m in ms])
                         for ms in (self.g_models, self.c_models))
         nl_g, nl_c = (np.flatnonzero(values == 0.0) for values in (g_lin, c_lin))
         models = [self.g_models[k] for k in nl_g] + [self.c_models[k] for k in nl_c]
         a_n = np.hstack([self.inc.a_g[:, nl_g], self.inc.a_c[:, nl_c]])
-        return g_lin, c_lin, nl_g, nl_c, models, a_n, np.arange(len(models)) >= len(nl_g)
+        return g_lin, c_lin, models, a_n, np.arange(len(models)) >= len(nl_g)
 
     def _linear_system(self, alpha: float):
         """Linear stamp J_lin(alpha) (incidence blocks, -alpha L, the linear G
@@ -113,15 +102,15 @@ class TraditionalSolver:
         alpha a q(v), and its Jacobian: J_lin itself when every column is
         linear, else a copy with the nonlinear rank-1 stamps added.  Each
         nonlinear column's model is evaluated once: (i, di/dv) for G, (q, dq/dv)
-        for C."""
+        for C; i and q stay in `self.response` until the next call."""
         jac = self._linear_system(alpha)[1]
         f = jac @ x - b
         *_, models, a_n, is_c = self._columns
         if models:
-            response, slope = np.array([em.response_slope(m, v)
-                                        for m, v in zip(models, a_n.T @ x[:self.nphi])]).T
+            self.response, slope = np.array([em.response_slope(m, v) for m, v in
+                                             zip(models, (a_n.T @ x[:self.nphi]).tolist())]).T
             scale = np.where(is_c, alpha, 1.0)
-            f[:self.nphi] += a_n @ (scale * response)
+            f[:self.nphi] += a_n @ (scale * self.response)
             jac = jac.copy()
             jac[:self.nphi, :self.nphi] += (a_n * (scale * slope)) @ a_n.T
         return f, jac
@@ -139,16 +128,16 @@ class TraditionalSolver:
         return x
 
     # -- one implicit step ------------------------------------------------
-    def step(self, x0: np.ndarray, t: float, alpha: float, rhs_c: np.ndarray,
-             rhs_l: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve the companion system at time t from x0; returns (x, Newton iterations)."""
-        v_src, i_src = sources(self.graph, t)
-        tol = NEWTON_RTOL * self._source_scale(v_src, i_src)
-        inc = self.inc
-        b = np.concatenate([inc.a_c @ rhs_c + inc.a_i @ i_src, -rhs_l, v_src])
-        x = x0.copy()
+    def step(self, x: np.ndarray, t: float, alpha: float, rhs_c: np.ndarray,
+             rhs_l: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Solve the companion system at time t from x, which it does not modify;
+        returns (x, Newton iterations, the nonlinear columns' i and q at x)."""
+        v_src, i_src = ([em.source_value(w, t) for w in waves] for waves in self._waves)
+        tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
+        b = np.concatenate([self.inc.a_c @ rhs_c + self.inc.a_i @ i_src, -rhs_l, v_src])
         f, jac = self.residual_jacobian(x, alpha, b)
-        norm = np.abs(f).max(initial=0.0)
+        values = self.response
+        norm = np.maximum.reduce(np.abs(f), initial=0.0)
         for it in range(1, NEWTON_MAX_ITER + 1):
             if norm <= tol:
                 # one undamped polish step: quadratic convergence drives the
@@ -158,11 +147,12 @@ class TraditionalSolver:
                     try:
                         delta = self._solve(jac, -f)
                     except np.linalg.LinAlgError:
-                        return x, it - 1
-                    f_try, _ = self.residual_jacobian(x + delta, alpha, b)
-                    if np.abs(f_try).max(initial=0.0) < norm:
-                        x = x + delta
-                return x, it - 1
+                        return x, it - 1, values
+                    x_try = x + delta
+                    f_try, _ = self.residual_jacobian(x_try, alpha, b)
+                    if np.maximum.reduce(np.abs(f_try), initial=0.0) < norm:
+                        x, values = x_try, self.response
+                return x, it - 1, values
             try:
                 delta = self._solve(jac, -f)
             except np.linalg.LinAlgError as exc:
@@ -171,36 +161,41 @@ class TraditionalSolver:
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 x_try = x + lam * delta
                 f_try, jac_try = self.residual_jacobian(x_try, alpha, b)
-                norm_try = np.abs(f_try).max(initial=0.0)
+                norm_try = np.maximum.reduce(np.abs(f_try), initial=0.0)
                 if norm_try < norm or norm <= tol:
                     break
                 lam *= 0.5
-            x, f, jac, norm = x_try, f_try, jac_try, norm_try
+            x, f, jac, norm, values = x_try, f_try, jac_try, norm_try, self.response
         if norm > tol:
             raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
-        return x, NEWTON_MAX_ITER
+        return x, NEWTON_MAX_ITER, values
 
     @functools.cached_property
-    def _state_gather(self):
-        """Builds a state from [x, v_g, i_g, v_c, q_c, psi_l]."""
-        n_g, n_c = self.inc.a_g.shape[1], self.inc.a_c.shape[1]
-        phi, i_l, i_v, v_g, i_g, v_c, q_c, psi_l = np.split(
-            np.arange(self.nphi + 2 * self.n_l + self.n_v + 2 * (n_g + n_c)),
-            np.cumsum([self.nphi, self.n_l, self.n_v, n_g, n_g, n_c, n_c]))
-        return CircuitState.gatherer(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
-                                     psi_l=psi_l, i_l=i_l, i_v=i_v)
+    def _lift(self):
+        """(lift, coef, positions): the state is coef * (lift @ x), where each lift
+        row is a row of the identity or of a transposed incidence matrix and coef
+        is 1, a linear G or C value, an L value, or 0 at the nonlinear positions."""
+        g_lin, c_lin, *_ = self._columns
+        phi, i_l, i_v = np.split(np.eye(self.nphi + self.n_l + self.n_v),
+                                 [self.nphi, self.nphi + self.n_l])
+        v_g, v_c = self.inc.a_g.T @ phi, self.inc.a_c.T @ phi
+        coef = CircuitState.zeros(self.graph)
+        coef.x[:], coef.i_g, coef.q_c, coef.psi_l = 1.0, g_lin, c_lin, self.l_values
+        return (CircuitState.lifter(phi, v_g, v_g, v_c, v_c, i_l, i_l, i_v), coef.x,
+                np.flatnonzero(coef.x == 0.0))
 
-    def state_from_x(self, x: np.ndarray) -> CircuitState:
-        inc = self.inc
-        phi, i_l = x[:self.nphi], x[self.nphi:self.nphi + self.n_l]
-        g_lin, c_lin, nl_g, nl_c, *_ = self._columns
-        v_g = inc.a_g.T @ phi
-        v_c = inc.a_c.T @ phi
-        # the linear columns as arrays; the nonlinear ones need no slope here
-        i_g, q_c = g_lin * v_g, c_lin * v_c
-        i_g[nl_g] = [em.conductor_current(self.g_models[k], v_g[k]) for k in nl_g]
-        q_c[nl_c] = [em.capacitor_charge(self.c_models[k], v_c[k]) for k in nl_c]
-        return self._state_gather(np.concatenate([x, v_g, i_g, v_c, q_c, self.l_values * i_l]))
+    def state_from_x(self, x: np.ndarray, values: np.ndarray | None = None) -> CircuitState:
+        """The circuit state at the Newton vector x; the models are evaluated
+        only when `values`, the nonlinear columns' i and q at x, are not given."""
+        lift, coef, at = self._lift
+        state = lift(x)
+        state.x *= coef
+        if values is None:
+            *_, models, a_n, _ = self._columns
+            values = [em.response_slope(m, v)[0]
+                      for m, v in zip(models, (a_n.T @ x[:self.nphi]).tolist())]
+        state.x[at] = values
+        return state
 
     # -- consistent initial state -----------------------------------------
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
@@ -211,8 +206,8 @@ class TraditionalSolver:
         graph = held_circuit(self.graph, v_c0, i_l0)
         held = TraditionalSolver(graph, build_incidence(graph), self.bindings)
         none = np.zeros(0)
-        x, _ = held.step(np.zeros(held.nphi + held.n_v), t0, 0.0, none, none)
-        return release_held(held.state_from_x(x), self.inc.a_c, q_c0, psi_l0, i_l0)
+        x, _, values = held.step(np.zeros(held.nphi + held.n_v), t0, 0.0, none, none)
+        return release_held(held.state_from_x(x, values), self.inc.a_c, q_c0, psi_l0, i_l0)
 
 
 def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
@@ -223,8 +218,8 @@ def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
     state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
     def step(x, t, alpha, rhs_c, rhs_l):
-        x, n_it = solver.step(x, t, alpha, rhs_c, rhs_l)
-        return solver.state_from_x(x), x, n_it, True, None
+        x, n_it, values = solver.step(x, t, alpha, rhs_c, rhs_l)
+        return solver.state_from_x(x, values), x, n_it, True, None
 
     return march(graph, config, state0,
                  np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)

@@ -4,7 +4,8 @@ A `CircuitState` is one float vector `x`, laid out like a `trace.csv` row
 after `t`: node potentials phi; one pair per element, (v, i) per G element,
 (v, q) per capacitor, (psi, i) per inductor; voltage-source currents i_v.
 The pairs are one contiguous block, which `pairs()` views as an (n, 2)
-array; the eight named fields are views of `x` too.
+array; the eight named fields are views of `x` too.  A solver builds its
+states as one exact lift of its solution vector (`CircuitState.lifter`).
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ class CircuitState:
         return s
 
     @classmethod
-    def gatherer(cls, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
-        """A function src -> CircuitState that takes each field from the given
-        positions of one source vector src, with one gather."""
-        template = cls(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
-        index, lay = template.x.astype(np.intp), template._lay
-        return lambda src: cls._of(src.take(index), lay)
+    def lifter(cls, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
+        """A function src -> CircuitState with x = lift @ src, where each field
+        gives its rows of the matrix lift, as a (field length, len(src)) array."""
+        lay = _layout(len(phi), len(v_g), len(v_c), len(psi_l), len(i_v))
+        lift = np.empty((lay["size"], np.shape(phi)[1]))
+        for name, rows in zip(_FIELDS, (phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)):
+            lift[lay[name]] = rows
+        return lambda src: cls._of(lift @ src, lay)
 
     @classmethod
     def zeros(cls, graph: CircuitGraph) -> "CircuitState":

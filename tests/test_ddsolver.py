@@ -18,6 +18,8 @@ from ddmna.dataset import (
 from ddmna.ddsolver import (
     DDConfig,
     DDSolver,
+    KirchhoffSystem,
+    KnownTangent,
     brute_force_timestep,
     run_transient_dd,
 )
@@ -480,3 +482,31 @@ def test_weights_must_be_positive_and_finite(bad):
     with pytest.raises(ValueError, match="0 < w < inf"):
         solver.set_weight("R1", bad)
     assert solver.weights.tolist() == solver.w_ref.tolist() == [1.0]
+
+
+LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(
+    f"R{k} {k} {k + 1} 100\nC{k} {k + 1} 0 1e-7\n" for k in range(1, 26))
+
+
+@pytest.mark.parametrize("net, data", [
+    (SCENARIOS["rc-linear"].netlist, SCENARIOS["rc-linear"].dd_names),
+    (SCENARIOS["rectifier"].netlist, SCENARIOS["rectifier"].dd_names),
+    (LADDER_NET, tuple(f"R{k}" for k in range(1, 26)))],
+    ids=["rc-linear", "rectifier", "ladder-25"])
+def test_kirchhoff_state_is_an_exact_lift_of_the_solution(net, data):
+    graph = parse_netlist(net)
+    inc = build_incidence(graph)
+    by_name = {b.name: b for b in bindings_from_graph(graph)}
+    known = {group: [KnownTangent(j, by_name[e.name].model, 1.0)
+                     for j, e in enumerate(graph.groups[group]) if e.name not in data]
+             for group in "GCL"}
+    system = KirchhoffSystem("lift", inc, known)
+    lay = system.lay
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, lay["total"]) * 10.0 ** rng.integers(-6, 3)
+        phi = z[lay["phi"]]
+        want = CircuitState(phi=phi, v_g=inc.a_g.T @ phi, i_g=z[lay["i_g"]],
+                            v_c=inc.a_c.T @ phi, q_c=z[lay["q_c"]], psi_l=z[lay["psi"]],
+                            i_l=z[lay["i_l"]], i_v=z[lay["i_v"]])
+        assert (system.state(z).x == want.x).all()

@@ -9,6 +9,7 @@ import pytest
 
 import ddmna
 from ddmna.elements import (
+    EXP_CLAMP,
     LinearModel,
     MlccCapacitorModel,
     ModelDomainError,
@@ -21,6 +22,7 @@ from ddmna.elements import (
     conductor_current,
     mlcc_capacitance,
     mlcc_charge,
+    shockley_conductance,
     shockley_current,
     source_value,
 )
@@ -88,15 +90,42 @@ def test_composite_round_trip_wide_range():
             i_star, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("model", [DIODE, DIODE_RD])
-def test_composite_array_matches_scalar(model):
-    v = np.linspace(-3.0, 3.0, 121)
-    for fn in (composite_diode_current, composite_diode_conductance):
+def _voltages(scale: float, seed: int) -> np.ndarray:
+    """100 002 seeded voltages: the forward knee and the EXP_CLAMP region in
+    units of `scale`, deep reverse and forward bias up to 1e300 V, magnitudes
+    down to 1e-300 V of either sign, and +-0.0."""
+    rng = np.random.default_rng(seed)
+    n = 20_000
+    return np.concatenate([scale * rng.uniform(-10.0, 40.0, n),
+                           scale * rng.uniform(EXP_CLAMP - 10.0, EXP_CLAMP + 10.0, n),
+                           -10.0 ** rng.uniform(0.0, 300.0, n),
+                           10.0 ** rng.uniform(-300.0, 0.0, n) * rng.choice([-1.0, 1.0], n),
+                           10.0 ** rng.uniform(0.0, 300.0, n), [0.0, -0.0]])
+
+
+def _assert_scalar_path_matches_array(fn, model, v):
+    with np.errstate(over="ignore"):  # the MLCC's (v/v0)^2 overflows at 1e300 V
         out = fn(model, v)
-        assert isinstance(out, np.ndarray) and out.shape == v.shape
-        scalars = [fn(model, float(x)) for x in v]
-        assert all(type(x) is float for x in scalars)
-        assert np.array_equal(out, scalars)
+    assert isinstance(out, np.ndarray) and out.shape == v.shape
+    scalars = [fn(model, x) for x in v.tolist()]
+    assert all(type(x) is float for x in scalars)
+    assert np.array_equal(out, scalars)
+    # bitwise, signed zeros included
+    assert np.array_equal(out.view(np.int64), np.array(scalars).view(np.int64))
+
+
+@pytest.mark.parametrize("model", [DIODE, DIODE_RD, SOFT_RD])
+def test_composite_array_matches_scalar(model):
+    v = _voltages(model.nvt, seed=11)
+    for fn in (shockley_current, shockley_conductance, composite_diode_current,
+               composite_diode_conductance):
+        _assert_scalar_path_matches_array(fn, model, v)
+
+
+def test_mlcc_array_matches_scalar():
+    v = _voltages(MLCC.v0, seed=12)
+    for fn in (mlcc_charge, mlcc_capacitance):
+        _assert_scalar_path_matches_array(fn, MLCC, v)
 
 
 @pytest.mark.parametrize("model, v", [

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ddmna import elements as em
 from ddmna import reference
 from ddmna.dataset import bindings_from_graph
-from ddmna.netlist import build_incidence, parse_netlist
+from ddmna.netlist import build_incidence, held_circuit, parse_netlist
 from ddmna.reference import (
     SolverError,
     TraditionalSolver,
@@ -13,7 +14,8 @@ from ddmna.reference import (
     kcl_residual,
     run_transient_traditional,
 )
-from ddmna.state import InitialCondition, TransientConfig
+from ddmna.scenarios import SCENARIOS
+from ddmna.state import CircuitState, InitialCondition, TransientConfig
 
 RC_NET = "V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n"
 MLCC_NET = "V1 1 0 DC 10\nR1 1 2 2e4\nC1 2 0 MODEL mlcc(1e-5,2e-6,1.0)\n"
@@ -31,6 +33,8 @@ MIXED_NET = ("V1 1 0 SIN 0 5 100\n"
              "L1 3 4 1e-3\n"
              "R2 4 0 100\n"
              "I1 0 4 DC 1e-3\n")
+LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(
+    f"R{k} {k} {k + 1} 100\nC{k} {k + 1} 0 1e-7\n" for k in range(1, 26))
 
 
 def _setup(net):
@@ -222,3 +226,51 @@ def test_parallel_voltage_sources_raise_solver_error(load):
     cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=10)
     with pytest.raises(SolverError, match="singular MNA system"):
         run_transient_traditional(graph, inc, binds, cfg)
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("name", ["rc-nonlinear", "rectifier"])
+def test_state_holds_the_model_values_at_its_voltages(name, scheme):
+    # the nonlinear columns of each state come from the accepted Newton
+    # iterate, so they must be the models' values at the state's own voltages;
+    # at t0 the charges are the pinned q_c0, so only the G columns are checked
+    scenario = SCENARIOS[name]
+    graph, inc, binds = _setup(scenario.netlist)
+    cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end, steps=scenario.steps)
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    solver = TraditionalSolver(graph, inc, binds)
+    g_nl = [k for k, m in enumerate(solver.g_models) if not isinstance(m, em.LinearModel)]
+    c_nl = [k for k, m in enumerate(solver.c_models) if not isinstance(m, em.LinearModel)]
+    assert g_nl or c_nl
+    for step, s in enumerate(trace.states):
+        for k in g_nl:
+            assert s.i_g[k] == em.conductor_current(solver.g_models[k], s.v_g[k])
+        for k in c_nl if step else ():
+            assert s.q_c[k] == em.capacitor_charge(solver.c_models[k], s.v_c[k])
+
+
+def _held(net):
+    graph, _, binds = _setup(net)
+    held = held_circuit(graph, np.linspace(0.5, 1.0, graph.count("C")),
+                        np.linspace(-1e-3, 1e-3, graph.count("L")))
+    return held, build_incidence(held), binds
+
+
+@pytest.mark.parametrize("circuit", [
+    _setup(RC_NET), _setup(LADDER_NET), _setup(SCENARIOS["rc-nonlinear"].netlist),
+    _setup(SCENARIOS["rectifier"].netlist), _setup(MIXED_NET), _held(MIXED_NET)],
+    ids=["rc", "ladder-25", "rc-nonlinear", "rectifier", "mixed", "held-mixed"])
+def test_state_is_an_exact_lift_of_the_newton_vector(circuit):
+    graph, inc, binds = circuit
+    solver = TraditionalSolver(graph, inc, binds)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0, solver.nphi + solver.n_l + solver.n_v) \
+            * 10.0 ** rng.integers(-6, 3)
+        phi, i_l, i_v = np.split(x, [solver.nphi, solver.nphi + solver.n_l])
+        v_g, v_c = inc.a_g.T @ phi, inc.a_c.T @ phi
+        i_g = [em.conductor_current(m, v) for m, v in zip(solver.g_models, v_g)]
+        q_c = [em.capacitor_charge(m, v) for m, v in zip(solver.c_models, v_c)]
+        want = CircuitState(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
+                            psi_l=solver.l_values * i_l, i_l=i_l, i_v=i_v)
+        assert (solver.state_from_x(x).x == want.x).all()
