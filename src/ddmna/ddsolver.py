@@ -162,11 +162,13 @@ class KirchhoffSystem:
             self.lay[name] = slice(pos, pos + sz)
             pos += sz
         self.lay["total"] = pos
-        # The state as one exact lift of the primal unknowns, which lead z.
-        phi, i_g, q_c, i_l, psi, i_v = np.split(np.eye(self.lay["eta"].start), [
-            self.lay[name].stop for name in ("phi", "i_g", "q_c", "i_l", "psi")])
-        self._state = CircuitState.lifter(phi, inc.a_g.T @ phi, i_g, inc.a_c.T @ phi, q_c,
-                                          psi, i_l, i_v)
+        # A state from [z, a_g.T phi, a_c.T phi]: an exact lift of the solution.
+        lay, n_g = self.lay, inc.a_g.shape[1]
+        at = np.arange(pos + n_g + inc.a_c.shape[1])
+        self._state = CircuitState.lifter(
+            np.vstack([inc.a_g.T, inc.a_c.T]), phi=at[lay["phi"]], v_g=at[pos:pos + n_g],
+            i_g=at[lay["i_g"]], v_c=at[pos + n_g:], q_c=at[lay["q_c"]], psi_l=at[lay["psi"]],
+            i_l=at[lay["i_l"]], i_v=at[lay["i_v"]])
 
     def matrix(self, alpha: float, w: WeightSet) -> np.ndarray:
         """Stationarity-plus-constraints system matrix."""
@@ -251,7 +253,7 @@ class KirchhoffSystem:
 
     def state(self, z: np.ndarray) -> CircuitState:
         """The circuit state in a solution z of the system."""
-        return self._state(z[:self.lay["eta"].start])
+        return self._state(z)
 
 
 class DDSolver:

@@ -6,9 +6,10 @@ companion scheme and the time grid; each step is one damped Newton loop.
 The linear stamp (incidence blocks, inductors, linear G and C) is LU-factored
 once per step size; nonlinear elements add their currents, charges and rank-1
 stamps at each iterate, from one model evaluation each.  The state is one
-exact lift of the accepted x, coef * (lift @ x), whose nonlinear columns are
-that iterate's model values.  The consistent state at t0 is one step of the
-held circuit (`netlist.held_circuit`), so `step` holds the only Newton loop.
+exact lift of the accepted x: an unknown, a potential difference or, at a
+nonlinear column, that iterate's model value, times 1 or a linear G, C or L
+value.  The consistent state at t0 is one step of the held circuit
+(`netlist.held_circuit`), so `step` holds the only Newton loop.
 """
 
 from __future__ import annotations
@@ -42,12 +43,18 @@ def analytic_rc_voltage(r: float, c: float, v: float, t) -> float | np.ndarray:
 def models_by_group(graph: CircuitGraph, bindings: list[ElementBinding]) -> dict[str, list]:
     """Per-group model lists in incidence column order; every binding must be known."""
     by_name = {b.name: b for b in bindings}
-    for e in (e for group in "GCL" for e in graph.groups[group]):
-        if e.name not in by_name:
-            raise ValueError(f"no binding for element {e.name}")
-        if by_name[e.name].mode != "known":
-            raise ValueError(f"traditional solver needs a model for {e.name}")
-    return {group: [by_name[e.name].model for e in graph.groups[group]] for group in "GCL"}
+    out: dict[str, list] = {}
+    for group in "GCL":
+        models = []
+        for e in graph.groups[group]:
+            b = by_name.get(e.name)
+            if b is None:
+                raise ValueError(f"no binding for element {e.name}")
+            if b.mode != "known":
+                raise ValueError(f"traditional solver needs a model for {e.name}")
+            models.append(b.model)
+        out[group] = models
+    return out
 
 
 class TraditionalSolver:
@@ -58,8 +65,10 @@ class TraditionalSolver:
         self.graph = graph
         self.inc = inc
         self.bindings = bindings
-        self.g_models, self.c_models, l_models = models_by_group(graph, bindings).values()
-        self.l_values = np.array([m.value for m in l_models])
+        models = models_by_group(graph, bindings)
+        self.g_models = models["G"]
+        self.c_models = models["C"]
+        self.l_values = np.array([m.value for m in models["L"]])
         self.nphi = graph.n - 1
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
@@ -70,14 +79,15 @@ class TraditionalSolver:
     # -- the linear stamp and the nonlinear columns ------------------------
     @functools.cached_property
     def _columns(self):
-        """G and C split on first use: linear values (0 at nonlinear columns);
-        the nonlinear columns' models, incidence columns and is-C flags, G first."""
+        """G and C split on first use: the linear values (0 at nonlinear
+        columns), the nonlinear columns' indices in G and in C, their models,
+        their incidence columns and which of them are C, G first."""
         g_lin, c_lin = (np.array([m.value if isinstance(m, em.LinearModel) else 0.0 for m in ms])
                         for ms in (self.g_models, self.c_models))
         nl_g, nl_c = (np.flatnonzero(values == 0.0) for values in (g_lin, c_lin))
         models = [self.g_models[k] for k in nl_g] + [self.c_models[k] for k in nl_c]
         a_n = np.hstack([self.inc.a_g[:, nl_g], self.inc.a_c[:, nl_c]])
-        return g_lin, c_lin, models, a_n, np.arange(len(models)) >= len(nl_g)
+        return g_lin, c_lin, nl_g, nl_c, models, a_n, np.arange(len(models)) >= len(nl_g)
 
     def _linear_system(self, alpha: float):
         """Linear stamp J_lin(alpha) (incidence blocks, -alpha L, the linear G
@@ -172,29 +182,29 @@ class TraditionalSolver:
 
     @functools.cached_property
     def _lift(self):
-        """(lift, coef, positions): the state is coef * (lift @ x), where each lift
-        row is a row of the identity or of a transposed incidence matrix and coef
-        is 1, a linear G or C value, an L value, or 0 at the nonlinear positions."""
-        g_lin, c_lin, *_ = self._columns
-        phi, i_l, i_v = np.split(np.eye(self.nphi + self.n_l + self.n_v),
-                                 [self.nphi, self.nphi + self.n_l])
-        v_g, v_c = self.inc.a_g.T @ phi, self.inc.a_c.T @ phi
+        """(lift, coef): the state at x is coef * lift(x, values), one gather from
+        [x, a_g.T phi, a_c.T phi, values] (`CircuitState.lifter`), with values the
+        nonlinear columns' i and q and coef 1, a linear G or C value or an L value."""
+        g_lin, c_lin, nl_g, nl_c, *_ = self._columns
+        n_g, n_c = len(g_lin), len(c_lin)
+        phi, i_l, i_v, v_g, v_c, nl = np.split(
+            np.arange(self.nphi + self.n_l + self.n_v + n_g + n_c + len(nl_g) + len(nl_c)),
+            np.cumsum([self.nphi, self.n_l, self.n_v, n_g, n_c]))
+        i_g, q_c = v_g.copy(), v_c.copy()
+        i_g[nl_g], q_c[nl_c] = nl[:len(nl_g)], nl[len(nl_g):]
         coef = CircuitState.zeros(self.graph)
         coef.x[:], coef.i_g, coef.q_c, coef.psi_l = 1.0, g_lin, c_lin, self.l_values
-        return (CircuitState.lifter(phi, v_g, v_g, v_c, v_c, i_l, i_l, i_v), coef.x,
-                np.flatnonzero(coef.x == 0.0))
+        coef.i_g[nl_g] = coef.q_c[nl_c] = 1.0
+        lift = CircuitState.lifter(np.vstack([self.inc.a_g.T, self.inc.a_c.T]),
+                                   phi, v_g, i_g, v_c, q_c, i_l, i_l, i_v)
+        return lift, coef.x
 
-    def state_from_x(self, x: np.ndarray, values: np.ndarray | None = None) -> CircuitState:
-        """The circuit state at the Newton vector x; the models are evaluated
-        only when `values`, the nonlinear columns' i and q at x, are not given."""
-        lift, coef, at = self._lift
-        state = lift(x)
+    def state_from_x(self, x: np.ndarray, values: np.ndarray) -> CircuitState:
+        """The circuit state at the Newton vector x, given `values`, the nonlinear
+        columns' i and q at x (G first), as `step` returns them."""
+        lift, coef = self._lift
+        state = lift(x, values)
         state.x *= coef
-        if values is None:
-            *_, models, a_n, _ = self._columns
-            values = [em.response_slope(m, v)[0]
-                      for m, v in zip(models, (a_n.T @ x[:self.nphi]).tolist())]
-        state.x[at] = values
         return state
 
     # -- consistent initial state -----------------------------------------

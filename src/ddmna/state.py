@@ -68,14 +68,16 @@ class CircuitState:
         return s
 
     @classmethod
-    def lifter(cls, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
-        """A function src -> CircuitState with x = lift @ src, where each field
-        gives its rows of the matrix lift, as a (field length, len(src)) array."""
-        lay = _layout(len(phi), len(v_g), len(v_c), len(psi_l), len(i_v))
-        lift = np.empty((lay["size"], np.shape(phi)[1]))
-        for name, rows in zip(_FIELDS, (phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)):
-            lift[lay[name]] = rows
-        return lambda src: cls._of(lift @ src, lay)
+    def lifter(cls, diff, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
+        """A function (src, *tail) -> CircuitState that takes each field from
+        the given positions of [src, diff @ src[:k], *tail], k = diff's column
+        count, with one gather.  With diff a stack of transposed incidence
+        matrices, every entry is one entry of src or of tail, copied as it is,
+        or one potential difference: an exact lift of src."""
+        template = cls(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
+        index, lay, k = template.x.astype(np.intp), template._lay, diff.shape[1]
+        return lambda src, *tail: cls._of(
+            np.concatenate([src, diff.dot(src[:k]), *tail]).take(index), lay)
 
     @classmethod
     def zeros(cls, graph: CircuitGraph) -> "CircuitState":
