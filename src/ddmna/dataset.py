@@ -429,16 +429,6 @@ def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
     return min(max(slope, w_min), w_max)
 
 
-def project_known_linear(w: float, query, kind: str = "G") -> np.ndarray:
-    """Closest point on the line response = w * drive under the weight-w metric."""
-    ia = _W_COL[kind]
-    a = 0.5 * (query[ia] + query[1 - ia] / w)
-    out = np.empty(2)
-    out[ia] = a
-    out[1 - ia] = w * a
-    return out
-
-
 def chord_weight(mset: MeasurementSet) -> float:
     """Global chord slope of a measurement set (constant-weight default)."""
     ia = _W_COL[mset.kind]

@@ -7,16 +7,19 @@ LAPACK, kept while the system is unchanged) followed by independent
 per-element projections onto the data.  The iteration is a fixed point
 monitored through the energy mismatch, the weighted squared distance between
 the two projected states.  The weights are one vector in the order of the
-state's pair block, so the projections onto known lines and the mismatch are
-single array expressions over that block.  Every data element's set is one
-set of a `dataset.FlatIndex`, and the data half-step picks all their nearest
-pairs in one search call, seeded by the last picks.
+state's pair block, so the mismatch is one array expression over that block.
+Every data element's set is one set of a `dataset.FlatIndex`, and the data
+half-step picks all their nearest pairs in one search call, seeded by the last
+picks.
 
-Elements with a known model are not matched to data.  Each one is folded into
-the constraints as its tangent line y = slope * x + offset.  A linear model is
-its own constant tangent; a nonlinear one (diode, MLCC) is re-linearised at
-the Kirchhoff state in every data half-step, so the alternation runs Newton's
-method on the known part.
+Elements with a known model are not matched to data.  Each one is a
+constraint only: it is folded into the Kirchhoff set as its tangent line
+y = slope * x + offset and has no distance term, so the projection is the
+closest Kirchhoff state in the data elements' metric and never reads a known
+pair.  A linear model is its own constant tangent, and the data half-step
+keeps its pair as the Kirchhoff state gives it; a nonlinear one (diode, MLCC)
+is re-linearised at the Kirchhoff state in every data half-step, so the
+alternation runs Newton's method on the known part.
 
 Both half-steps are exact minimisers, so under constant weights the mismatch
 falls to a fixed point, but that fixed point can be a local minimum one
@@ -130,11 +133,11 @@ class KnownTangent:
     slope: float
     offset: float = 0.0
 
-    def relinearize(self, x: float) -> np.ndarray:
+    def relinearize(self, x: float) -> tuple[float, float]:
         """Move the tangent to drive x; returns the model pair (x, f(x))."""
         f, self.slope = em.response_slope(self.model, x)
         self.offset = f - self.slope * x
-        return np.array([x, f])
+        return x, f
 
 
 @dataclass
@@ -146,11 +149,18 @@ class KirchhoffSystem:
     inc: IncidenceSet
     known: dict  # group -> list[KnownTangent]
     lay: dict = field(init=False)
+    data: dict = field(init=False)  # group -> columns of its data elements
+    _a_data: tuple = field(init=False, repr=False)  # a_g, a_c at those columns
     _state: object = field(init=False, repr=False)  # solution -> CircuitState
 
     def __post_init__(self):
         inc = self.inc
         nphi, n_l, n_v = inc.a_g.shape[0], inc.a_l.shape[1], inc.a_v.shape[1]
+        self.data = {}
+        for group, n in zip("GCL", (inc.a_g.shape[1], inc.a_c.shape[1], n_l)):
+            known = {t.index for t in self.known[group]}
+            self.data[group] = np.array([j for j in range(n) if j not in known], np.intp)
+        self._a_data = (inc.a_g[:, self.data["G"]], inc.a_c[:, self.data["C"]])
         sizes = [("phi", nphi), ("i_g", inc.a_g.shape[1]), ("q_c", inc.a_c.shape[1]),
                  ("i_l", n_l), ("psi", n_l), ("i_v", n_v),
                  ("eta", nphi), ("lam_l", n_l), ("lam_v", n_v),
@@ -171,13 +181,20 @@ class KirchhoffSystem:
             i_l=at[lay["i_l"]], i_v=at[lay["i_v"]])
 
     def matrix(self, alpha: float, w: WeightSet) -> np.ndarray:
-        """Stationarity-plus-constraints system matrix."""
+        """Stationarity-plus-constraints system matrix.  Only data elements
+        carry a distance term; a known element's rows hold its constraint."""
         lay, inc = self.lay, self.inc
         n_l = inc.a_l.shape[1]
         m = np.zeros((lay["total"], lay["total"]))
+        (dg, dc, dl), (a_g, a_c) = self.data.values(), self._a_data
+        wg, wc, wl = w.g[dg], w.c[dc], w.l[dl]
 
         def blk(row, col):
             return (lay[row], lay[col])
+
+        def diag(row, cols, values):
+            at = lay[row].start + cols
+            m[at, at] = values
 
         # Dynamic (C, L) element distances carry an extra factor alpha: the
         # time-discrete constraints couple charge/flux rates, so the metric
@@ -189,17 +206,16 @@ class KirchhoffSystem:
         # so a known C or L tangent's multiplier column, which spans a q or
         # psi row and a drive row (phi or i_l) that is not divided, carries
         # the factor alpha in the drive row.
-        m[blk("phi", "phi")] = (inc.a_g * w.g) @ inc.a_g.T \
-            + alpha * (inc.a_c * w.c) @ inc.a_c.T
+        m[blk("phi", "phi")] = (a_g * wg) @ a_g.T + alpha * (a_c * wc) @ a_c.T
         m[blk("phi", "lam_l")] = -inc.a_l
         m[blk("phi", "lam_v")] = -inc.a_v
-        m[blk("i_g", "i_g")] = np.diag(1.0 / w.g)
+        diag("i_g", dg, 1.0 / wg)
         m[blk("i_g", "eta")] = -inc.a_g.T
-        m[blk("q_c", "q_c")] = np.diag(1.0 / w.c)
+        diag("q_c", dc, 1.0 / wc)
         m[blk("q_c", "eta")] = -inc.a_c.T
-        m[blk("i_l", "i_l")] = alpha * np.diag(w.l)
+        diag("i_l", dl, alpha * wl)
         m[blk("i_l", "eta")] = -inc.a_l.T
-        m[blk("psi", "psi")] = np.diag(1.0 / w.l)
+        diag("psi", dl, 1.0 / wl)
         m[blk("psi", "lam_l")] = np.eye(n_l)
         m[blk("i_v", "eta")] = -inc.a_v.T
         m[blk("eta", "i_g")] = inc.a_g
@@ -236,14 +252,17 @@ class KirchhoffSystem:
 
     def rhs(self, zx: CircuitState, alpha: float, rhs_c: np.ndarray, rhs_l: np.ndarray,
             v_src: np.ndarray, i_src: np.ndarray, w: WeightSet) -> np.ndarray:
-        """Right-hand side of the projection of data state zx."""
+        """Right-hand side of the projection of data state zx; it reads the
+        data elements' pairs of zx only."""
         lay, inc = self.lay, self.inc
         b = np.zeros(lay["total"])
-        b[lay["phi"]] = inc.a_g @ (w.g * zx.v_g) + alpha * (inc.a_c @ (w.c * zx.v_c))
-        b[lay["i_g"]] = zx.i_g / w.g
-        b[lay["q_c"]] = zx.q_c / w.c
-        b[lay["i_l"]] = alpha * (w.l * zx.i_l)
-        b[lay["psi"]] = zx.psi_l / w.l
+        (dg, dc, dl), (a_g, a_c) = self.data.values(), self._a_data
+        wg, wc, wl = w.g[dg], w.c[dc], w.l[dl]
+        b[lay["phi"]] = a_g @ (wg * zx.v_g[dg]) + alpha * (a_c @ (wc * zx.v_c[dc]))
+        b[lay["i_g"].start + dg] = zx.i_g[dg] / wg
+        b[lay["q_c"].start + dc] = zx.q_c[dc] / wc
+        b[lay["i_l"].start + dl] = alpha * (wl * zx.i_l[dl])
+        b[lay["psi"].start + dl] = zx.psi_l[dl] / wl
         b[lay["eta"]] = inc.a_i @ i_src + inc.a_c @ rhs_c
         b[lay["lam_l"]] = -rhs_l
         b[lay["lam_v"]] = v_src
@@ -286,22 +305,22 @@ class DDSolver:
         self._iw = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])
         self._wcol = self._iw[:, None] == [0, 1]  # True at each weight coordinate
 
-        # Known elements are hard constraints of the Kirchhoff projection,
-        # each folded as its tangent line with its own multiplier, so every
-        # Kirchhoff state satisfies them exactly.  That does not end a step
-        # in one solve: the data half-step still moves the known pairs (by
-        # rounding for linear models, by one Newton step for nonlinear ones),
-        # and a step stops only when the data indices and the known pairs
-        # repeat bit for bit, or on the mismatch floor or the stall test.
+        # Known elements are constraints only: each is folded into the
+        # Kirchhoff projection as its tangent line with its own multiplier and
+        # has no distance term, so every Kirchhoff state satisfies them
+        # exactly and the projection reads only the data pairs.  The data
+        # half-step keeps a known-linear pair as it is and moves a nonlinear
+        # one by one Newton step, so a step stops when the data indices and
+        # the known-nonlinear pairs repeat, or on the mismatch floor or the
+        # stall test.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
-        lin, self._nonlinear = [], []  # (row, model value), (row, tangent)
+        self._nonlinear = []  # (row, tangent)
         data = []  # (row, measurement set)
         for row, (group, j, b) in enumerate(elements):
             if b.mode == "data":
                 data.append((row, b.data))
             elif isinstance(b.model, em.LinearModel):
                 self.known[group].append(KnownTangent(j, b.model, b.model.value))
-                lin.append((row, b.model.value))
             else:
                 tangent = KnownTangent(j, b.model, 0.0)
                 tangent.relinearize(0.0)
@@ -318,12 +337,6 @@ class DDSolver:
         self._data_ab = 2 * self._data_rows + np.stack([iw, 1 - iw])
         self._data_sets = np.arange(len(data))
         self._hint = None  # positions of the last data picks, which seed the next search
-        self._known_rows = np.array([r for r in range(len(elements)) if r not in self.nn], np.intp)
-        # Where the known-linear pairs' weight and other coordinates sit in
-        # the flat pair block, and their model values.
-        rows = np.array([row for row, _ in lin], dtype=np.intp)
-        self._lin_ab = (2 * rows + self._iw[rows], 2 * rows + 1 - self._iw[rows])
-        self._lin_value = np.array([value for _, value in lin])
         self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
         self._lu_slot: tuple | None = None  # (key, LU, pivots) of the last system
@@ -339,17 +352,14 @@ class DDSolver:
             self.nn[row].weight = w
 
     # ------------------------------------------------------------------
-    def assemble_projection_matrix(self, alpha: float,
-                                   weights: WeightSet | None = None) -> np.ndarray:
+    def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
         """Stationarity-plus-constraints system matrix for one projection solve."""
-        return self.system.matrix(alpha, weights or self.weight_set)
+        return self.system.matrix(alpha, self.weight_set)
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
-                                v_src: np.ndarray, i_src: np.ndarray,
-                                weights: WeightSet | None = None) -> np.ndarray:
-        return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src,
-                               weights or self.weight_set)
+                                v_src: np.ndarray, i_src: np.ndarray) -> np.ndarray:
+        return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src, self.weight_set)
 
     def _solve(self, system: KirchhoffSystem, alpha: float, b: np.ndarray,
                assemble) -> CircuitState:
@@ -370,7 +380,9 @@ class DDSolver:
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
                              v_src: np.ndarray, i_src: np.ndarray) -> CircuitState:
-        """Closest Kirchhoff-feasible state to zx in the weighted metric."""
+        """Closest Kirchhoff-feasible state to zx in the data elements' weighted
+        metric; the known elements are constraints only, and their pairs in zx
+        are not read."""
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
         return self._solve(self.system, alpha, b,
                            lambda: self.assemble_projection_matrix(alpha))
@@ -407,24 +419,19 @@ class DDSolver:
 
         Data elements take their nearest measured pair, all of them in one
         search of the flat index, seeded by the last selection.  Known linear
-        elements take the closest point on their line; known nonlinear ones
-        take the model point at the Kirchhoff state's drive coordinate and
-        are re-linearised there.  The selection is the data indices, then
-        the known pairs in element order.
+        elements keep the Kirchhoff state's pair, which lies on their line;
+        known nonlinear ones take the model point at the Kirchhoff state's
+        drive coordinate and are re-linearised there.  The selection is the
+        data indices, then the known-nonlinear pairs in element order.
         """
         zx = zo.copy()
         p = zx.pairs()
         idx = self._pick_data(p)
-        # Closest points on the lines x_o = value * x_w (x_w: weight coordinate)
-        (lin_w, lin_o), value = self._lin_ab, self._lin_value
-        if len(value):
-            pv = p.reshape(-1)
-            a = 0.5 * (pv[lin_w] + pv[lin_o] / value)
-            pv[lin_w] = a
-            pv[lin_o] = value * a
+        known = []
         for row, tangent in self._nonlinear:
-            p[row] = tangent.relinearize(float(p[row, 0]))
-        return zx, (tuple(idx.tolist()), tuple(map(tuple, p[self._known_rows].tolist())))
+            p[row] = pair = tangent.relinearize(float(p[row, 0]))
+            known.append(pair)
+        return zx, (tuple(idx.tolist()), tuple(known))
 
     def _pick_data(self, p: np.ndarray) -> np.ndarray:
         """Move every data element's pair in the pair block p to its nearest
@@ -595,15 +602,13 @@ class DDSolver:
         held = KirchhoffSystem("held", build_incidence(graph),
                                {"G": self.known["G"], "C": [], "L": []})
         v_src, i_src = sources(graph, t0)
-        none = np.zeros(0)
-        w = WeightSet(self.weight_set.g, none, none)
+        none, w = np.zeros(0), self.weight_set  # the held circuit has no C or L
 
         zx = self.seed_state(q_c0, psi_l0)
         prev_sel = None
         for _ in range(self.config.max_iters):
-            zg = CircuitState(phi=zx.phi, v_g=zx.v_g, i_g=zx.i_g, v_c=none, q_c=none,
-                              psi_l=none, i_l=none, i_v=zx.i_v)
-            b = held.rhs(zg, 0.0, none, none, v_src, i_src, w)
+            # The projection reads zx's G data pairs only, as the held circuit has them.
+            b = held.rhs(zx, 0.0, none, none, v_src, i_src, w)
             state = release_held(self._solve(held, 0.0, b, lambda: held.matrix(0.0, w)),
                                  self.inc.a_c, q_c0, psi_l0, i_l0)
             zx, sel = self.project_to_data(state)
@@ -639,10 +644,10 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
                          cap: int = 10 ** 6):
     """Enumerate all data-state combinations; exact oracle for the double minimization.
 
-    Known elements are folded into the Kirchhoff projection as tangent
-    constraints; for each enumerated tuple the alternation is repeated until
-    the known pairs stop moving (a Newton iteration for nonlinear models, at
-    most 200 passes).  Returns
+    Known elements are constraints of the Kirchhoff projection with no
+    distance term, so with linear models one Kirchhoff solve per enumerated
+    tuple is exact.  With nonlinear models the solve is repeated until their
+    pairs stop moving (a Newton iteration, at most 200 passes).  Returns
     (best K-feasible state, best index tuple, global minimum mismatch).
     """
     dd_elems = list(solver.nn.items())
@@ -651,21 +656,20 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     if n_tuples > cap:
         raise DDSolverError(f"brute force cap exceeded: {n_tuples} > {cap}")
 
-    has_known = len(solver._known_rows) > 0
     best = None
     for combo in itertools.product(*(range(s) for s in sizes)):
         zx = CircuitState.zeros(solver.graph)
         for (row, index), idx in zip(dd_elems, combo):
             zx.pairs()[row] = index.mset.pairs[idx]
-        for _ in range(200 if has_known else 1):
+        last = None  # the known-nonlinear pairs of the last pass
+        for _ in range(200 if solver._nonlinear else 1):
             zo = solver.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-            zx_new, _ = solver.project_to_data(zo)
+            zx, (_, pairs) = solver.project_to_data(zo)
             for (row, index), idx in zip(dd_elems, combo):
-                zx_new.pairs()[row] = index.mset.pairs[idx]  # tuple stays frozen
-            gap = np.abs(zx_new.pairs() - zx.pairs()).max() if has_known else 0.0
-            zx = zx_new
-            if gap == 0.0:
+                zx.pairs()[row] = index.mset.pairs[idx]  # tuple stays frozen
+            if pairs == last:
                 break
+            last = pairs
         mismatch = solver.energy_mismatch(zo, zx, alpha)
         if best is None or mismatch < best[2]:
             best = (zo, combo, mismatch)

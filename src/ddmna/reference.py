@@ -114,13 +114,13 @@ class TraditionalSolver:
         nonlinear column's model is evaluated once: (i, di/dv) for G, (q, dq/dv)
         for C; i and q stay in `self.response` until the next call."""
         jac = self._linear_system(alpha)[1]
-        f = jac @ x - b
+        f = jac.dot(x) - b
         *_, models, a_n, is_c = self._columns
         if models:
             self.response, slope = np.array([em.response_slope(m, v) for m, v in
-                                             zip(models, (a_n.T @ x[:self.nphi]).tolist())]).T
+                                             zip(models, a_n.T.dot(x[:self.nphi]).tolist())]).T
             scale = np.where(is_c, alpha, 1.0)
-            f[:self.nphi] += a_n @ (scale * self.response)
+            f[:self.nphi] += a_n.dot(scale * self.response)
             jac = jac.copy()
             jac[:self.nphi, :self.nphi] += (a_n * (scale * slope)) @ a_n.T
         return f, jac
@@ -144,7 +144,7 @@ class TraditionalSolver:
         returns (x, Newton iterations, the nonlinear columns' i and q at x)."""
         v_src, i_src = ([em.source_value(w, t) for w in waves] for waves in self._waves)
         tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
-        b = np.concatenate([self.inc.a_c @ rhs_c + self.inc.a_i @ i_src, -rhs_l, v_src])
+        b = np.concatenate([self.inc.a_c.dot(rhs_c) + self.inc.a_i.dot(i_src), -rhs_l, v_src])
         f, jac = self.residual_jacobian(x, alpha, b)
         values = self.response
         norm = np.maximum.reduce(np.abs(f), initial=0.0)

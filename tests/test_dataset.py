@@ -12,7 +12,6 @@ from ddmna.dataset import (
     local_tangent_weight,
     nearest_measurement,
     operating_envelope,
-    project_known_linear,
     save_measurements,
     weighted_pair_distance,
 )
@@ -196,17 +195,6 @@ def test_local_tangent_degenerate_keeps_previous():
     w = local_tangent_weight(NearestNeighborIndex(ms, prev), np.array([1.0, 0.5]), 3,
                              prev, w_min=1e-9, w_max=1e9)
     assert w == prev
-
-
-def test_project_known_linear_hand_value():
-    p = project_known_linear(2.0, np.array([1.0, 0.0]), kind="G")
-    assert np.allclose(p, [0.5, 1.0])
-
-
-def test_project_known_linear_idempotent():
-    on_line = np.array([0.3, 0.6])
-    assert np.allclose(project_known_linear(2.0, on_line, kind="G"), on_line)
-    assert np.allclose(project_known_linear(2.0, np.zeros(2), kind="G"), 0.0)
 
 
 def test_operating_envelope_constant_trace():

@@ -1,6 +1,8 @@
 """The data-driven step as the paper defines it: an exact weighted Kirchhoff
 projection, a mismatch that no Kirchhoff half-step raises, and steps that
-reach the global minimum of the mismatch.
+reach the global minimum of the mismatch.  Known elements are constraints of
+the projection with no distance term, so it is exact in the data elements'
+metric.
 
 The circuits fold every kind of known element: the rectifier (a data diode
 beside a known capacitor and resistor), a 25-stage RC ladder (data resistors,
@@ -96,11 +98,16 @@ def _constraints(solver, alpha):
 
 
 def _cosine(solver, r: CircuitState, d: CircuitState, alpha) -> float:
-    """Cosine of the angle between r and d in the solver's weighted metric.
+    """Cosine of the angle between r and d in the data elements' weighted metric,
+    the metric the projection minimises (known elements have no distance term).
 
     The inner product comes from `energy_mismatch` (half the squared norm)
-    by polarisation, with d rescaled to the norm of r first.
+    of copies whose known pairs are zeroed, by polarisation, with d rescaled
+    to the norm of r first.
     """
+    known = [row for row in range(len(solver.names)) if row not in solver.nn]
+    r, d = r.copy(), d.copy()
+    r.pairs()[known] = d.pairs()[known] = 0.0
     zero = CircuitState.zeros(solver.graph)
     e_r = solver.energy_mismatch(r, zero, alpha)
     e_d = solver.energy_mismatch(d, zero, alpha)
@@ -191,15 +198,20 @@ def test_small_n_rectifier_rms_falls_below_one_over_n():
     assert all(b < a for a, b in zip(rms, rms[1:]))
     assert all(r <= 1.0 / n for r, n in zip(rms, ns))
     assert capped == 0
+    # the known C1 and R1 are constraints only, so every step ends on a
+    # repeated selection of D1's data
+    assert all(c.stop_reasons == {"selection-fixed": 400} for c in cells)
 
 
 class _Done(Exception):
     pass
 
 
-def test_rectifier_steps_reach_global_minimum():
+def test_rectifier_steps_reach_global_minimum(monkeypatch):
     # At N = 300 a lone alternation can settle one or more data indices away
-    # from the global minimum that brute force finds.
+    # from the global minimum that brute force finds.  The rectifier's known
+    # elements are all linear, so brute force takes one Kirchhoff solve per
+    # data index.
     scenario, steps_checked = SCENARIOS["rectifier"], (240, 250, 258, 265)
     graph, inc, known = build_scenario(scenario)
     cfg = TransientConfig(scheme=scenario.scheme, t_end=scenario.t_end, steps=scenario.steps)
@@ -208,7 +220,12 @@ def test_rectifier_steps_reach_global_minimum():
     solver = DDSolver(graph, inc, binds, DDConfig(weight_rule=scenario.weight_rule))
     state0, zx0 = solver.initial_state(cfg.t0, *cfg.init.resolve(graph))
     calls = itertools.count()  # call 0 is the trapezoidal rate bootstrap
-    ratios = {}
+    ratios, solves = {}, []  # solves: Kirchhoff solves per brute-force call
+    kirchhoff = solver.project_to_kirchhoff
+
+    def counted(*args):
+        solves[-1] += 1
+        return kirchhoff(*args)
 
     def step(zx, t, alpha, rhs_c, rhs_l):
         k = next(calls)
@@ -216,7 +233,10 @@ def test_rectifier_steps_reach_global_minimum():
         zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *src)
         if k in steps_checked:
             # under the weights the accepted run ended with
-            _, _, best = brute_force_timestep(solver, alpha, rhs_c, rhs_l, *src)
+            solves.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "project_to_kirchhoff", counted)
+                _, _, best = brute_force_timestep(solver, alpha, rhs_c, rhs_l, *src)
             ratios[k] = trace.final_mismatch / best
             if k == steps_checked[-1]:
                 raise _Done
@@ -225,5 +245,7 @@ def test_rectifier_steps_reach_global_minimum():
     with pytest.raises(_Done):
         march(graph, cfg, state0, zx0, step)
     print("solver / brute-force mismatch: " +
-          ", ".join(f"step {k} {r:.6g}" for k, r in ratios.items()))
+          ", ".join(f"step {k} {r:.6g}" for k, r in ratios.items()) +
+          f"; brute-force solves per step {solves}")
     assert all(r <= 1.0 + 1e-6 for r in ratios.values())
+    assert solves == [300] * len(steps_checked)

@@ -12,7 +12,6 @@ from ddmna.dataset import (
     default_weight,
     generate_measurements,
     nearest_measurement,
-    project_known_linear,
     weighted_pair_distance,
 )
 from ddmna.ddsolver import (
@@ -419,8 +418,7 @@ def per_element_half_step(solver, zo):
                 p, idx = nearest_measurement(b.data, pair, w)
                 dd.append(idx)
             elif isinstance(b.model, LinearModel):
-                p = project_known_linear(b.model.value, pair, kind=group)
-                known.append(tuple(p))
+                p = pair  # copied from zo as it is
             else:
                 p = tangents[group, j].relinearize(float(pair[0]))
                 known.append(tuple(p))
@@ -455,6 +453,33 @@ def test_block_half_step_equals_per_element_rule():
                 for t in solver.known[g]:
                     r = ref_tangents[g, t.index]
                     assert (t.slope, t.offset) == (r.slope, r.offset)
+
+
+def test_projection_does_not_read_known_pairs():
+    # Known elements are constraints only, with no distance term: the
+    # projection is the same bit for bit whatever their pairs in the data
+    # state, and the data half-step keeps the Kirchhoff state's known-linear
+    # pairs as they are.
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        graph, solver = mixed_solver(rng)
+        binds = [b for group in "GCL" for b in solver.bindings[group]]
+        known = [row for row, b in enumerate(binds) if b.mode != "data"]
+        linear = [row for row in known if isinstance(binds[row].model, LinearModel)]
+        alpha = 10.0 ** rng.uniform(3, 6)
+        args = (alpha, rng.normal(size=solver.n_c), rng.normal(size=solver.n_l),
+                *sources(graph, 1e-4))
+        for _ in range(4):
+            zx = CircuitState.zeros(graph)
+            zx.x[:] = rng.normal(size=zx.x.size) * 10.0 ** rng.uniform(-6, 0, zx.x.size)
+            other = zx.copy()
+            other.pairs()[known] = rng.normal(size=(len(known), 2))
+            zo = solver.project_to_kirchhoff(zx, *args)
+            zo_other = solver.project_to_kirchhoff(other, *args)
+            assert np.array_equal(zo.x.view(np.int64), zo_other.x.view(np.int64))
+            zx_next, _ = solver.project_to_data(zo)
+            assert np.array_equal(zx_next.pairs()[linear].view(np.int64),
+                                  zo.pairs()[linear].view(np.int64))
 
 
 def test_block_mismatch_equals_per_element_sum():
