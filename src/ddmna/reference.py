@@ -2,14 +2,16 @@
 
 Unknowns per step are x = (phi, i_L, i_V); capacitor charges and resistive
 currents are eliminated via q = q(v) and i = i(v).  `state.march` sets the
-companion scheme and the time grid; each step is one damped Newton loop.
-The linear stamp (incidence blocks, inductors, linear G and C) is LU-factored
-once per step size; nonlinear elements add their currents, charges and rank-1
-stamps at each iterate, from one model evaluation each.  The state is one
-exact lift of the accepted x: an unknown, a potential difference or, at a
-nonlinear column, that iterate's model value, times 1 or a linear G, C or L
-value.  The consistent state at t0 is one step of the held circuit
-(`netlist.held_circuit`), so `step` holds the only Newton loop.
+companion scheme and the time grid.  The linear stamp (incidence blocks,
+inductors, linear G and C) is LU-factored once per step size.  A circuit with
+no nonlinear element takes one solve with those kept factors per step; on any
+other circuit each step is one damped Newton loop, in which the nonlinear
+elements add their currents, charges and rank-1 stamps at each iterate, from
+one model evaluation each.  The state is one exact lift of the accepted x: an
+unknown, a potential difference or, at a nonlinear column, that iterate's
+model value, times 1 or a linear G, C or L value.  The consistent state at t0
+is one step of the held circuit (`netlist.held_circuit`), so `step` holds the
+only solver code.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from scipy.linalg import lapack
 
 from . import elements as em
 from .dataset import ElementBinding, held_values
-from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
+from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 8
 NEWTON_RTOL = 1e-12
+KCL_BLOCK = 32  # steps per stacked block of `kcl_residual`: bounds its temporaries
 
 
 class SolverError(RuntimeError):
@@ -58,7 +61,8 @@ def models_by_group(graph: CircuitGraph, bindings: list[ElementBinding]) -> dict
 
 
 class TraditionalSolver:
-    """Damped-Newton MNA stepper for circuits with fully known elements."""
+    """MNA stepper for circuits with fully known elements: one solve per step
+    when every element is linear, else damped Newton."""
 
     def __init__(self, graph: CircuitGraph, inc: IncidenceSet,
                  bindings: list[ElementBinding]):
@@ -91,7 +95,9 @@ class TraditionalSolver:
 
     def _linear_system(self, alpha: float):
         """Linear stamp J_lin(alpha) (incidence blocks, -alpha L, the linear G
-        and alpha C) and its LU factors, kept for one alpha."""
+        and alpha C) and its LU factors, kept for one alpha.  The Newton loop
+        reads the stamp; a circuit with no nonlinear column solves with the
+        factors."""
         if self._lu is None or self._lu[0] != alpha:
             inc, nphi, n_l = self.inc, self.nphi, self.n_l
             g_lin, c_lin, *_ = self._columns
@@ -125,14 +131,10 @@ class TraditionalSolver:
             jac[:self.nphi, :self.nphi] += (a_n * (scale * slope)) @ a_n.T
         return f, jac
 
-    def _solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve jac @ x = rhs: with the kept LU when jac is the linear stamp,
-        else with one dgesv."""
-        _, lin_jac, lu, piv, info = self._lu
-        if jac is not lin_jac:
-            _, _, x, info = lapack.dgesv(jac, rhs)
-        elif info == 0:
-            x, _ = lapack.dgetrs(lu, piv, rhs)
+    @staticmethod
+    def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve jac @ x = rhs for one nonlinear iterate's Jacobian (one dgesv)."""
+        _, _, x, info = lapack.dgesv(jac, rhs)
         if info != 0:
             raise np.linalg.LinAlgError("Singular matrix")
         return x
@@ -141,10 +143,21 @@ class TraditionalSolver:
     def step(self, x: np.ndarray, t: float, alpha: float, rhs_c: np.ndarray,
              rhs_l: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         """Solve the companion system at time t from x, which it does not modify;
-        returns (x, Newton iterations, the nonlinear columns' i and q at x)."""
+        returns (x, Newton iterations, the nonlinear columns' i and q at x).
+        With no nonlinear column the system is J_lin(alpha) x = b: one solve
+        with the kept LU factors, reported as 1 iteration."""
         v_src, i_src = ([em.source_value(w, t) for w in waves] for waves in self._waves)
-        tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
         b = np.concatenate([self.inc.a_c.dot(rhs_c) + self.inc.a_i.dot(i_src), -rhs_l, v_src])
+        *_, models, _, _ = self._columns
+        if not models:
+            _, _, lu, piv, info = self._linear_system(alpha)
+            if info != 0:
+                raise SolverError(f"singular MNA system at t={t}")
+            x, _ = lapack.dgetrs(lu, piv, b)
+            if not np.isfinite(x).all():
+                raise SolverError(f"non-finite solution at t={t}")
+            return x, 1, self.response
+        tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
         f, jac = self.residual_jacobian(x, alpha, b)
         values = self.response
         norm = np.maximum.reduce(np.abs(f), initial=0.0)
@@ -176,7 +189,7 @@ class TraditionalSolver:
                     break
                 lam *= 0.5
             x, f, jac, norm, values = x_try, f_try, jac_try, norm_try, self.response
-        if norm > tol:
+        if not norm <= tol:
             raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
         return x, NEWTON_MAX_ITER, values
 
@@ -240,15 +253,20 @@ def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:
 
     Uses the charge rates recorded by `state.march`, so it applies to both
     schemes and both solvers.  Source currents are read from `trace.graph`.
+    Blocks of up to KCL_BLOCK steps are stacked as columns, so the residuals
+    and each step's scale are matrix expressions of bounded size.
     """
+    waves = [e.waveform for e in trace.graph.groups["I"]]
     worst = 0.0
-    for k in range(1, len(trace.states)):
-        s = trace.states[k]
-        qdot = trace.rates[k][0]
-        _, i_src = sources(trace.graph, trace.times[k])
-        r = inc.a_g @ s.i_g + inc.a_c @ qdot + inc.a_l @ s.i_l + inc.a_v @ s.i_v \
-            - inc.a_i @ i_src
-        scale = max(1e-30, np.abs(s.i_g).max(initial=0.0), np.abs(s.i_v).max(initial=0.0),
-                    np.abs(qdot).max(initial=0.0))
-        worst = max(worst, np.abs(r).max(initial=0.0) / scale)
-    return worst
+    for k in range(1, len(trace.states), KCL_BLOCK):
+        block = slice(k, k + KCL_BLOCK)
+        i_g, i_l, i_v = (np.array([getattr(s, name) for s in trace.states[block]]).T
+                         for name in ("i_g", "i_l", "i_v"))
+        qdot = np.array([rates[0] for rates in trace.rates[block]]).T
+        i_src = np.array([[em.source_value(w, t) for w in waves] for t in trace.times[block]]).T
+        r = inc.a_g.dot(i_g) + inc.a_c.dot(qdot) + inc.a_l.dot(i_l) + inc.a_v.dot(i_v) \
+            - inc.a_i.dot(i_src)
+        scale = np.maximum.reduce([np.abs(part).max(axis=0, initial=0.0)
+                                   for part in (i_g, i_v, qdot)])
+        worst = max(worst, (np.abs(r).max(axis=0, initial=0.0) / np.maximum(scale, 1e-30)).max())
+    return float(worst)

@@ -6,7 +6,8 @@ import pytest
 from ddmna import elements as em
 from ddmna import reference
 from ddmna.dataset import bindings_from_graph
-from ddmna.netlist import build_incidence, held_circuit, parse_netlist
+from ddmna.ddsolver import DDConfig, run_transient_dd
+from ddmna.netlist import build_incidence, held_circuit, parse_netlist, sources
 from ddmna.reference import (
     SolverError,
     TraditionalSolver,
@@ -14,7 +15,7 @@ from ddmna.reference import (
     kcl_residual,
     run_transient_traditional,
 )
-from ddmna.scenarios import SCENARIOS
+from ddmna.scenarios import SCENARIOS, build_scenario, synthesize_datasets
 from ddmna.state import CircuitState, InitialCondition, TransientConfig
 
 RC_NET = "V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n"
@@ -215,6 +216,90 @@ def test_linear_circuit_factors_once_per_step_size(monkeypatch):
     n = graph.n - 1 + graph.count("L") + graph.count("V")
     assert shapes.count((n, n)) == 2
     assert len(shapes) == 3
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("net", [RC_NET, LADDER_NET], ids=["rc", "ladder-25"])
+def test_linear_circuit_takes_one_solve_per_step(monkeypatch, net, scheme):
+    # no residual evaluation and one dgetrs with the kept factors per step,
+    # counting the held step at t0 and the trapezoidal bootstrap as steps
+    graph, inc, binds = _setup(net)
+    calls = {"dgetrs": 0, "residual_jacobian": 0}
+    dgetrs = reference.lapack.dgetrs
+    residual_jacobian = TraditionalSolver.residual_jacobian
+
+    def counting_dgetrs(*args, **kwargs):
+        calls["dgetrs"] += 1
+        return dgetrs(*args, **kwargs)
+
+    def counting_residual_jacobian(self, *args):
+        calls["residual_jacobian"] += 1
+        return residual_jacobian(self, *args)
+
+    monkeypatch.setattr(reference.lapack, "dgetrs", counting_dgetrs)
+    monkeypatch.setattr(TraditionalSolver, "residual_jacobian", counting_residual_jacobian)
+    cfg = TransientConfig(scheme=scheme, t_end=1e-3, steps=50)
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    assert calls == {"dgetrs": 1 + (scheme == "trapezoidal") + cfg.steps,
+                     "residual_jacobian": 0}
+    assert np.all(trace.iterations[1:] == 1)
+    assert kcl_residual(inc, trace) <= 1e-10
+
+
+@pytest.mark.parametrize("net", ["V1 1 0 DC 1e308\nR1 1 2 1e-3\nC1 2 0 1e-6\n",
+                                 "V1 1 0 DC 1e308\nR1 1 0 1e-3\n"], ids=["rc", "r"])
+def test_non_finite_linear_solution_raises_solver_error(net):
+    graph, inc, binds = _setup(net)
+    cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=5)
+    with pytest.raises(SolverError, match="non-finite solution"):
+        run_transient_traditional(graph, inc, binds, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_newton_residual_raises_solver_error():
+    # a NaN residual never passes the tolerance test, so the loop must not
+    # end as if it had converged
+    graph, inc, binds = _setup("V1 1 0 DC 1e308\nR1 1 2 1e-3\n"
+                               "D1 2 0 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n")
+    cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=5)
+    with pytest.raises(SolverError, match="Newton failed"):
+        run_transient_traditional(graph, inc, binds, cfg)
+
+
+def _kcl_residual_per_step(inc, trace):
+    worst = 0.0
+    for k in range(1, len(trace.states)):
+        s, qdot = trace.states[k], trace.rates[k][0]
+        _, i_src = sources(trace.graph, trace.times[k])
+        r = inc.a_g @ s.i_g + inc.a_c @ qdot + inc.a_l @ s.i_l + inc.a_v @ s.i_v \
+            - inc.a_i @ i_src
+        scale = max(1e-30, np.abs(s.i_g).max(initial=0.0), np.abs(s.i_v).max(initial=0.0),
+                    np.abs(qdot).max(initial=0.0))
+        worst = max(worst, np.abs(r).max(initial=0.0) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+def test_kcl_residual_matches_the_per_step_loop(scheme):
+    # reference traces of every element kind and a data-driven trace; the
+    # rc-nonlinear trace has residuals far above rounding, and 40 steps are
+    # one full block of steps and one partial block
+    assert 40 % reference.KCL_BLOCK != 0 and 40 > reference.KCL_BLOCK
+    traces = []
+    for net in (RC_NET, MIXED_NET, SCENARIOS["rc-nonlinear"].netlist):
+        graph, inc, binds = _setup(net)
+        cfg = TransientConfig(scheme=scheme, t_end=1e-3, steps=40)
+        traces.append((inc, run_transient_traditional(graph, inc, binds, cfg)))
+    scenario = SCENARIOS["rectifier"]
+    graph, inc, known = build_scenario(scenario)
+    cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end / 10, steps=40)
+    data = synthesize_datasets(scenario, graph, known,
+                               run_transient_traditional(graph, inc, known, cfg), 1000)
+    traces.append((inc, run_transient_dd(graph, inc, data, cfg,
+                                         DDConfig(weight_rule=scenario.weight_rule))))
+    for inc, trace in traces:
+        assert kcl_residual(inc, trace) == pytest.approx(
+            _kcl_residual_per_step(inc, trace), rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("load", ["R1 1 2 1e3\nC1 2 0 1e-6\n",
