@@ -1,25 +1,30 @@
 """Data-driven MNA solver: alternating closest-point projections between the
 Kirchhoff-feasible affine set of circuit states and the measurement set.
 
-Each solver iteration solves one saddle-point linear system (projection onto
-the constraints, unknowns extended by Lagrange multipliers; LU factors from
-LAPACK, kept while the system is unchanged) followed by independent
-per-element projections onto the data.  The iteration is a fixed point
-monitored through the energy mismatch, the weighted squared distance between
-the two projected states.  The weights are one vector in the order of the
-state's pair block, so the mismatch is one array expression over that block.
-Every data element's set is one set of a `dataset.FlatIndex`, and the data
-half-step picks all their nearest pairs in one search call, seeded by the last
-picks.
+Each solver iteration solves one linear system for the projection onto the
+constraints (LU factors from LAPACK, kept while the system is unchanged),
+followed by independent per-element projections onto the data.  The iteration
+is a fixed point monitored through the energy mismatch, the weighted squared
+distance between the two projected states.  The weights are one vector in the
+order of the state's pair block, so the mismatch is one array expression over
+that block.  Every data element's set is one set of a `dataset.FlatIndex`, and
+the data half-step picks all their nearest pairs in one search call, seeded by
+the last picks.
 
 Elements with a known model are not matched to data.  Each one is a
-constraint only: it is folded into the Kirchhoff set as its tangent line
+constraint only: it enters the Kirchhoff set as its tangent line
 y = slope * x + offset and has no distance term, so the projection is the
 closest Kirchhoff state in the data elements' metric and never reads a known
 pair.  A linear model is its own constant tangent, and the data half-step
 keeps its pair as the Kirchhoff state gives it; a nonlinear one (diode, MLCC)
 is re-linearised at the Kirchhoff state in every data half-step, so the
 alternation runs Newton's method on the known part.
+
+With the element responses eliminated, the projection is the symmetric
+system [[D, Kᵀ], [K, -D]] on the MNA unknowns x = (phi, i_l, i_v) and their
+multipliers, built from two stamps of `netlist.mna_stamp` (the reference
+solver's): K of the known tangents' slopes, D of the data weights
+(`KirchhoffSystem`).
 
 Both half-steps are exact minimisers, so under constant weights the mismatch
 falls to a fixed point, but that fixed point can be a local minimum one
@@ -57,7 +62,7 @@ from .dataset import (
     local_tangent_weight,
     nearest_measurement,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
 )
-from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, sources
+from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp, sources
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 log = logging.getLogger(__name__)
@@ -112,15 +117,6 @@ class DDStepTrace:
 
 
 @dataclass
-class WeightSet:
-    """Per-group weighting factors aligned with incidence column order."""
-
-    g: np.ndarray
-    c: np.ndarray
-    l: np.ndarray
-
-
-@dataclass
 class KnownTangent:
     """Tangent line response = slope * drive + offset of one known element.
 
@@ -142,137 +138,118 @@ class KnownTangent:
 
 @dataclass
 class KirchhoffSystem:
-    """The incidence and known tangents one saddle-point system assembles, and
-    its block layout; `tag` keeps its LU factors apart from other systems'."""
+    """The Kirchhoff projection of one circuit as two MNA stamps; `tag` keeps
+    its LU factors apart from other systems'.
+
+    Its elements are the leading pairs of a state's pair block, with the
+    leading weights: G, C, then L.  Each pair is a drive (v for G and C, i
+    for L), the weight coordinate, and a response (i, q or psi); a known
+    element's tangent gives response = slope * drive + offset.  The solution
+    is z = (x, y): the MNA unknowns x = (phi, i_l, i_v) of the reference
+    solver, and y = (eta, lam_l, lam_v), the multipliers of KCL, of the
+    inductor law and of the source voltages.
+    """
 
     tag: str
     inc: IncidenceSet
     known: dict  # group -> list[KnownTangent]
-    lay: dict = field(init=False)
-    data: dict = field(init=False)  # group -> columns of its data elements
-    _a_data: tuple = field(init=False, repr=False)  # a_g, a_c at those columns
-    _state: object = field(init=False, repr=False)  # solution -> CircuitState
 
     def __post_init__(self):
         inc = self.inc
-        nphi, n_l, n_v = inc.a_g.shape[0], inc.a_l.shape[1], inc.a_v.shape[1]
-        self.data = {}
-        for group, n in zip("GCL", (inc.a_g.shape[1], inc.a_c.shape[1], n_l)):
-            known = {t.index for t in self.known[group]}
-            self.data[group] = np.array([j for j in range(n) if j not in known], np.intp)
-        self._a_data = (inc.a_g[:, self.data["G"]], inc.a_c[:, self.data["C"]])
-        sizes = [("phi", nphi), ("i_g", inc.a_g.shape[1]), ("q_c", inc.a_c.shape[1]),
-                 ("i_l", n_l), ("psi", n_l), ("i_v", n_v),
-                 ("eta", nphi), ("lam_l", n_l), ("lam_v", n_v),
-                 ("mu_g", len(self.known["G"])),
-                 ("mu_c", len(self.known["C"])),
-                 ("mu_l", len(self.known["L"]))]
-        self.lay, pos = {}, 0
-        for name, sz in sizes:
-            self.lay[name] = slice(pos, pos + sz)
-            pos += sz
-        self.lay["total"] = pos
-        # A state from [z, a_g.T phi, a_c.T phi]: an exact lift of the solution.
-        lay, n_g = self.lay, inc.a_g.shape[1]
-        at = np.arange(pos + n_g + inc.a_c.shape[1])
-        self._state = CircuitState.lifter(
-            np.vstack([inc.a_g.T, inc.a_c.T]), phi=at[lay["phi"]], v_g=at[pos:pos + n_g],
-            i_g=at[lay["i_g"]], v_c=at[pos + n_g:], q_c=at[lay["q_c"]], psi_l=at[lay["psi"]],
-            i_l=at[lay["i_l"]], i_v=at[lay["i_v"]])
+        nphi, n_l = inc.a_l.shape
+        n_g, n_c = inc.a_g.shape[1], inc.a_c.shape[1]
+        n_e = n_g + n_c + n_l
+        self.n = nphi + n_l + inc.a_v.shape[1]  # the length of x and of y
+        self._groups = (slice(0, n_g), slice(n_g, n_g + n_c), slice(n_g + n_c, n_e))
+        first = {"G": 0, "C": n_g, "L": n_g + n_c}
+        self._tangents = [t for group in "GCL" for t in self.known[group]]
+        self._known = np.array([first[group] + t.index for group in "GCL"
+                                for t in self.known[group]], np.intp)
+        self._is_data = np.ones(n_e)
+        self._is_data[self._known] = 0.0
+        # where each element's drive and response sit in the flat pair block
+        iw = np.repeat([0, 0, 1], [n_g, n_c, n_l])
+        self.drive = 2 * np.arange(n_e) + iw
+        self.response = self.drive + 1 - 2 * iw
+        # the incidence without inductor and source columns, on which the
+        # data weights' stamp is D
+        self._weights_inc = IncidenceSet(inc.a_g, inc.a_c, np.zeros_like(inc.a_l),
+                                         np.zeros_like(inc.a_v), inc.a_i)
+        # The drives (A_g.T phi, A_c.T phi, i_l) of x, and the same map on y,
+        # whose layout is x's: a known element's response moves with its
+        # drive, a data element's with its row of the map on y.
+        diff = np.vstack([inc.a_g.T, inc.a_c.T])
+        drives = np.zeros((n_e, self.n))
+        drives[:n_g + n_c, :nphi] = diff
+        drives[n_g + n_c:, nphi:nphi + n_l] = np.eye(n_l)
+        self._pick = np.hstack([drives * (1.0 - self._is_data[:, None]),
+                                drives * self._is_data[:, None]])
+        self._sign = np.where(iw == 1, 1.0, -1.0)  # of w in a data element's coefficient
+        # A state from [z, A_g.T phi, A_c.T phi, responses]: the exact lift of x.
+        phi, i_l, i_v, _, v_g, v_c, i_g, q_c, psi_l = np.split(
+            np.arange(2 * self.n + n_g + n_c + n_e),
+            np.cumsum([nphi, n_l, self.n - nphi - n_l, self.n, n_g, n_c, n_g, n_c]))
+        self._lift = CircuitState.lifter(diff, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
 
-    def matrix(self, alpha: float, w: WeightSet) -> np.ndarray:
-        """Stationarity-plus-constraints system matrix.  Only data elements
-        carry a distance term; a known element's rows hold its constraint."""
-        lay, inc = self.lay, self.inc
-        n_l = inc.a_l.shape[1]
-        m = np.zeros((lay["total"], lay["total"]))
-        (dg, dc, dl), (a_g, a_c) = self.data.values(), self._a_data
-        wg, wc, wl = w.g[dg], w.c[dc], w.l[dl]
+    def _slopes(self) -> np.ndarray:
+        """The known tangents' slopes per element, 0 at data elements."""
+        s = np.zeros(self._is_data.size)
+        s[self._known] = [t.slope for t in self._tangents]
+        return s
 
-        def blk(row, col):
-            return (lay[row], lay[col])
+    def _data_weights(self, w: np.ndarray) -> np.ndarray:
+        """The weights w per element, 0 at known elements."""
+        return self._is_data * w[:self._is_data.size]
 
-        def diag(row, cols, values):
-            at = lay[row].start + cols
-            m[at, at] = values
+    def _responses(self, p: np.ndarray) -> np.ndarray:
+        """The responses of the flat pair block p at data elements and the
+        known tangents' offsets, per element."""
+        r = p.take(self.response)
+        r[self._known] = [t.offset for t in self._tangents]
+        return r
 
-        # Dynamic (C, L) element distances carry an extra factor alpha: the
-        # time-discrete constraints couple charge/flux rates, so the metric
-        # must weight those elements at their companion-conductance scale or
-        # the two projection sets become nearly parallel and the fixed-point
-        # iteration stalls.  The factor cancels inside each element's nearest
-        # neighbor search; it only rebalances elements against each other.
-        # The q and psi stationarity rows below are divided through by alpha,
-        # so a known C or L tangent's multiplier column, which spans a q or
-        # psi row and a drive row (phi or i_l) that is not divided, carries
-        # the factor alpha in the drive row.
-        m[blk("phi", "phi")] = (a_g * wg) @ a_g.T + alpha * (a_c * wc) @ a_c.T
-        m[blk("phi", "lam_l")] = -inc.a_l
-        m[blk("phi", "lam_v")] = -inc.a_v
-        diag("i_g", dg, 1.0 / wg)
-        m[blk("i_g", "eta")] = -inc.a_g.T
-        diag("q_c", dc, 1.0 / wc)
-        m[blk("q_c", "eta")] = -inc.a_c.T
-        diag("i_l", dl, alpha * wl)
-        m[blk("i_l", "eta")] = -inc.a_l.T
-        diag("psi", dl, 1.0 / wl)
-        m[blk("psi", "lam_l")] = np.eye(n_l)
-        m[blk("i_v", "eta")] = -inc.a_v.T
-        m[blk("eta", "i_g")] = inc.a_g
-        m[blk("eta", "q_c")] = alpha * inc.a_c
-        m[blk("eta", "i_l")] = inc.a_l
-        m[blk("eta", "i_v")] = inc.a_v
-        m[blk("lam_l", "phi")] = inc.a_l.T
-        m[blk("lam_l", "psi")] = -alpha * np.eye(n_l)
-        m[blk("lam_v", "phi")] = inc.a_v.T
-
-        self._fold_known(m, "G", lay["mu_g"], lay["i_g"], lay["phi"], inc.a_g)
-        self._fold_known(m, "C", lay["mu_c"], lay["q_c"], lay["phi"], inc.a_c, alpha)
-        self._fold_known(m, "L", lay["mu_l"], lay["psi"], lay["i_l"], np.eye(n_l), alpha)
+    def matrix(self, alpha: float, w: np.ndarray) -> np.ndarray:
+        """M = [[D, Kᵀ], [K, -D]] on z = (x, y) for weights w: K is the MNA
+        stamp of the known tangents' slopes (0 at data elements), D =
+        blockdiag(A_g W_g A_gᵀ + alpha A_c W_c A_cᵀ, alpha W_l, 0) that of the
+        data weights (0 at known elements) alone.  The factor alpha weights C
+        and L distances at their companion-conductance scale; it cancels in
+        each element's nearest-neighbour search.  M is singular only when D
+        and K share a null vector."""
+        (g, c, l), s, wd, n = self._groups, self._slopes(), self._data_weights(w), self.n
+        m = np.empty((2 * n, 2 * n))
+        m[n:, :n] = mna_stamp(self.inc, alpha, s[g], s[c], s[l])
+        m[:n, n:] = m[n:, :n].T
+        m[:n, :n] = mna_stamp(self._weights_inc, alpha, wd[g], wd[c], -wd[l])
+        m[n:, n:] = -m[:n, :n]
         return m
 
-    def _fold_known(self, m: np.ndarray, group: str, mu: slice, response: slice,
-                    drive: slice, drive_map: np.ndarray, scale: float = 1.0) -> None:
-        """Fold the group's known tangents into m as constraint rows.
-
-        Row k of `mu` reads response_j - slope * (drive_map[:, j] . drive) =
-        offset; the offset goes on the right-hand side.  The multiplier
-        columns carry the transposed entries with flipped sign, the drive
-        entries multiplied by `scale`: the ratio of the drive rows' scale to
-        the response row's (alpha when only the response row is divided by
-        alpha).
-        """
-        for k, t in enumerate(self.known[group]):
-            r = mu.start + k
-            col = t.slope * drive_map[:, t.index]
-            m[r, response.start + t.index] = 1.0
-            m[r, drive] = -col
-            m[response.start + t.index, r] = -1.0
-            m[drive, r] = scale * col
-
     def rhs(self, zx: CircuitState, alpha: float, rhs_c: np.ndarray, rhs_l: np.ndarray,
-            v_src: np.ndarray, i_src: np.ndarray, w: WeightSet) -> np.ndarray:
-        """Right-hand side of the projection of data state zx; it reads the
-        data elements' pairs of zx only."""
-        lay, inc = self.lay, self.inc
-        b = np.zeros(lay["total"])
-        (dg, dc, dl), (a_g, a_c) = self.data.values(), self._a_data
-        wg, wc, wl = w.g[dg], w.c[dc], w.l[dl]
-        b[lay["phi"]] = a_g @ (wg * zx.v_g[dg]) + alpha * (a_c @ (wc * zx.v_c[dc]))
-        b[lay["i_g"].start + dg] = zx.i_g[dg] / wg
-        b[lay["q_c"].start + dc] = zx.q_c[dc] / wc
-        b[lay["i_l"].start + dl] = alpha * (wl * zx.i_l[dl])
-        b[lay["psi"].start + dl] = zx.psi_l[dl] / wl
-        b[lay["eta"]] = inc.a_i @ i_src + inc.a_c @ rhs_c
-        b[lay["lam_l"]] = -rhs_l
-        b[lay["lam_v"]] = v_src
-        for group in "GCL":
-            b[lay["mu_" + group.lower()]] = [t.offset for t in self.known[group]]
-        return b
+            v_src: np.ndarray, i_src: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Right-hand side (r_x, r_y) of the projection of data state zx; it
+        reads the data elements' pairs of zx only.  r_x holds the weighted
+        data drives, r_y the sources and the data responses and known
+        offsets moved out of the constraints."""
+        (g, c, l), p = self._groups, zx.pairs().reshape(-1)
+        a_g, a_c = self.inc.a_g, self.inc.a_c
+        f, r = self._data_weights(w) * p.take(self.drive), self._responses(p)
+        return np.concatenate([
+            a_g.dot(f[g]) + alpha * a_c.dot(f[c]), alpha * f[l], np.zeros(self.inc.a_v.shape[1]),
+            self.inc.a_i.dot(i_src) + a_c.dot(rhs_c) - a_g.dot(r[g]) - alpha * a_c.dot(r[c]),
+            alpha * r[l] - rhs_l, v_src])
 
-    def state(self, z: np.ndarray) -> CircuitState:
-        """The circuit state in a solution z of the system."""
-        return self._state(z)
+    def response_coefficients(self, w: np.ndarray) -> np.ndarray:
+        """Per element, what `state` multiplies its drive or multiplier by: a
+        known element's slope, and -w (G, C) or w (L) at a data element."""
+        return self._slopes() + self._sign * self._data_weights(w)
+
+    def state(self, z: np.ndarray, zx: CircuitState, coef: np.ndarray) -> CircuitState:
+        """The circuit state in the solution z for data state zx, with coef
+        the weights' `response_coefficients`: phi, i_l, i_v and the element
+        voltages are the exact lift of x.  A data element's response is zx's
+        minus w A_gᵀ eta (G), w A_cᵀ eta (C), or plus w lam_l (L); a known
+        one's is slope * drive + offset."""
+        return self._lift(z, self._responses(zx.pairs().reshape(-1)) + coef * self._pick.dot(z))
 
 
 class DDSolver:
@@ -301,14 +278,13 @@ class DDSolver:
         self.names = [b.name for _, _, b in elements]
         self.weights = np.array([default_weight(b) for _, _, b in elements])
         self.w_ref = self.weights.copy()
-        self.weight_set = WeightSet(*np.split(self.weights, [self.n_g, self.n_g + self.n_c]))
-        self._iw = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])
-        self._wcol = self._iw[:, None] == [0, 1]  # True at each weight coordinate
+        # True at each weight coordinate
+        self._wcol = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])[:, None] == [0, 1]
 
-        # Known elements are constraints only: each is folded into the
-        # Kirchhoff projection as its tangent line with its own multiplier and
-        # has no distance term, so every Kirchhoff state satisfies them
-        # exactly and the projection reads only the data pairs.  The data
+        # Known elements are constraints only: each enters the Kirchhoff
+        # projection's stamp K as its tangent line and has no distance term,
+        # so every Kirchhoff state satisfies them exactly and the projection
+        # reads only the data pairs.  The data
         # half-step keeps a known-linear pair as it is and moves a nonlinear
         # one by one Newton step, so a step stops when the data indices and
         # the known-nonlinear pairs repeat, or on the mismatch floor or the
@@ -331,15 +307,15 @@ class DDSolver:
         self.nn: dict[int, NearestNeighborIndex] = {  # pair-block row -> index
             row: NearestNeighborIndex.view(self.flat, s, self.weights[row])
             for s, (row, _) in enumerate(data)}
-        # Where the data pairs' coordinates a and b sit in the flat pair block.
         self._data_rows = np.array(list(self.nn), dtype=np.intp)
-        iw = self._iw[self._data_rows]
-        self._data_ab = 2 * self._data_rows + np.stack([iw, 1 - iw])
         self._data_sets = np.arange(len(data))
         self._hint = None  # positions of the last data picks, which seed the next search
         self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
-        self._lu_slot: tuple | None = None  # (key, LU, pivots) of the last system
+        # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
+        self._data_ab = np.stack([self.system.drive, self.system.response])[:, self._data_rows]
+        # (key, LU, pivots, response coefficients) of the last system
+        self._lu_slot: tuple | None = None
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
 
     # ------------------------------------------------------------------
@@ -353,29 +329,32 @@ class DDSolver:
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
-        """Stationarity-plus-constraints system matrix for one projection solve."""
-        return self.system.matrix(alpha, self.weight_set)
+        """The projection's matrix [[D, Kᵀ], [K, -D]] (`KirchhoffSystem.matrix`)."""
+        return self.system.matrix(alpha, self.weights)
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
                                 v_src: np.ndarray, i_src: np.ndarray) -> np.ndarray:
-        return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src, self.weight_set)
+        return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src, self.weights)
 
-    def _solve(self, system: KirchhoffSystem, alpha: float, b: np.ndarray,
-               assemble) -> CircuitState:
-        """Solve system for b with the LU factors of assemble(), kept in one slot
-        and refactored when the system, alpha, a weight or a slope changes."""
+    def _solve(self, system: KirchhoffSystem, alpha: float, zx: CircuitState,
+               b: np.ndarray, assemble) -> CircuitState:
+        """The state of system's solution for data state zx and right-hand side
+        b, with the LU factors of assemble() and the response coefficients,
+        kept in one slot and renewed when the system, alpha, a weight or a
+        slope changes."""
         key = (system.tag, alpha, self.weights.tobytes(),
                tuple(t.slope for t in self._tangents))
         if self._lu_slot is None or self._lu_slot[0] != key:
             lu, piv, info = lapack.dgetrf(assemble())
             if info != 0:
                 raise DDSolverError(f"singular projection system (dgetrf info {info})")
-            self._lu_slot = (key, lu, piv)
-        z, info = lapack.dgetrs(*self._lu_slot[1:], b)
+            self._lu_slot = (key, lu, piv, system.response_coefficients(self.weights))
+        _, lu, piv, coef = self._lu_slot
+        z, info = lapack.dgetrs(lu, piv, b)
         if info != 0:
             raise DDSolverError(f"projection solve failed (dgetrs info {info})")
-        return system.state(z)
+        return system.state(z, zx, coef)
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -384,7 +363,7 @@ class DDSolver:
         metric; the known elements are constraints only, and their pairs in zx
         are not read."""
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-        return self._solve(self.system, alpha, b,
+        return self._solve(self.system, alpha, zx, b,
                            lambda: self.assemble_projection_matrix(alpha))
 
     def feasibility_residual(self, state: CircuitState, alpha: float,
@@ -602,14 +581,14 @@ class DDSolver:
         held = KirchhoffSystem("held", build_incidence(graph),
                                {"G": self.known["G"], "C": [], "L": []})
         v_src, i_src = sources(graph, t0)
-        none, w = np.zeros(0), self.weight_set  # the held circuit has no C or L
+        none, w = np.zeros(0), self.weights  # the held circuit has no C or L
 
         zx = self.seed_state(q_c0, psi_l0)
         prev_sel = None
         for _ in range(self.config.max_iters):
             # The projection reads zx's G data pairs only, as the held circuit has them.
             b = held.rhs(zx, 0.0, none, none, v_src, i_src, w)
-            state = release_held(self._solve(held, 0.0, b, lambda: held.matrix(0.0, w)),
+            state = release_held(self._solve(held, 0.0, zx, b, lambda: held.matrix(0.0, w)),
                                  self.inc.a_c, q_c0, psi_l0, i_l0)
             zx, sel = self.project_to_data(state)
             if sel == prev_sel:

@@ -319,6 +319,22 @@ def build_incidence(graph: CircuitGraph) -> IncidenceSet:
                         a_v=mats["V"], a_i=mats["I"])
 
 
+def mna_stamp(inc: IncidenceSet, alpha: float, g, c, l) -> np.ndarray:
+    """MNA matrix on x = (phi, i_l, i_v) of conductances g, capacitances c
+    and inductances l per incidence column, at companion factor alpha:
+    [[A_g g A_gᵀ + alpha A_c c A_cᵀ, A_l, A_v], [A_lᵀ, -alpha diag(l), 0],
+    [A_vᵀ, 0, 0]].  The matrix is symmetric."""
+    nphi, n_l = inc.a_l.shape
+    m = np.zeros((nphi + n_l + inc.a_v.shape[1],) * 2)
+    m[:nphi, :nphi] = (inc.a_g * g) @ inc.a_g.T + alpha * (inc.a_c * c) @ inc.a_c.T
+    m[:nphi, nphi:nphi + n_l] = inc.a_l
+    m[:nphi, nphi + n_l:] = inc.a_v
+    m[nphi:nphi + n_l, :nphi] = inc.a_l.T
+    m[nphi:nphi + n_l, nphi:nphi + n_l] = -alpha * np.diag(l)
+    m[nphi + n_l:, :nphi] = inc.a_v.T
+    return m
+
+
 def sources(graph: CircuitGraph, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(V source voltages, I source currents) at time t, in incidence column order."""
     return (np.array([source_value(e.waveform, t) for e in graph.groups["V"]]),

@@ -2,16 +2,16 @@
 
 Unknowns per step are x = (phi, i_L, i_V); capacitor charges and resistive
 currents are eliminated via q = q(v) and i = i(v).  `state.march` sets the
-companion scheme and the time grid.  The linear stamp (incidence blocks,
-inductors, linear G and C) is LU-factored once per step size.  A circuit with
-no nonlinear element takes one solve with those kept factors per step; on any
-other circuit each step is one damped Newton loop, in which the nonlinear
-elements add their currents, charges and rank-1 stamps at each iterate, from
-one model evaluation each.  The state is one exact lift of the accepted x: an
-unknown, a potential difference or, at a nonlinear column, that iterate's
-model value, times 1 or a linear G, C or L value.  The consistent state at t0
-is one step of the held circuit (`netlist.held_circuit`), so `step` holds the
-only solver code.
+companion scheme and the time grid.  The linear stamp (`netlist.mna_stamp` of
+the inductors and the linear G and C) is built once per step size.  A circuit
+with no nonlinear element LU-factors it and takes one solve with those kept
+factors per step; on any other circuit each step is one damped Newton loop,
+in which the nonlinear elements add their currents, charges and rank-1 stamps
+at each iterate, from one model evaluation each.  The state is one exact lift
+of the accepted x: an unknown, a potential difference or, at a nonlinear
+column, that iterate's model value, times 1 or a linear G, C or L value.  The
+consistent state at t0 is one step of the held circuit (`netlist.held_circuit`),
+so `step` holds the only solver code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.linalg import lapack
 
 from . import elements as em
 from .dataset import ElementBinding, held_values
-from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit
+from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 NEWTON_MAX_ITER = 100
@@ -77,7 +77,7 @@ class TraditionalSolver:
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
         self._waves = [[e.waveform for e in graph.groups[group]] for group in "VI"]
-        self._lu = None  # (alpha, linear stamp, lu, piv, info) of the last alpha
+        self._lu = None  # (alpha, linear stamp, its LU factors or None) of the last alpha
         self.response = np.zeros(0)  # nonlinear columns' i or q at the last residual
 
     # -- the linear stamp and the nonlinear columns ------------------------
@@ -94,23 +94,14 @@ class TraditionalSolver:
         return g_lin, c_lin, nl_g, nl_c, models, a_n, np.arange(len(models)) >= len(nl_g)
 
     def _linear_system(self, alpha: float):
-        """Linear stamp J_lin(alpha) (incidence blocks, -alpha L, the linear G
-        and alpha C) and its LU factors, kept for one alpha.  The Newton loop
-        reads the stamp; a circuit with no nonlinear column solves with the
-        factors."""
+        """Linear stamp J_lin(alpha) (`netlist.mna_stamp` of the linear G, C
+        and L values) and, on a circuit with no nonlinear column, its LU
+        factors (lu, piv, info), else None; kept for one alpha.  The Newton
+        loop reads the stamp alone."""
         if self._lu is None or self._lu[0] != alpha:
-            inc, nphi, n_l = self.inc, self.nphi, self.n_l
-            g_lin, c_lin, *_ = self._columns
-            jac = np.zeros((nphi + n_l + self.n_v,) * 2)
-            jac[:nphi, :nphi] = (inc.a_g * g_lin) @ inc.a_g.T \
-                + alpha * (inc.a_c * c_lin) @ inc.a_c.T
-            jac[:nphi, nphi:nphi + n_l] = inc.a_l
-            jac[:nphi, nphi + n_l:] = inc.a_v
-            jac[nphi:nphi + n_l, :nphi] = inc.a_l.T
-            jac[nphi:nphi + n_l, nphi:nphi + n_l] = -alpha * np.diag(self.l_values)
-            jac[nphi + n_l:, :nphi] = inc.a_v.T
-            lu, piv, info = lapack.dgetrf(jac)
-            self._lu = (alpha, jac, lu, piv, info)
+            g_lin, c_lin, _, _, models, *_ = self._columns
+            jac = mna_stamp(self.inc, alpha, g_lin, c_lin, self.l_values)
+            self._lu = (alpha, jac, None if models else lapack.dgetrf(jac))
         return self._lu
 
     def residual_jacobian(self, x: np.ndarray, alpha: float, b: np.ndarray):
@@ -145,12 +136,13 @@ class TraditionalSolver:
         """Solve the companion system at time t from x, which it does not modify;
         returns (x, Newton iterations, the nonlinear columns' i and q at x).
         With no nonlinear column the system is J_lin(alpha) x = b: one solve
-        with the kept LU factors, reported as 1 iteration."""
+        with the kept LU factors, reported as 1 iteration.  A residual that is
+        not finite ends the Newton loop with `SolverError` at once."""
         v_src, i_src = ([em.source_value(w, t) for w in waves] for waves in self._waves)
         b = np.concatenate([self.inc.a_c.dot(rhs_c) + self.inc.a_i.dot(i_src), -rhs_l, v_src])
         *_, models, _, _ = self._columns
         if not models:
-            _, _, lu, piv, info = self._linear_system(alpha)
+            lu, piv, info = self._linear_system(alpha)[2]
             if info != 0:
                 raise SolverError(f"singular MNA system at t={t}")
             x, _ = lapack.dgetrs(lu, piv, b)
@@ -176,6 +168,8 @@ class TraditionalSolver:
                     if np.maximum.reduce(np.abs(f_try), initial=0.0) < norm:
                         x, values = x_try, self.response
                 return x, it - 1, values
+            if not norm < np.inf:  # NaN or inf: the step is lost
+                raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} is not finite")
             try:
                 delta = self._solve(jac, -f)
             except np.linalg.LinAlgError as exc:
@@ -185,7 +179,7 @@ class TraditionalSolver:
                 x_try = x + lam * delta
                 f_try, jac_try = self.residual_jacobian(x_try, alpha, b)
                 norm_try = np.maximum.reduce(np.abs(f_try), initial=0.0)
-                if norm_try < norm or norm <= tol:
+                if norm_try < norm or not norm_try < np.inf:
                     break
                 lam *= 0.5
             x, f, jac, norm, values = x_try, f_try, jac_try, norm_try, self.response

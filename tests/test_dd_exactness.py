@@ -6,7 +6,9 @@ metric.
 
 The circuits fold every kind of known element: the rectifier (a data diode
 beside a known capacitor and resistor), a 25-stage RC ladder (data resistors,
-known capacitors) and an RL circuit (a data resistor, a known inductor).
+known capacitors) and an RL circuit (a data resistor, a known inductor).  The
+same RL circuit with its inductor as data as well covers the data inductor's
+alpha-weighted distance.
 """
 
 import itertools
@@ -42,6 +44,10 @@ CIRCUITS = {
     "rl": (Scenario(
         name="rl", netlist="V1 1 0 SIN 0 1 1000\nR1 1 2 10\nL1 2 0 1e-3\n",
         dd_names=("R1",), scheme="trapezoidal", steps=200, t_end=2e-3,
+        metric_element="R1"), 1000),
+    "rl-data": (Scenario(
+        name="rl-data", netlist="V1 1 0 SIN 0 1 1000\nR1 1 2 10\nL1 2 0 1e-3\n",
+        dd_names=("R1", "L1"), scheme="trapezoidal", steps=200, t_end=2e-3,
         metric_element="R1"), 1000),
 }
 
@@ -119,12 +125,12 @@ def _cosine(solver, r: CircuitState, d: CircuitState, alpha) -> float:
     return (solver.energy_mismatch(both, zero, alpha) - 2.0 * e_r) / (2.0 * e_r)
 
 
-@pytest.mark.parametrize("name", ["rectifier", "ladder-25", "rl"])
+@pytest.mark.parametrize("name", ["rectifier", "ladder-25", "rl", "rl-data"])
 def test_kirchhoff_projection_is_exact(name):
     scenario, graph, inc, cfg, binds = _setup(name)
     solver = DDSolver(graph, inc, binds, DDConfig(weight_rule=scenario.weight_rule))
     alpha = 2.0 / cfg.h
-    w = solver.weight_set
+    w_g, w_c, w_l = np.split(solver.weights, [solver.n_g, solver.n_g + solver.n_c])
     a = _constraints(solver, alpha)
     null = scipy.linalg.null_space(a)
     assert null.shape[1] > 0
@@ -132,11 +138,11 @@ def test_kirchhoff_projection_is_exact(name):
     worst_cos, worst_feas = 0.0, 0.0
     for _ in range(5):
         zx = CircuitState.zeros(graph)
-        zx.v_g[:], zx.i_g[:] = rng.normal(size=solver.n_g), w.g * rng.normal(size=solver.n_g)
-        zx.v_c[:], zx.q_c[:] = rng.normal(size=solver.n_c), w.c * rng.normal(size=solver.n_c)
-        zx.i_l[:], zx.psi_l[:] = rng.normal(size=solver.n_l), w.l * rng.normal(size=solver.n_l)
-        rhs_c = alpha * w.c * rng.normal(size=solver.n_c)
-        rhs_l = alpha * w.l * rng.normal(size=solver.n_l)
+        zx.v_g[:], zx.i_g[:] = rng.normal(size=solver.n_g), w_g * rng.normal(size=solver.n_g)
+        zx.v_c[:], zx.q_c[:] = rng.normal(size=solver.n_c), w_c * rng.normal(size=solver.n_c)
+        zx.i_l[:], zx.psi_l[:] = rng.normal(size=solver.n_l), w_l * rng.normal(size=solver.n_l)
+        rhs_c = alpha * w_c * rng.normal(size=solver.n_c)
+        rhs_l = alpha * w_l * rng.normal(size=solver.n_l)
         v_src, i_src = rng.normal(size=solver.n_v), np.zeros(0)
         zo = solver.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
 
@@ -159,7 +165,7 @@ def test_kirchhoff_projection_is_exact(name):
     assert worst_cos <= 1e-7
 
 
-@pytest.mark.parametrize("name", ["ladder-25", "rl"])
+@pytest.mark.parametrize("name", ["ladder-25", "rl", "rl-data"])
 def test_no_kirchhoff_half_step_raises_mismatch(name, monkeypatch):
     # Under constant weights and linear known elements the feasible set is
     # fixed within a step, so every Kirchhoff state of the step competes

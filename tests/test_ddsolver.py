@@ -24,7 +24,7 @@ from ddmna.ddsolver import (
 )
 from ddmna.elements import LinearModel
 from ddmna.netlist import build_incidence, parse_netlist, sources
-from ddmna.reference import kcl_residual, run_transient_traditional
+from ddmna.reference import TraditionalSolver, kcl_residual, run_transient_traditional
 from ddmna.scenarios import SCENARIOS, Scenario, build_scenario, synthesize_datasets
 from ddmna.state import CircuitState, InitialCondition, TransientConfig
 
@@ -513,27 +513,67 @@ LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(
     f"R{k} {k} {k + 1} 100\nC{k} {k + 1} 0 1e-7\n" for k in range(1, 26))
 
 
+RL_NET = "V1 1 0 SIN 0 1 1000\nR1 1 2 10\nL1 2 3 1e-3\nL2 3 0 2e-3\nC1 3 0 1e-6\n"
+
+
 @pytest.mark.parametrize("net, data", [
     (SCENARIOS["rc-linear"].netlist, SCENARIOS["rc-linear"].dd_names),
     (SCENARIOS["rectifier"].netlist, SCENARIOS["rectifier"].dd_names),
-    (LADDER_NET, tuple(f"R{k}" for k in range(1, 26)))],
-    ids=["rc-linear", "rectifier", "ladder-25"])
+    (LADDER_NET, tuple(f"R{k}" for k in range(1, 26))),
+    (RL_NET, ("R1", "L1"))],
+    ids=["rc-linear", "rectifier", "ladder-25", "rlc"])
 def test_kirchhoff_state_is_an_exact_lift_of_the_solution(net, data):
+    # z = (phi, i_l, i_v, eta, lam_l, lam_v); the responses are i* - w A_g.T
+    # eta, q* - w A_c.T eta and psi* + w lam_l at data elements, with * the
+    # data state's pair, and slope * drive + offset at known ones
     graph = parse_netlist(net)
     inc = build_incidence(graph)
     by_name = {b.name: b for b in bindings_from_graph(graph)}
-    known = {group: [KnownTangent(j, by_name[e.name].model, 1.0)
+    rng = np.random.default_rng(5)
+    known = {group: [KnownTangent(j, by_name[e.name].model, *rng.normal(size=2))
                      for j, e in enumerate(graph.groups[group]) if e.name not in data]
              for group in "GCL"}
     system = KirchhoffSystem("lift", inc, known)
-    lay = system.lay
-    rng = np.random.default_rng(5)
+    nphi, n_l, n_v = graph.n - 1, graph.count("L"), graph.count("V")
+    n = nphi + n_l + n_v
     for _ in range(20):
-        z = rng.uniform(-1.0, 1.0, lay["total"]) * 10.0 ** rng.integers(-6, 3)
+        z = rng.uniform(-1.0, 1.0, 2 * n) * 10.0 ** rng.integers(-6, 3)
         z[rng.random(z.size) < 0.3] = -0.0
-        phi = z[lay["phi"]]
-        want = CircuitState(phi=phi, v_g=inc.a_g.T @ phi, i_g=z[lay["i_g"]],
-                            v_c=inc.a_c.T @ phi, q_c=z[lay["q_c"]], psi_l=z[lay["psi"]],
-                            i_l=z[lay["i_l"]], i_v=z[lay["i_v"]])
+        zx = CircuitState.zeros(graph)
+        zx.x[:] = rng.normal(size=zx.x.size)
+        w = 10.0 ** rng.uniform(-3.0, 3.0, len(graph.elements) - n_v)
+        w_g, w_c, w_l = np.split(w, [graph.count("G"), graph.count("G") + graph.count("C")])
+        phi, i_l, i_v, eta, lam = np.split(z, np.cumsum([nphi, n_l, n_v, nphi]))
+        state = system.state(z, zx, system.response_coefficients(w))
+        want = CircuitState(phi=phi, v_g=inc.a_g.T @ phi, i_g=zx.i_g - w_g * (inc.a_g.T @ eta),
+                            v_c=inc.a_c.T @ phi, q_c=zx.q_c - w_c * (inc.a_c.T @ eta),
+                            psi_l=zx.psi_l + w_l * lam[:n_l], i_l=i_l, i_v=i_v)
+        for group, response, drive in (("G", want.i_g, want.v_g), ("C", want.q_c, want.v_c),
+                                       ("L", want.psi_l, want.i_l)):
+            for t in known[group]:
+                response[t.index] = t.slope * drive[t.index] + t.offset
         # bitwise, so each unknown's signed zero is kept as it is
-        assert np.array_equal(system.state(z).x.view(np.int64), want.x.view(np.int64))
+        for name in ("phi", "v_g", "v_c", "i_l", "i_v"):
+            assert np.array_equal(getattr(state, name).view(np.int64),
+                                  getattr(want, name).view(np.int64)), name
+        for name in ("i_g", "q_c", "psi_l"):
+            assert np.array_equal(getattr(state, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("net", [RLC_ISRC_NET, LADDER_NET, RL_NET,
+                                 SCENARIOS["rc-linear"].netlist],
+                         ids=["rlc-isrc", "ladder-25", "rlc", "rc-linear"])
+def test_all_known_projection_is_the_reference_stamp(net):
+    # with no data element D = 0, and K is the reference solver's linear stamp
+    graph = parse_netlist(net)
+    inc = build_incidence(graph)
+    known = bindings_from_graph(graph)
+    solver = DDSolver(graph, inc, known, DDConfig())
+    trad = TraditionalSolver(graph, inc, known)
+    n = graph.n - 1 + graph.count("L") + graph.count("V")
+    for alpha in (0.0, 1.0, 2.0 / 1e-5, 1.0 / 3e-7):
+        m = solver.assemble_projection_matrix(alpha)
+        stamp = trad._linear_system(alpha)[1]
+        assert np.array_equal(m[n:, :n].view(np.int64), stamp.view(np.int64))
+        assert np.array_equal(m[:n, n:], stamp.T)
+        assert not m[:n, :n].any() and not m[n:, n:].any()

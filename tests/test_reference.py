@@ -256,14 +256,41 @@ def test_non_finite_linear_solution_raises_solver_error(net):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_newton_residual_raises_solver_error():
+def test_non_finite_newton_residual_raises_solver_error(monkeypatch):
     # a NaN residual never passes the tolerance test, so the loop must not
-    # end as if it had converged
+    # end as if it had converged; it raises at the first one, here the first
+    # trial step's (the held step's residual at zero is finite)
     graph, inc, binds = _setup("V1 1 0 DC 1e308\nR1 1 2 1e-3\n"
                                "D1 2 0 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n")
+    calls = []
+    residual_jacobian = TraditionalSolver.residual_jacobian
+
+    def counting_residual_jacobian(self, *args):
+        calls.append(1)
+        return residual_jacobian(self, *args)
+
+    monkeypatch.setattr(TraditionalSolver, "residual_jacobian", counting_residual_jacobian)
     cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=5)
     with pytest.raises(SolverError, match="Newton failed"):
         run_transient_traditional(graph, inc, binds, cfg)
+    assert len(calls) <= 2
+
+
+def test_nonlinear_circuit_takes_no_lu_factorization(monkeypatch):
+    # the Newton loop reads the linear stamp alone; only a circuit with no
+    # nonlinear column solves with its LU factors
+    graph, inc, binds = _setup(RECT_NET)
+    calls = []
+    dgetrf = reference.lapack.dgetrf
+
+    def counting_dgetrf(*args, **kwargs):
+        calls.append(1)
+        return dgetrf(*args, **kwargs)
+
+    monkeypatch.setattr(reference.lapack, "dgetrf", counting_dgetrf)
+    cfg = TransientConfig(scheme="trapezoidal", t_end=0.02, steps=100)
+    run_transient_traditional(graph, inc, binds, cfg)
+    assert calls == []
 
 
 def _kcl_residual_per_step(inc, trace):
