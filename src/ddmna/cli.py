@@ -183,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _get(args, "out", "out")
     os.makedirs(out_dir, exist_ok=True)
 
-    dd_rows = []  # data-driven only: steps per stop reason, restart iterations
+    dd_rows = []  # data-driven only: steps per stop reason, Kirchhoff solves
     if solver == "traditional":
         trace = run_transient_traditional(graph, inc, bindings, config)
         residual = kcl_residual(inc, trace)
@@ -195,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         residual = max((d.feasibility_residual for d in steps), default=0.0)
         stops = Counter(d.stop_reason for d in steps)
         dd_rows = [f"stop_reason_{reason},{stops[reason]}" for reason in sorted(stops)]
-        dd_rows.append(f"restart_iterations,{sum(d.restart_iterations for d in steps)}")
+        dd_rows.append(f"solves,{sum(d.solves for d in steps)}")
 
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     _write_run_convergence(trace, solver, os.path.join(out_dir, "convergence.csv"))

@@ -11,7 +11,9 @@ sorted orders of its coordinates, concatenated with per-set offsets.  Its
 search kernel `nearest` takes one query per set, each under its own weight,
 in one call with no Python loop over the sets, and a hint pair per query
 (any stored pair, such as the last pick) that bounds the search without
-changing the answer.  `NearestNeighborIndex` is one set's view of a flat
+changing the answer.  Its `minimize` finds the pair of one set that
+minimises a 2×2 quadratic, the data solver's block search.
+`NearestNeighborIndex` is one set's view of a flat
 index and answers exact weighted k-nearest queries under any weight, with
 no rebuild.  Every answer agrees with the brute-force scan
 `nearest_measurement`, ties included (the lowest index wins).
@@ -58,11 +60,15 @@ class MeasurementSet:
             raise ValueError("measurement set must be a non-empty (N, 2) array")
         if not np.all(np.isfinite(self.pairs)):
             raise ValueError("measurement pairs must be finite")
-        _, idx = np.unique(self.pairs, axis=0, return_index=True)
-        if len(idx) != len(self.pairs):
-            log.warning("dropping %d duplicate measurement pairs",
-                        len(self.pairs) - len(idx))
-            self.pairs = self.pairs[np.sort(idx)]
+        # Duplicates sit next to each other in a lexicographic order (stable,
+        # so each first occurrence leads its run); values compare as numbers,
+        # so -0.0 equals 0.0.
+        order = np.lexsort(self.pairs.T[::-1])
+        rows = self.pairs[order]
+        dup = (rows[1:] == rows[:-1]).all(axis=1)
+        if dup.any():
+            log.warning("dropping %d duplicate measurement pairs", int(dup.sum()))
+            self.pairs = self.pairs[np.sort(order[np.concatenate([[True], ~dup])])]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -197,6 +203,8 @@ def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarr
 # A slab half-width h around coordinate q grows by this fraction of |q| + h,
 # which covers the rounding of a computed distance and of the bounds q -/+ h.
 _SLAB_ULPS = 8.0 * np.finfo(float).eps
+# Sets larger than this are searched by chunks in `FlatIndex.minimize`.
+_SCAN_ALL = 4096
 
 
 class FlatIndex:
@@ -212,7 +220,8 @@ class FlatIndex:
     for, as a `searchsorted` of x in each segment would.
 
     `nearest` is the search kernel: the exact nearest pair for any number of
-    queries, each in its own set and under its own weight.
+    queries, each in its own set and under its own weight.  `minimize` is
+    the exact minimiser of a quadratic over one set.
     """
 
     def __init__(self, msets):
@@ -240,6 +249,25 @@ class FlatIndex:
             self.key.real[lo:hi] = g
             self.key.imag[lo:hi] = self.ab[int(by_b), lo:hi]
             del order  # before the next argsort: the build's peak memory counts
+        # Per set: its coordinates a and b in index order (views of its
+        # pairs), and for a large set the chunk boxes of `minimize`.
+        self.cols = [(m.pairs[:, _W_COL[m.kind]], m.pairs[:, 1 - _W_COL[m.kind]])
+                      for m in self.msets]
+        self._boxes = [self._chunk_boxes(s) if size > _SCAN_ALL else None
+                       for s, size in enumerate(sizes)]
+
+    def _chunk_boxes(self, s: int):
+        """Set s's a segment cut into chunks of about sqrt(N) positions: the
+        chunks' first positions (and the segment's end), their bounding
+        boxes (rows: a first, a last, b min, b max), and the set's width
+        (a range + b range)."""
+        lo, hi = int(self.off[s]), int(self.off[s + 1])
+        a, b = self.ab[:, lo:hi]
+        first = np.arange(0, hi - lo, math.isqrt(hi - lo))
+        last = np.append(first[1:], hi - lo) - 1
+        box = np.array([a[first], a[last], np.minimum.reduceat(b, first),
+                        np.maximum.reduceat(b, first)])
+        return np.append(first, hi - lo) + lo, box, (a[-1] - a[0]) + (b.max() - b.min())
 
     def nearest(self, seg, q, w, hint=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest pair to query j, (a, b) = q[:, j], in set seg[j] under
@@ -307,6 +335,68 @@ class FlatIndex:
         # A slab holds each pair of its set once: one position per query wins.
         return best, pos[cand == best.repeat(count)]
 
+    def minimize(self, s: int, cur: int, gram, g) -> int:
+        """Index of the pair of set s that minimises the quadratic
+        q(d) = d·G d - 2 g·d, with d its (a, b) minus that of pair cur,
+        G = [[g_aa, g_ab], [g_ab, g_bb]] positive semidefinite (`gram` =
+        (g_aa, g_ab, g_bb)) and g = (g_a, g_b), all Python floats.  Pair cur
+        has q = 0, and ties go to the lowest index, so cur is returned when
+        no pair has q < 0 and none with q = 0 has a lower index.
+
+        A set of at most `_SCAN_ALL` pairs is scanned whole.  A larger one is
+        scanned over the stretch of its a segment between the first and the
+        last chunk whose bounding box may hold a pair with q <= 0: over a box,
+        q is bounded below in G's eigenbasis, where it splits into two
+        one-dimensional quadratics, each minimised over its coordinate's range
+        on the box.  The bound gives way by more than the rounding of q, and
+        of a negative rounded eigenvalue taken as 0.
+        """
+        a, b = self.cols[s]
+        ac, bc = a.item(cur), b.item(cur)
+        if self._boxes[s] is None:
+            return int(_quadratic(a - ac, b - bc, gram, g).argmin())
+        starts, box, width = self._boxes[s]
+        g_aa, g_ab, g_bb = gram
+        mean, rad = 0.5 * (g_aa + g_bb), math.hypot(0.5 * (g_aa - g_bb), g_ab)
+        theta = 0.5 * math.atan2(2.0 * g_ab, g_aa - g_bb)
+        c, sn = math.cos(theta), math.sin(theta)
+        da, db = box[:2] - ac, box[2:] - bc  # rows: low, high
+        lb = 0.0
+        for lam, (ea, eb) in ((mean + rad, (c, sn)), (mean - rad, (-sn, c))):
+            beta = ea * g[0] + eb * g[1]
+            # the range of x = e·d over each box, from its corners
+            lo = ea * da[int(ea < 0.0)] + eb * db[int(eb < 0.0)]
+            hi = ea * da[int(ea >= 0.0)] + eb * db[int(eb >= 0.0)]
+            if lam > 0.0:
+                x = np.clip(beta / lam, lo, hi)
+            else:  # linear in x
+                x, lam = (hi if beta > 0.0 else lo), 0.0
+            lb = lb + x * (lam * x - 2.0 * beta)
+        slack = (64.0 * np.finfo(float).eps * ((abs(mean) + rad) * width * width
+                 + (abs(g[0]) + abs(g[1])) * width) + max(rad - mean, 0.0) * width * width)
+        sel = np.flatnonzero(lb <= slack)
+        if not sel.size:
+            return cur
+        lo, hi = starts[sel[0]], starts[sel[-1] + 1]
+        q = _quadratic(self.ab[0, lo:hi] - ac, self.ab[1, lo:hi] - bc, gram, g)
+        m = q.min()
+        best = int(self.idx[lo:hi][q == m].min())
+        return best if m < 0.0 or (m == 0.0 and best < cur) else cur
+
+
+def _quadratic(da, db, gram, g):
+    """q = g_aa da² + 2 g_ab da db + g_bb db² - 2 (g_a da + g_b db), elementwise."""
+    g_aa, g_ab, g_bb = gram
+    q = g_aa * da
+    q += 2.0 * g_ab * db
+    q -= 2.0 * g[0]
+    q *= da
+    t = g_bb * db
+    t -= 2.0 * g[1]
+    t *= db
+    q += t
+    return q
+
 
 class NearestNeighborIndex:
     """Exact weighted k-nearest search in one measurement set, for any weight.
@@ -320,8 +410,6 @@ class NearestNeighborIndex:
     smaller slab is ranked.
     Distances use the expression of `nearest_measurement`, and ties break
     to the lowest index, so every answer equals the brute-force one.
-    `step_in_a` walks the a order, which is how a solver reaches a pick's
-    neighbours on the set's measurement curve.
 
     `weight` is only the default weight of `query`.
     """
@@ -347,17 +435,6 @@ class NearestNeighborIndex:
         # Per order: index in the set, a and b.
         self._idx_a, (self._a_a, self._b_a) = flat.idx[lo:hi], flat.ab[:, lo:hi]
         self._idx_b, (self._a_b, self._b_b) = flat.idx[lo_b:hi_b], flat.ab[:, lo_b:hi_b]
-
-    def step_in_a(self, idx: int, shift: int) -> int:
-        """Index of the pair `shift` places from pair idx in the a order.
-
-        The position is clamped to the ends of the order.
-        """
-        # Pairs of equal a stand in index order (stable sort).
-        a = self.mset.pairs[idx, self._ia]
-        lo, hi = self._a_a.searchsorted(a, "left"), self._a_a.searchsorted(a, "right")
-        pos = lo + int(self._idx_a[lo:hi].searchsorted(idx)) + shift
-        return int(self._idx_a[min(max(pos, 0), len(self._idx_a) - 1)])
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
         """Nearest stored pair under weight w (default: the index weight)."""

@@ -1,15 +1,13 @@
-"""Data-driven MNA solver: alternating closest-point projections between the
-Kirchhoff-feasible affine set of circuit states and the measurement set.
+"""Data-driven MNA solver: the circuit state of each time step is the
+Kirchhoff-feasible state nearest the measurement data.
 
-Each solver iteration solves one linear system for the projection onto the
+Each iteration solves one linear system for the weighted projection onto the
 constraints (LU factors from LAPACK, kept while the system is unchanged),
-followed by independent per-element projections onto the data.  The iteration
-is a fixed point monitored through the energy mismatch, the weighted squared
-distance between the two projected states.  The weights are one vector in the
-order of the state's pair block, so the mismatch is one array expression over
-that block.  Every data element's set is one set of a `dataset.FlatIndex`, and
-the data half-step picks all their nearest pairs in one search call, seeded by
-the last picks.
+then moves the data picks.  The iteration is a fixed point monitored through
+the energy mismatch, the weighted squared distance between the two states.
+The weights are one vector in the order of the state's pair block, so the
+mismatch is one array expression over that block.  Every data element's set
+is one set of a `dataset.FlatIndex`.
 
 Elements with a known model are not matched to data.  Each one is a
 constraint only: it enters the Kirchhoff set as its tangent line
@@ -18,7 +16,8 @@ closest Kirchhoff state in the data elements' metric and never reads a known
 pair.  A linear model is its own constant tangent, and the data half-step
 keeps its pair as the Kirchhoff state gives it; a nonlinear one (diode, MLCC)
 is re-linearised at the Kirchhoff state in every data half-step, so the
-alternation runs Newton's method on the known part.
+iteration runs Newton's method on the known part, and its pairs count as
+repeated once they move by at most `reference.NEWTON_RTOL` relative.
 
 With the element responses eliminated, the projection is the symmetric
 system [[D, Kᵀ], [K, -D]] on the MNA unknowns x = (phi, i_l, i_v) and their
@@ -26,16 +25,21 @@ multipliers, built from two stamps of `netlist.mna_stamp` (the reference
 solver's): K of the known tangents' slopes, D of the data weights
 (`KirchhoffSystem`).
 
-Both half-steps are exact minimisers, so under constant weights the mismatch
-falls to a fixed point, but that fixed point can be a local minimum one
-measured pair away from the global one.  Each step therefore also tries the
-two neighbouring selections (every data pick moved one place along its set,
-down or up), screens each with one solve, reruns the alternation from those
-the screen does not send back, and keeps the run with the lowest mismatch.
+As known elements carry no distance, a step's mismatch is a quadratic form
+in the 2k coordinates p of its k data pairs, E(p) = |A p - pi0|²_C: C holds
+the mismatch's coefficients, A = I - P with P the linear part of the
+projection's map on data coordinates (`KirchhoffSystem.reduced`, one
+2k-column solve with the kept factors), and pi0 follows from the Kirchhoff
+state of the iteration.  The data half-step is exact block-coordinate
+descent on E from the current picks: each data element in turn takes the
+pair of its set that minimises E with the others fixed
+(`FlatIndex.minimize`), until k elements in a row keep their pick.  E never
+rises, and the picks end at a minimum that no single element's move
+improves, the global one when k = 1.
 
 The consistent state at t0 is found by the same code: the held circuit
-(`netlist.held_circuit`) is one more `KirchhoffSystem`, alternated with the
-data until the selection repeats.
+(`netlist.held_circuit`) is one more `KirchhoffSystem`, iterated with the data
+of its G elements.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .dataset import (
     nearest_measurement,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
 )
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp, sources
+from .reference import NEWTON_RTOL
 from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
 
 log = logging.getLogger(__name__)
@@ -96,7 +101,7 @@ class DDConfig:
 
 @dataclass
 class DDStepTrace:
-    """Per-time-step fixed-point diagnostics of the run the step accepted."""
+    """Per-time-step fixed-point diagnostics."""
 
     iterations: int = 0
     em_history: list = field(default_factory=list)
@@ -107,9 +112,9 @@ class DDStepTrace:
     stop_reason: str = "cap"
     final_mismatch: float = np.nan
     feasibility_residual: float = np.nan
-    # Kirchhoff solves of the step outside the run described above: the
-    # neighbour screens and the runs that were not accepted
-    restart_iterations: int = 0
+    # Kirchhoff right-hand sides solved in the step, the columns of the
+    # reduced quadratic's map included
+    solves: int = 0
 
     @property
     def converged(self) -> bool:
@@ -185,6 +190,13 @@ class KirchhoffSystem:
         self._pick = np.hstack([drives * (1.0 - self._is_data[:, None]),
                                 drives * self._is_data[:, None]])
         self._sign = np.where(iw == 1, 1.0, -1.0)  # of w in a data element's coefficient
+        # The data elements, their drive rows, whether their distance scales
+        # with alpha (C and L), and their coordinates in the flat pair block,
+        # (drive, response) per element.
+        self.data = np.flatnonzero(self._is_data)
+        self._data_drives = drives[self.data]
+        self._dynamic = self.data >= n_g
+        self.data_coords = np.stack([self.drive, self.response], axis=1)[self.data].ravel()
         # A state from [z, A_g.T phi, A_c.T phi, responses]: the exact lift of x.
         phi, i_l, i_v, _, v_g, v_c, i_g, q_c, psi_l = np.split(
             np.arange(2 * self.n + n_g + n_c + n_e),
@@ -243,6 +255,36 @@ class KirchhoffSystem:
         known element's slope, and -w (G, C) or w (L) at a data element."""
         return self._slopes() + self._sign * self._data_weights(w)
 
+    def reduced(self, lu: np.ndarray, piv: np.ndarray, alpha: float, w: np.ndarray) -> tuple:
+        """The step's mismatch as a quadratic form in the data coordinates p
+        (`data_coords`, (drive, response) per data element), given the LU
+        factors of `matrix(alpha, w)`.
+
+        The projection maps p to the Kirchhoff state's data coordinates
+        pi0 + P p: a drive is its row of the map on x, a response p's own
+        plus the weight times its row of the map on y, and x and y solve
+        M z = b0 + B p, with B's column per coordinate read off `rhs`.  So P
+        takes one solve with the 2k columns of B.  With A = I - P and C the
+        mismatch's coefficients (0.5 w on a drive, 0.5 / w on a response,
+        times alpha for C and L), the mismatch is |A p - pi0|²_C.  Returns
+        (C A, Aᵀ C A).
+        """
+        d, w, sign = self._data_drives, w[self.data], self._sign[self.data]
+        scale = np.where(self._dynamic, alpha, 1.0)
+        k, n = d.shape
+        b = np.zeros((2 * n, 2 * k))
+        b[:n, 0::2] = d.T * (w * scale)
+        b[n:, 1::2] = d.T * (sign * scale)
+        z, info = lapack.dgetrs(lu, piv, b)
+        if info != 0:
+            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+        a = np.empty((2 * k, 2 * k))
+        a[0::2] = -d.dot(z[:n])
+        a[1::2] = -(sign * w)[:, None] * d.dot(z[n:])
+        a[0::2, 0::2] += np.eye(k)  # I's response entries cancel the responses' own p
+        ca = np.column_stack([0.5 * w * scale, 0.5 * scale / w]).reshape(-1, 1) * a
+        return ca, a.T.dot(ca)
+
     def state(self, z: np.ndarray, zx: CircuitState, coef: np.ndarray) -> CircuitState:
         """The circuit state in the solution z for data state zx, with coef
         the weights' `response_coefficients`: phi, i_l, i_v and the element
@@ -253,7 +295,7 @@ class KirchhoffSystem:
 
 
 class DDSolver:
-    """Alternating-projection solver bound to one circuit and its datasets."""
+    """Data-driven solver bound to one circuit and its datasets."""
 
     def __init__(self, graph: CircuitGraph, inc: IncidenceSet,
                  bindings: list[ElementBinding], config: DDConfig | None = None):
@@ -284,11 +326,10 @@ class DDSolver:
         # Known elements are constraints only: each enters the Kirchhoff
         # projection's stamp K as its tangent line and has no distance term,
         # so every Kirchhoff state satisfies them exactly and the projection
-        # reads only the data pairs.  The data
-        # half-step keeps a known-linear pair as it is and moves a nonlinear
-        # one by one Newton step, so a step stops when the data indices and
-        # the known-nonlinear pairs repeat, or on the mismatch floor or the
-        # stall test.
+        # reads only the data pairs.  The data half-step keeps a known-linear
+        # pair as it is and moves a nonlinear one by one Newton step, so a
+        # step stops when the data indices repeat and the known-nonlinear
+        # pairs settle, or on the mismatch floor or the stall test.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
         self._nonlinear = []  # (row, tangent)
         data = []  # (row, measurement set)
@@ -309,14 +350,16 @@ class DDSolver:
             for s, (row, _) in enumerate(data)}
         self._data_rows = np.array(list(self.nn), dtype=np.intp)
         self._data_sets = np.arange(len(data))
-        self._hint = None  # positions of the last data picks, which seed the next search
+        self._hint = None  # positions of the last nearest picks, which seed the next search
         self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
         self._data_ab = np.stack([self.system.drive, self.system.response])[:, self._data_rows]
-        # (key, LU, pivots, response coefficients) of the last system
-        self._lu_slot: tuple | None = None
+        # [key, LU, pivots, response coefficients, reduced quadratic or None]
+        # of the last system
+        self._lu_slot: list | None = None
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
+        self._solves = 0  # Kirchhoff right-hand sides solved, see DDStepTrace.solves
 
     # ------------------------------------------------------------------
     def set_weight(self, name: str, value: float) -> None:
@@ -349,12 +392,26 @@ class DDSolver:
             lu, piv, info = lapack.dgetrf(assemble())
             if info != 0:
                 raise DDSolverError(f"singular projection system (dgetrf info {info})")
-            self._lu_slot = (key, lu, piv, system.response_coefficients(self.weights))
-        _, lu, piv, coef = self._lu_slot
+            self._lu_slot = [key, lu, piv, system.response_coefficients(self.weights), None]
+        _, lu, piv, coef, _ = self._lu_slot
         z, info = lapack.dgetrs(lu, piv, b)
         if info != 0:
             raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+        self._solves += 1
         return system.state(z, zx, coef)
+
+    def _reduced(self, system: KirchhoffSystem, alpha: float) -> tuple:
+        """`system.reduced` for the factors of the last `_solve`, which must
+        have been of `system` at alpha under the present weights and
+        slopes; built on first use and kept with the factors."""
+        slot = self._lu_slot
+        if slot[4] is None:
+            ca, gram = system.reduced(slot[1], slot[2], alpha, self.weights)
+            i = np.arange(0, len(gram), 2)
+            blocks = np.stack([gram[i, i], gram[i, i + 1], gram[i + 1, i + 1]], axis=1)
+            slot[4] = ca, gram, blocks.tolist()  # (g_aa, g_ab, g_bb) per data element
+            self._solves += system.data_coords.size
+        return slot[4]
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -403,14 +460,20 @@ class DDSolver:
         drive coordinate and are re-linearised there.  The selection is the
         data indices, then the known-nonlinear pairs in element order.
         """
+        zx, known = self._move_known(zo)
+        idx = self._pick_data(zx.pairs())
+        return zx, (tuple(idx.tolist()), known)
+
+    def _move_known(self, zo: CircuitState) -> tuple[CircuitState, tuple]:
+        """zo with every known-nonlinear element at its model point at zo's
+        drive, and re-linearised there; returns it and those pairs."""
         zx = zo.copy()
         p = zx.pairs()
-        idx = self._pick_data(p)
         known = []
         for row, tangent in self._nonlinear:
             p[row] = pair = tangent.relinearize(float(p[row, 0]))
             known.append(pair)
-        return zx, (tuple(idx.tolist()), tuple(known))
+        return zx, tuple(known)
 
     def _pick_data(self, p: np.ndarray) -> np.ndarray:
         """Move every data element's pair in the pair block p to its nearest
@@ -457,106 +520,102 @@ class DDSolver:
     def solve_timestep(self, zx_seed: CircuitState, alpha: float, rhs_c: np.ndarray,
                        rhs_l: np.ndarray, v_src: np.ndarray, i_src: np.ndarray
                        ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
-        """Alternate the two projections to a fixed point for one time step.
+        """Iterate the Kirchhoff and data half-steps to a fixed point for one
+        time step, from the data pairs nearest the warm start zx_seed.
 
-        The alternation runs from the warm start zx_seed, and may settle at a
-        local minimum of the mismatch.  Two neighbour candidates follow: every
-        data pick of the converged run moved one place down, or one place up,
-        its set's order by the weighted coordinate.  A candidate is screened
-        with one Kirchhoff solve and one data projection, and the alternation
-        reruns from it, from the step's starting weights, only when the
-        screen selects other data than the converged run.  The run with the
-        lowest final mismatch is accepted; ties keep the warm-started run.
-        The returned states, the trace and the solver's weights are those of
-        the accepted run.
+        Each iteration moves the local-tangent weights (under that rule),
+        projects the data state onto the Kirchhoff set and descends on the
+        step's reduced quadratic (`_data_step`).  Returns the last Kirchhoff
+        state, the data state the next step starts from, and the trace.
         """
         args = (alpha, rhs_c, rhs_l, v_src, i_src)
-        start = self._snapshot()
-        zo, zx, trace = self._alternate(zx_seed, *args)
-        warm_end = self._snapshot()
-        best = (zo, zx, trace, warm_end)
-        spent = trace.iterations
-        picks = trace.selected_indices[-1]
-        for shift in (-1, 1):
-            cand = self._shift_picks(zx, picks, shift)
-            if cand is None:
-                continue
-            self._restore(warm_end)
-            _, screen = self.project_to_data(self.project_to_kirchhoff(cand, *args))
-            spent += 1
-            if screen[0] == picks:
-                continue
-            self._restore(start)
-            run = self._alternate(cand, *args)
-            spent += run[2].iterations
-            if run[2].final_mismatch < best[2].final_mismatch:
-                best = (*run, self._snapshot())
-        zo, zx, trace, end = best
-        self._restore(end)
-        trace.restart_iterations = spent - trace.iterations
+        self._solves = 0
+        zo, zx, trace = self._iterate(
+            self.system, alpha, lambda zx: self.project_to_kirchhoff(zx, *args), zx_seed,
+            self._data_sets, self.config.weight_rule == "local-tangent")
+        trace.solves = self._solves
         trace.feasibility_residual = self.feasibility_residual(zo, *args)
         return zo, zx, trace
 
-    def _alternate(self, zx: CircuitState, alpha: float, rhs_c: np.ndarray,
-                   rhs_l: np.ndarray, v_src: np.ndarray, i_src: np.ndarray
-                   ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
-        """One alternation from data state zx until a stop test fires."""
+    def _iterate(self, system: KirchhoffSystem, alpha: float, project, zx: CircuitState,
+                 sets: np.ndarray, tangent_weights: bool
+                 ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
+        """Iterate `project` (data state -> Kirchhoff state of `system`) and
+        the data half-step on the data elements of `sets` until a stop test
+        fires."""
         cfg = self.config
-        prev_sel = None
         trace = DDStepTrace()
-        em_first = None
-        em_prev = None
-        zo = zx
+        zx = zx.copy()
+        picks = self._pick_data(zx.pairs())
+        ab = zx.pairs().reshape(-1)[self._data_ab]  # the picks' (a, b), one column each
+        prev_sel = em_first = em_prev = None
         for p in range(1, cfg.max_iters + 1):
-            if cfg.weight_rule == "local-tangent":
+            if tangent_weights:
                 self._update_tangent_weights(zx)
-            zo = self.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-            zx, sel = self.project_to_data(zo)
-            mismatch = self.energy_mismatch(zo, zx, alpha)
+            zo = project(zx)
+            zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab, sets)
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
             trace.iterations = p
             if em_first is None:
                 em_first = mismatch
-            if sel == prev_sel:
+            # Known-nonlinear pairs still moving are Newton's iterates, which
+            # move the mismatch less and less: the stall test waits for them.
+            settled = prev_sel is not None and _settled(sel[1], prev_sel[1])
+            if settled and sel[0] == prev_sel[0]:
                 trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
             if mismatch <= MISMATCH_FLOOR:
                 trace.stop_reason = "mismatch-floor"
                 break
-            if em_prev is not None and abs(em_prev - mismatch) <= \
-                    cfg.tol_em * (em_first + MISMATCH_FLOOR):
+            if settled and abs(em_prev - mismatch) <= cfg.tol_em * (em_first + MISMATCH_FLOOR):
                 trace.stop_reason = "stall"
                 break
             em_prev = mismatch
         trace.final_mismatch = trace.em_history[-1]
         return zo, zx, trace
 
-    def _shift_picks(self, zx: CircuitState, picks: tuple, shift: int
-                     ) -> CircuitState | None:
-        """zx with every data pick moved `shift` places in its set's a order.
+    def _data_step(self, system: KirchhoffSystem, alpha: float, zo: CircuitState,
+                   picks: np.ndarray, ab: np.ndarray, sets: np.ndarray
+                   ) -> tuple[CircuitState, tuple, float]:
+        """The data half-step from zo, the Kirchhoff state of `system` for
+        the data state of the picks `picks` (index per data set) at `ab`
+        (their (a, b) per column); moves both in place.
 
-        Returns None when no pick moves (every one sits at an end).
+        The data state is zo with the known-nonlinear elements moved to
+        their model and the picks at the data elements; its mismatch to zo
+        is E at the picks zo came from, and is returned.  Then the data
+        elements of `sets` descend on E.  With the residual r = zo's data
+        coordinates minus the picks', and u = Aᵀ C r, a move d of element
+        e's pick changes E by d·(Aᵀ C A)_ee d - 2 u_e·d.  Returns the moved
+        data state, the selection (the data indices, then the
+        known-nonlinear pairs) and the mismatch.
         """
-        cand = zx.copy()
-        p = cand.pairs()
-        moved = False
-        for (row, index), idx in zip(self.nn.items(), picks):
-            new = index.step_in_a(idx, shift)
-            moved = moved or new != idx
-            p[row] = index.mset.pairs[new]
-        return cand if moved else None
-
-    def _snapshot(self) -> tuple:
-        """The state an alternation moves: weights and known tangents."""
-        return self.weights.copy(), [(t.slope, t.offset) for t in self._tangents]
-
-    def _restore(self, snap: tuple) -> None:
-        weights, tangents = snap
-        self.weights[:] = weights
-        for t, (slope, offset) in zip(self._tangents, tangents):
-            t.slope, t.offset = slope, offset
+        ca, gram, blocks = self._reduced(system, alpha)
+        zx, known = self._move_known(zo)
+        p = zx.pairs()
+        p.reshape(-1)[self._data_ab] = ab
+        mismatch = self.energy_mismatch(zo, zx, alpha)
+        u = ca.T.dot(zo.pairs().reshape(-1)[system.data_coords]
+                     - zx.pairs().reshape(-1)[system.data_coords])
+        kept, e, k = 0, 0, len(sets)
+        for _ in range(k * self.config.max_iters):  # a guard; the descent ends
+            if kept == k:
+                break
+            s, i = sets[e], 2 * e
+            new = self.flat.minimize(s, picks[s], blocks[e], u[i:i + 2].tolist())
+            kept += 1
+            if new != picks[s]:
+                a, b = self.flat.cols[s]
+                d = np.array([a[new], b[new]]) - ab[:, s]
+                u -= gram[:, i:i + 2].dot(d)
+                ab[:, s] = a[new], b[new]
+                picks[s] = new
+                kept = 1  # a block at its own minimum
+            e = (e + 1) % k
+        p.reshape(-1)[self._data_ab] = ab
+        return zx, (tuple(picks.tolist()), known), mismatch
 
     # ------------------------------------------------------------------
     def seed_state(self, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
@@ -571,9 +630,9 @@ class DDSolver:
         """Data-driven consistent state at t0 with charges and fluxes pinned.
 
         The held circuit (`netlist.held_circuit` at `dataset.held_values`) is
-        alternated with its G elements' data until the selection repeats, on
-        the step's assembler and LU slot.  Returns (accepted state, final
-        data state); the latter warm-starts the first step.
+        iterated as a step is, with the data of its G elements, on the
+        step's assembler and LU slot.  Returns (accepted state, final data
+        state); the latter warm-starts the first step.
         """
         v_c0, i_l0 = held_values(self.graph, self.bindings["C"] + self.bindings["L"],
                                  q_c0, psi_l0)
@@ -583,19 +642,24 @@ class DDSolver:
         v_src, i_src = sources(graph, t0)
         none, w = np.zeros(0), self.weights  # the held circuit has no C or L
 
-        zx = self.seed_state(q_c0, psi_l0)
-        prev_sel = None
-        for _ in range(self.config.max_iters):
+        def project(zx):
             # The projection reads zx's G data pairs only, as the held circuit has them.
             b = held.rhs(zx, 0.0, none, none, v_src, i_src, w)
-            state = release_held(self._solve(held, 0.0, zx, b, lambda: held.matrix(0.0, w)),
-                                 self.inc.a_c, q_c0, psi_l0, i_l0)
-            zx, sel = self.project_to_data(state)
-            if sel == prev_sel:
-                break
-            prev_sel = sel
+            return release_held(self._solve(held, 0.0, zx, b, lambda: held.matrix(0.0, w)),
+                                self.inc.a_c, q_c0, psi_l0, i_l0)
+
+        state, zx, _ = self._iterate(held, 0.0, project, self.seed_state(q_c0, psi_l0),
+                                     np.flatnonzero(self._data_rows < self.n_g), False)
         zx.q_c, zx.psi_l = q_c0, psi_l0
         return state, zx
+
+
+def _settled(pairs, prev) -> bool:
+    """Whether known-nonlinear pairs repeat prev's: every coordinate within
+    NEWTON_RTOL, relative, of prev's."""
+    return prev is not None and all(
+        abs(x - y) <= NEWTON_RTOL * max(abs(x), abs(y))
+        for pair, last in zip(pairs, prev) for x, y in zip(pair, last))
 
 
 def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
@@ -626,8 +690,9 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     Known elements are constraints of the Kirchhoff projection with no
     distance term, so with linear models one Kirchhoff solve per enumerated
     tuple is exact.  With nonlinear models the solve is repeated until their
-    pairs stop moving (a Newton iteration, at most 200 passes).  Returns
-    (best K-feasible state, best index tuple, global minimum mismatch).
+    pairs settle as a step's do (a Newton iteration, at most 200 passes).
+    Returns (best K-feasible state, best index tuple, global minimum
+    mismatch).
     """
     dd_elems = list(solver.nn.items())
     sizes = [len(index.mset) for _, index in dd_elems]
@@ -643,10 +708,10 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
         last = None  # the known-nonlinear pairs of the last pass
         for _ in range(200 if solver._nonlinear else 1):
             zo = solver.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-            zx, (_, pairs) = solver.project_to_data(zo)
+            zx, pairs = solver._move_known(zo)
             for (row, index), idx in zip(dd_elems, combo):
                 zx.pairs()[row] = index.mset.pairs[idx]  # tuple stays frozen
-            if pairs == last:
+            if _settled(pairs, last):
                 break
             last = pairs
         mismatch = solver.energy_mismatch(zo, zx, alpha)

@@ -179,6 +179,7 @@ class CellResult:
     group: str
     index: int
     stop_reasons: dict[str, int]  # data-driven steps per DDStepTrace.stop_reason
+    solves: int                   # data-driven steps' summed DDStepTrace.solves
     wall_s: float                 # the whole cell, reference run included
 
 
@@ -221,6 +222,7 @@ def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
         dd_trace=dd, trad_trace=trad, ref_trace=ref,
         true_model=true_model, group=group, index=index,
         stop_reasons=dict(Counter(s.stop_reason for s in dd.step_details[1:])),
+        solves=sum(s.solves for s in dd.step_details[1:]),
         wall_s=time.perf_counter() - t_start,
     )
 
@@ -259,14 +261,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
                        "steps": res.steps, "n": res.n,
                        "t_end": scenario.t_end,
                        "dd_config": asdict(dd_config)}, fh, indent=2)
-        restarts = sum(s.restart_iterations for s in res.dd_trace.step_details[1:])
         sweep_rows.append((res.scenario, res.scheme, res.steps, res.n,
                            res.rms, res.median_iters, res.stop_reasons.get("cap", 0),
-                           restarts, f"{res.wall_s:.3f}"))
+                           res.solves, f"{res.wall_s:.3f}"))
 
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         fh.write("scenario,scheme,K,N,rms,median_iters,nonconverged,"
-                 "restart_iterations,wall_s\n")
+                 "solves,wall_s\n")
         for row in sweep_rows:
             fh.write(",".join(str(x) for x in row) + "\n")
 
@@ -289,13 +290,13 @@ def _write_convergence_log(dd_trace: TransientTrace, cell_dir: str) -> None:
     write_convergence_csv(dd_trace, os.path.join(cell_dir, "convergence.csv"))
     with open(os.path.join(cell_dir, "summary.csv"), "w", newline="") as fh:
         fh.write("step,iterations,converged,final_mismatch,stop_reason,"
-                 "restart_iterations,feasibility_residual\n")
+                 "solves,feasibility_residual\n")
         for k, step in enumerate(dd_trace.step_details):
             if step is None:
                 continue
             fh.write(f"{k},{step.iterations},{int(step.converged)},"
                      f"{step.final_mismatch:.17g},{step.stop_reason},"
-                     f"{step.restart_iterations},{step.feasibility_residual:.17g}\n")
+                     f"{step.solves},{step.feasibility_residual:.17g}\n")
 
 
 def _write_slope_report(results: list[CellResult], spec: ExperimentSpec,

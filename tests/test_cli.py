@@ -58,7 +58,7 @@ def test_run_data_driven_artifacts(tmp_path):
     assert rc == 0
     conv = _read_csv(out / "convergence.csv")
     assert set(conv[0]) == {"step", "iteration", "energy_mismatch"}
-    # the stop-reason counts and restart total match a run of the same circuit
+    # the stop-reason counts and the Kirchhoff solves match a run of the same circuit
     summary = {r["key"]: r["value"] for r in _read_csv(out / "summary.csv")}
     graph = parse_netlist(RC_NET)
     trace = run_transient_dd(graph, build_incidence(graph), bindings_from_graph(graph),
@@ -68,7 +68,7 @@ def test_run_data_driven_artifacts(tmp_path):
     assert {k[len("stop_reason_"):]: int(v) for k, v in summary.items()
             if k.startswith("stop_reason_")} == stops
     assert sum(stops.values()) == 50
-    assert int(summary["restart_iterations"]) == sum(s.restart_iterations for s in steps)
+    assert int(summary["solves"]) == sum(s.solves for s in steps)
 
 
 def test_run_missing_netlist_exits_2(tmp_path, capsys):
@@ -146,7 +146,7 @@ def test_experiment_sweep_artifacts(tmp_path):
     assert [r["N"] for r in rows] == ["50", "200"]
     assert set(rows[0]) == {"scenario", "scheme", "K", "N", "rms",
                             "median_iters", "nonconverged",
-                            "restart_iterations", "wall_s"}
+                            "solves", "wall_s"}
     assert all(r["nonconverged"] == "0" for r in rows)
     assert float(rows[1]["rms"]) < float(rows[0]["rms"])
     cell = out / "trapezoidal_K50_N200"
@@ -156,7 +156,7 @@ def test_experiment_sweep_artifacts(tmp_path):
     summary = _read_csv(cell / "summary.csv")
     assert len(summary) == 50
     assert set(summary[0]) == {"step", "iterations", "converged", "final_mismatch",
-                               "stop_reason", "restart_iterations",
+                               "stop_reason", "solves",
                                "feasibility_residual"}
     assert all(r["stop_reason"] != "cap" for r in summary)
     assert all(float(r["feasibility_residual"]) <= 1e-10 for r in summary)

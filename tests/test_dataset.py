@@ -225,6 +225,23 @@ def test_measurement_set_drops_duplicates():
     assert len(ms) == 2
 
 
+def test_duplicate_rule_equals_unique_rows(caplog):
+    # The rows kept (first occurrences, in their order) and the warning are
+    # those of np.unique(axis=0); -0.0 and 0.0 are one value.
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 50, 400):
+        for _ in range(10):
+            pairs = rng.integers(-2, 3, size=(n, 2)) * 0.5
+            pairs[rng.random(pairs.shape) < 0.3] *= -1.0  # signed zeros
+            _, first = np.unique(pairs, axis=0, return_index=True)
+            caplog.clear()
+            ms = MeasurementSet("C", pairs)
+            assert np.array_equal(ms.pairs.view(np.int64), pairs[np.sort(first)].view(np.int64))
+            dropped = n - len(first)
+            assert [r.getMessage() for r in caplog.records] == (
+                [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
+
+
 def test_csv_round_trip(tmp_path):
     ms = generate_measurements(LinearModel("C", 1e-6), SamplingPlan(0.0, 1.0, 11))
     path = tmp_path / "c.csv"

@@ -1,4 +1,5 @@
-"""Property tests: the nearest-neighbour index equals brute force for any weight."""
+"""Property tests: the nearest-neighbour index equals brute force for any
+weight, and `FlatIndex.minimize` equals a scan of the whole set."""
 
 import numpy as np
 import pytest
@@ -74,17 +75,6 @@ def test_index_equals_brute_force(case, k):
             assert index.query(q)[1] == idx
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(indexed_queries(), st.integers(-3, 3))
-def test_step_in_a_walks_the_weighted_coordinate_order(case, shift):
-    index = case[0]
-    pairs, ia = index.mset.pairs, 1 if index.mset.kind == "L" else 0
-    order = np.argsort(pairs[:, ia], kind="stable")
-    for pos, idx in enumerate(order):
-        expected = order[min(max(pos + shift, 0), len(order) - 1)]
-        assert index.step_in_a(int(idx), shift) == expected
-
-
 def position(flat, g, i):
     """Position of pair i of its set in segment g of a flat index."""
     lo = flat.off[g]
@@ -123,3 +113,48 @@ def test_flat_index_equals_per_set_brute_force(data):
         assert idx.tolist() == expected
         picked = np.array([m.pairs[i] for m, i in zip(msets, expected)])
         assert np.array_equal(flat.ab[:, pos], [picked[rows, ia], picked[rows, 1 - ia]])
+
+
+def _curve_or_cloud(rng, n, shape):
+    """Integer pairs: a cloud, or an increasing or decreasing curve."""
+    if shape == 0:
+        return rng.integers(-30, 31, size=(n, 2))
+    xy = np.cumsum(rng.integers(0, 3, size=(n, 2)), axis=0)
+    xy -= xy[n // 2]
+    if shape == 2:
+        xy[:, 1] *= -1
+    return xy
+
+
+@pytest.mark.parametrize("size", [60, 5000], ids=["scan", "chunks"])
+def test_minimize_equals_brute_force(size):
+    # Small integers times powers of two keep every value of the quadratic
+    # exact, so ties are exact.  G has rank 0, 1 (the one-element case: the
+    # distance to a line) or 2; g is any vector.
+    rng = np.random.default_rng(size)
+    for trial in range(60):
+        kind = "GCL"[trial % 3]
+        sets = [MeasurementSet(kind, _curve_or_cloud(rng, size, (trial + j) % 3)
+                               * 2.0 ** rng.integers(-2, 3, size=2)) for j in range(2)]
+        flat = FlatIndex(sets)
+        rank = trial % 4
+        if rank == 0:
+            gram = (0.0, 0.0, 0.0)
+        elif rank == 1:
+            n_a, n_b = rng.integers(-3, 4, size=2)
+            c = 2.0 ** int(rng.integers(-2, 3))
+            gram = (c * n_a * n_a, c * n_a * n_b, c * n_b * n_b)
+        else:
+            g_ab = float(rng.integers(-3, 4))
+            gram = (abs(g_ab) + float(rng.integers(1, 4)), g_ab, abs(g_ab) + float(rng.integers(1, 4)))
+        g = tuple(float(x) for x in rng.integers(-40, 41, size=2) * 2.0 ** rng.integers(-2, 3))
+        s = int(rng.integers(0, 2))
+        mset = sets[s]
+        ia = 1 if kind == "L" else 0
+        for cur in rng.integers(0, len(mset), size=5):
+            d = mset.pairs - mset.pairs[cur]
+            d = np.column_stack([d[:, ia], d[:, 1 - ia]])
+            q = gram[0] * d[:, 0] ** 2 + 2 * gram[1] * d[:, 0] * d[:, 1] \
+                + gram[2] * d[:, 1] ** 2 - 2 * d.dot(g)
+            expected = int(np.flatnonzero(q == q.min())[0])
+            assert flat.minimize(s, int(cur), gram, g) == expected, (trial, rank, int(cur))
