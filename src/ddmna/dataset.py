@@ -64,8 +64,9 @@ class MeasurementSet:
         # so each first occurrence leads its run); values compare as numbers,
         # so -0.0 equals 0.0.
         order = np.lexsort(self.pairs.T[::-1])
-        rows = self.pairs[order]
-        dup = (rows[1:] == rows[:-1]).all(axis=1)
+        a, b = (column.take(order) for column in self.pairs.T)
+        dup = a[1:] == a[:-1]
+        dup &= b[1:] == b[:-1]
         if dup.any():
             log.warning("dropping %d duplicate measurement pairs", int(dup.sum()))
             self.pairs = self.pairs[np.sort(order[np.concatenate([[True], ~dup])])]

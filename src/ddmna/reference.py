@@ -7,11 +7,16 @@ the inductors and the linear G and C) is built once per step size.  A circuit
 with no nonlinear element LU-factors it and takes one solve with those kept
 factors per step; on any other circuit each step is one damped Newton loop,
 in which the nonlinear elements add their currents, charges and rank-1 stamps
-at each iterate, from one model evaluation each.  The state is one exact lift
-of the accepted x: an unknown, a potential difference or, at a nonlinear
-column, that iterate's model value, times 1 or a linear G, C or L value.  The
-consistent state at t0 is one step of the held circuit (`netlist.held_circuit`),
-so `step` holds the only solver code.
+at each iterate, from one model evaluation each.  The solver keeps the
+Jacobian and model values of the iterate it accepts, and a step that starts
+from that iterate at the same alpha, as the march's next step does, starts
+from them: its first residual is the linear stamp's product and the kept
+values' product, with the arithmetic of `residual_jacobian`, so it equals a
+fresh start bit for bit.  The state is one exact lift of the accepted x: an
+unknown, a potential difference or, at a nonlinear column, that iterate's
+model value, times 1 or a linear G, C or L value.  The consistent state at t0
+is one step of the held circuit (`netlist.held_circuit`), so `step` holds the
+only solver code.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 8
 NEWTON_RTOL = 1e-12
 KCL_BLOCK = 32  # steps per stacked block of `kcl_residual`: bounds its temporaries
+_NO_VALUES = np.zeros(0)  # the model values of a circuit with no nonlinear column
 
 
 class SolverError(RuntimeError):
@@ -77,8 +83,8 @@ class TraditionalSolver:
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
         self._waves = [[e.waveform for e in graph.groups[group]] for group in "VI"]
-        self._lu = None  # (alpha, linear stamp, its LU factors or None) of the last alpha
-        self.response = np.zeros(0)  # nonlinear columns' i or q at the last residual
+        self._system = None  # `_linear_system`'s slot for the last alpha
+        self._accepted = None  # (x, alpha, Jacobian, model values) of the last accepted iterate
 
     # -- the linear stamp and the nonlinear columns ------------------------
     @functools.cached_property
@@ -94,33 +100,44 @@ class TraditionalSolver:
         return g_lin, c_lin, nl_g, nl_c, models, a_n, np.arange(len(models)) >= len(nl_g)
 
     def _linear_system(self, alpha: float):
-        """Linear stamp J_lin(alpha) (`netlist.mna_stamp` of the linear G, C
-        and L values) and, on a circuit with no nonlinear column, its LU
-        factors (lu, piv, info), else None; kept for one alpha.  The Newton
-        loop reads the stamp alone."""
-        if self._lu is None or self._lu[0] != alpha:
-            g_lin, c_lin, _, _, models, *_ = self._columns
+        """(alpha, J_lin, lu, scale, a_n.T), kept for one alpha: the linear
+        stamp J_lin(alpha) (`netlist.mna_stamp` of the linear G, C and L
+        values); on a circuit with no nonlinear column its LU factors
+        (lu, piv, info), else None; the nonlinear columns' scale (alpha at a C
+        column, 1 at a G column) and their incidence columns transposed.  The
+        Newton loop reads the stamp alone."""
+        if self._system is None or self._system[0] != alpha:
+            g_lin, c_lin, _, _, models, a_n, is_c = self._columns
             jac = mna_stamp(self.inc, alpha, g_lin, c_lin, self.l_values)
-            self._lu = (alpha, jac, None if models else lapack.dgetrf(jac))
-        return self._lu
+            self._system = (alpha, jac, None if models else lapack.dgetrf(jac),
+                            np.where(is_c, alpha, 1.0), a_n.T.copy())
+        return self._system
+
+    def _residual(self, x: np.ndarray, b: np.ndarray, system, values: np.ndarray):
+        """Residual f = J_lin @ x - b plus the nonlinear columns' a i(v) and
+        alpha a q(v), from `_linear_system`'s slot and the model values at x."""
+        _, jac, _, scale, a_n_t = system
+        f = jac.dot(x) - b
+        if values.size:
+            f[:self.nphi] += a_n_t.T.dot(scale * values)
+        return f
 
     def residual_jacobian(self, x: np.ndarray, alpha: float, b: np.ndarray):
-        """Residual f = J_lin @ x - b plus the nonlinear columns' a i(v) and
-        alpha a q(v), and its Jacobian: J_lin itself when every column is
-        linear, else a copy with the nonlinear rank-1 stamps added.  Each
-        nonlinear column's model is evaluated once: (i, di/dv) for G, (q, dq/dv)
-        for C; i and q stay in `self.response` until the next call."""
-        jac = self._linear_system(alpha)[1]
-        f = jac.dot(x) - b
-        *_, models, a_n, is_c = self._columns
+        """(f, Jacobian, model values) at x: the residual (`_residual`); its
+        Jacobian, J_lin itself when every column is linear, else a copy with
+        the nonlinear rank-1 stamps added; and the nonlinear columns' i (G)
+        or q (C) at x, G first.  Each nonlinear column's model is evaluated
+        once: (i, di/dv) for G, (q, dq/dv) for C."""
+        system = self._linear_system(alpha)
+        _, jac, _, scale, a_n_t = system
+        models = self._columns[4]
+        values = _NO_VALUES
         if models:
-            self.response, slope = np.array([em.response_slope(m, v) for m, v in
-                                             zip(models, a_n.T.dot(x[:self.nphi]).tolist())]).T
-            scale = np.where(is_c, alpha, 1.0)
-            f[:self.nphi] += a_n.dot(scale * self.response)
+            values, slope = np.array([em.response_slope(m, v) for m, v in
+                                      zip(models, a_n_t.dot(x[:self.nphi]).tolist())]).T
             jac = jac.copy()
-            jac[:self.nphi, :self.nphi] += (a_n * (scale * slope)) @ a_n.T
-        return f, jac
+            jac[:self.nphi, :self.nphi] += (a_n_t.T * (scale * slope)).dot(a_n_t)
+        return self._residual(x, b, system, values), jac, values
 
     @staticmethod
     def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -136,22 +153,30 @@ class TraditionalSolver:
         """Solve the companion system at time t from x, which it does not modify;
         returns (x, Newton iterations, the nonlinear columns' i and q at x).
         With no nonlinear column the system is J_lin(alpha) x = b: one solve
-        with the kept LU factors, reported as 1 iteration.  A residual that is
-        not finite ends the Newton loop with `SolverError` at once."""
+        with the kept LU factors, reported as 1 iteration.  Else the solver
+        keeps the Jacobian and model values at the x it returns, which the
+        caller must not change in place; a next call with that same array
+        (not a copy) and the same alpha starts from them and evaluates no
+        model.  A residual that is not finite ends the Newton loop with
+        `SolverError` at once."""
         v_src, i_src = ([em.source_value(w, t) for w in waves] for waves in self._waves)
         b = np.concatenate([self.inc.a_c.dot(rhs_c) + self.inc.a_i.dot(i_src), -rhs_l, v_src])
-        *_, models, _, _ = self._columns
-        if not models:
-            lu, piv, info = self._linear_system(alpha)[2]
+        system = self._linear_system(alpha)
+        if system[2] is not None:
+            lu, piv, info = system[2]
             if info != 0:
                 raise SolverError(f"singular MNA system at t={t}")
             x, _ = lapack.dgetrs(lu, piv, b)
             if not np.isfinite(x).all():
                 raise SolverError(f"non-finite solution at t={t}")
-            return x, 1, self.response
+            return x, 1, _NO_VALUES
         tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
-        f, jac = self.residual_jacobian(x, alpha, b)
-        values = self.response
+        kept = self._accepted
+        if kept is not None and kept[0] is x and kept[1] == alpha:
+            jac, values = kept[2:]
+            f = self._residual(x, b, system, values)
+        else:
+            f, jac, values = self.residual_jacobian(x, alpha, b)
         norm = np.maximum.reduce(np.abs(f), initial=0.0)
         for it in range(1, NEWTON_MAX_ITER + 1):
             if norm <= tol:
@@ -162,11 +187,13 @@ class TraditionalSolver:
                     try:
                         delta = self._solve(jac, -f)
                     except np.linalg.LinAlgError:
-                        return x, it - 1, values
-                    x_try = x + delta
-                    f_try, _ = self.residual_jacobian(x_try, alpha, b)
-                    if np.maximum.reduce(np.abs(f_try), initial=0.0) < norm:
-                        x, values = x_try, self.response
+                        pass
+                    else:
+                        x_try = x + delta
+                        f_try, jac_try, values_try = self.residual_jacobian(x_try, alpha, b)
+                        if np.maximum.reduce(np.abs(f_try), initial=0.0) < norm:
+                            x, jac, values = x_try, jac_try, values_try
+                self._accepted = (x, alpha, jac, values)
                 return x, it - 1, values
             if not norm < np.inf:  # NaN or inf: the step is lost
                 raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} is not finite")
@@ -177,14 +204,15 @@ class TraditionalSolver:
             lam = 1.0
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 x_try = x + lam * delta
-                f_try, jac_try = self.residual_jacobian(x_try, alpha, b)
+                f_try, jac_try, values_try = self.residual_jacobian(x_try, alpha, b)
                 norm_try = np.maximum.reduce(np.abs(f_try), initial=0.0)
                 if norm_try < norm or not norm_try < np.inf:
                     break
                 lam *= 0.5
-            x, f, jac, norm, values = x_try, f_try, jac_try, norm_try, self.response
+            x, f, jac, norm, values = x_try, f_try, jac_try, norm_try, values_try
         if not norm <= tol:
             raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
+        self._accepted = (x, alpha, jac, values)
         return x, NEWTON_MAX_ITER, values
 
     @functools.cached_property

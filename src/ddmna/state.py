@@ -194,20 +194,28 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
     trapezoidal rule has alpha = 2/h and rhs = alpha * q_n + qdot_n, so
     qdot = (2/h)(q - q_n) - qdot_n, and it needs the rates at t0: they come
     from one backward-Euler step of h/100 from the initial warm start, which
-    that step does not advance.
+    that step does not advance.  The march carries the reactive vector
+    y = (q_c, psi_l), one gather from each state, so each step takes one
+    right-hand side and one rate update, written into its row of one rate
+    matrix; `rhs_c`/`rhs_l` and the recorded rates are views of the
+    right-hand side and of that row.
 
     `state0` is the consistent state at t0 and `warm` the solver's warm start.
     `step(warm, t, alpha, rhs_c, rhs_l)` solves one step at time t and returns
     (state, next warm start, iterations, converged, per-step record).
     """
     trapezoidal = config.scheme == "trapezoidal"
-    q, psi = state0.q_c, state0.psi_l
-    qdot = psidot = None
+    lay, n_c = state0._lay, graph.count("C")
+    positions = np.arange(lay["size"])
+    reactive = np.concatenate([positions[lay["q_c"]], positions[lay["psi_l"]]])
+    y = state0.x.take(reactive)
+    ydot = np.zeros((config.steps + 1, len(reactive)))  # row k: the rates of step k
     if trapezoidal:
         h_b = config.h / 100.0
         alpha_b = 1.0 / h_b
-        s, *_ = step(warm, config.t0 + h_b, alpha_b, alpha_b * q, alpha_b * psi)
-        qdot, psidot = (s.q_c - q) / h_b, (s.psi_l - psi) / h_b
+        rhs = alpha_b * y
+        s, *_ = step(warm, config.t0 + h_b, alpha_b, rhs[:n_c], rhs[n_c:])
+        ydot[0] = (s.x.take(reactive) - y) / h_b
 
     alpha = 2.0 / config.h if trapezoidal else 1.0 / config.h
     times = config.times()
@@ -215,21 +223,22 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
     iters = np.zeros(config.steps + 1, dtype=int)
     converged = np.ones(config.steps + 1, dtype=bool)
     details: list = [None]
-    rates = [None if qdot is None else (qdot, psidot)]
     for k in range(1, config.steps + 1):
-        rhs_c, rhs_l = alpha * q, alpha * psi
+        rhs = alpha * y
         if trapezoidal:
-            rhs_c, rhs_l = rhs_c + qdot, rhs_l + psidot
-        s, warm, iters[k], converged[k], detail = step(warm, times[k], alpha, rhs_c, rhs_l)
+            rhs += ydot[k - 1]
+        s, warm, iters[k], converged[k], detail = step(warm, times[k], alpha,
+                                                       rhs[:n_c], rhs[n_c:])
         states.append(s)
         details.append(detail)
-        q_new, psi_new = s.q_c, s.psi_l
+        y_new = s.x.take(reactive)
         if trapezoidal:
-            qdot = alpha * (q_new - q) - qdot
-            psidot = alpha * (psi_new - psi) - psidot
+            ydot[k] = alpha * (y_new - y) - ydot[k - 1]
         else:
-            qdot, psidot = (q_new - q) / config.h, (psi_new - psi) / config.h
-        rates.append((qdot, psidot))
-        q, psi = q_new, psi_new
+            ydot[k] = (y_new - y) / config.h
+        y = y_new
+    rates = [(rate[:n_c], rate[n_c:]) for rate in ydot]
+    if not trapezoidal:
+        rates[0] = None
     return TransientTrace(graph=graph, times=times, states=states, iterations=iters,
                           converged=converged, step_details=details, rates=rates)

@@ -185,13 +185,13 @@ def test_split_jacobian_is_the_true_jacobian(alpha):
         x = rng.uniform(-0.3, 0.3, n)
         v_d = a_d @ x[:solver.nphi]
         x[:solver.nphi] += a_d * (rng.uniform(0.45, 0.65) - v_d) / 2.0
-        _, jac = solver.residual_jacobian(x, alpha, b)
+        _, jac, _ = solver.residual_jacobian(x, alpha, b)
         fd = np.empty((n, n))
         for j in range(n):
             dx = np.zeros(n)
             dx[j] = 1e-6 * max(1.0, abs(x[j]))
-            f_hi, _ = solver.residual_jacobian(x + dx, alpha, b)
-            f_lo, _ = solver.residual_jacobian(x - dx, alpha, b)
+            f_hi, _, _ = solver.residual_jacobian(x + dx, alpha, b)
+            f_lo, _, _ = solver.residual_jacobian(x - dx, alpha, b)
             fd[:, j] = (f_hi - f_lo) / (2.0 * dx[j])
         assert jac == pytest.approx(fd, rel=1e-6, abs=0.0)
 
@@ -291,6 +291,108 @@ def test_nonlinear_circuit_takes_no_lu_factorization(monkeypatch):
     cfg = TransientConfig(scheme="trapezoidal", t_end=0.02, steps=100)
     run_transient_traditional(graph, inc, binds, cfg)
     assert calls == []
+
+
+def _states(trace):
+    return np.array([s.x for s in trace.states])
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("net", [RECT_NET, MLCC_NET], ids=["rectifier", "mlcc"])
+def test_step_from_the_accepted_iterate_evaluates_no_model(monkeypatch, net, scheme):
+    # a step started from the iterate that the solver's last step accepted,
+    # at the same alpha, reuses that iterate's Jacobian and model values: it
+    # begins with a solve, and the run makes one residual evaluation fewer
+    # per such step than the same run with every warm start copied
+    graph, inc, binds = _setup(net)
+    cfg = TransientConfig(scheme=scheme, t_end=0.02 if net is RECT_NET else 1.0, steps=50)
+    step, residual_jacobian = TraditionalSolver.step, TraditionalSolver.residual_jacobian
+    solve = TraditionalSolver._solve
+    calls = []
+    copy_warm = False
+
+    def recording_step(self, x, t, alpha, *rhs):
+        calls.append((id(self), alpha))
+        return step(self, x.copy() if copy_warm else x, t, alpha, *rhs)
+
+    def recording_residual_jacobian(self, *args):
+        calls.append("residual_jacobian")
+        return residual_jacobian(self, *args)
+
+    def recording_solve(*args):
+        calls.append("_solve")
+        return solve(*args)
+
+    monkeypatch.setattr(TraditionalSolver, "step", recording_step)
+    monkeypatch.setattr(TraditionalSolver, "residual_jacobian", recording_residual_jacobian)
+    monkeypatch.setattr(TraditionalSolver, "_solve", staticmethod(recording_solve))
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    seen, later = set(), 0
+    for k, call in enumerate(calls):
+        if isinstance(call, tuple):
+            if call in seen:
+                later += 1
+                assert calls[k + 1] == "_solve"
+            seen.add(call)
+    assert later == cfg.steps - 1
+    evaluations = calls.count("residual_jacobian")
+    calls.clear()
+    copy_warm = True
+    copied = run_transient_traditional(graph, inc, binds, cfg)
+    assert calls.count("residual_jacobian") - evaluations == later
+    assert np.array_equal(_states(copied), _states(trace))
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("net", [RECT_NET, MLCC_NET, MIXED_NET],
+                         ids=["rectifier", "mlcc", "mixed"])
+def test_step_from_the_accepted_iterate_equals_a_fresh_start(monkeypatch, net, scheme):
+    # each step started from the accepted iterate is repeated from a copy of
+    # it on a second solver of the same circuit, which evaluates its models
+    graph, inc, binds = _setup(net)
+    cfg = TransientConfig(scheme=scheme, t_end=0.02 if net is RECT_NET else 1e-3, steps=60)
+    step = TraditionalSolver.step
+    last, twins, compared = {}, {}, []
+
+    def comparing_step(self, x, t, alpha, *rhs):
+        out = step(self, x, t, alpha, *rhs)
+        if last.get(id(self), (None,))[0] is x and last[id(self)][1] == alpha:
+            twin = twins.setdefault(id(self), TraditionalSolver(self.graph, self.inc,
+                                                                self.bindings))
+            fresh = step(twin, x.copy(), t, alpha, *rhs)
+            assert out[1] == fresh[1]
+            for got, want in ((out[0], fresh[0]), (out[2], fresh[2])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            compared.append(t)
+        last[id(self)] = (out[0], alpha)
+        return out
+
+    monkeypatch.setattr(TraditionalSolver, "step", comparing_step)
+    run_transient_traditional(graph, inc, binds, cfg)
+    assert len(compared) == cfg.steps - 1
+
+
+def test_accepted_iterate_at_a_new_alpha_is_evaluated(monkeypatch):
+    # the kept Jacobian holds alpha's stamp: from the same iterate at another
+    # alpha, the step evaluates its models and equals a fresh solver's step
+    graph, inc, binds = _setup(MIXED_NET)
+    solver, fresh = (TraditionalSolver(graph, inc, binds) for _ in range(2))
+    n = solver.nphi + solver.n_l + solver.n_v
+    rhs = (np.full(graph.count("C"), 1e-9), np.full(graph.count("L"), 1e-6))
+    x, *_ = solver.step(np.zeros(n), 1e-3, 1e4, *rhs)
+    calls = []
+    residual_jacobian = TraditionalSolver.residual_jacobian
+
+    def recording_residual_jacobian(self, *args):
+        calls.append(self)
+        return residual_jacobian(self, *args)
+
+    monkeypatch.setattr(TraditionalSolver, "residual_jacobian", recording_residual_jacobian)
+    got = solver.step(x, 2e-3, 2e4, *rhs)
+    assert calls[0] is solver
+    want = fresh.step(x.copy(), 2e-3, 2e4, *rhs)
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
 
 
 def _kcl_residual_per_step(inc, trace):
