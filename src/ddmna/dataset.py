@@ -62,14 +62,20 @@ class MeasurementSet:
             raise ValueError("measurement pairs must be finite")
         # Duplicates sit next to each other in a lexicographic order (stable,
         # so each first occurrence leads its run); values compare as numbers,
-        # so -0.0 equals 0.0.
-        order = np.lexsort(self.pairs.T[::-1])
-        a, b = (column.take(order) for column in self.pairs.T)
+        # so -0.0 equals 0.0.  Rows already in that order, as synthesized
+        # sets arrive, are their own stable order: one pass checks it, and
+        # the sort is skipped.
+        a, b = self.pairs.T
+        order = None
+        if not ((a[:-1] < a[1:]) | ((a[:-1] == a[1:]) & (b[:-1] <= b[1:]))).all():
+            order = np.lexsort((b, a))
+            a, b = a.take(order), b.take(order)
         dup = a[1:] == a[:-1]
         dup &= b[1:] == b[:-1]
         if dup.any():
             log.warning("dropping %d duplicate measurement pairs", int(dup.sum()))
-            self.pairs = self.pairs[np.sort(order[np.concatenate([[True], ~dup])])]
+            keep = np.concatenate([[True], ~dup])
+            self.pairs = self.pairs[keep if order is None else np.sort(order[keep])]
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -242,6 +242,36 @@ def test_duplicate_rule_equals_unique_rows(caplog):
                 [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
 
 
+def test_presorted_pairs_skip_the_sort(caplog, monkeypatch):
+    # Rows already in lexicographic order take no sort, and give the sorting
+    # path's result: a shuffled copy of each set takes that path, and both
+    # keep the np.unique(axis=0) rows (first occurrences, signed zeros as
+    # given, in their order) and warn alike.
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 50, 400):
+        pairs = rng.integers(-2, 3, size=(n, 2)) * 0.5
+        pairs[rng.random(pairs.shape) < 0.3] *= -1.0  # signed zeros
+        presorted = pairs[lexsort(pairs.T[::-1])]
+        shuffled = presorted[rng.permutation(n)]
+        kept = []
+        for given, sorted_in in ((presorted, True), (shuffled, False)):
+            _, first = np.unique(given, axis=0, return_index=True)
+            sorts.clear()
+            caplog.clear()
+            ms = MeasurementSet("G", given)
+            assert np.array_equal(ms.pairs.view(np.int64), given[np.sort(first)].view(np.int64))
+            dropped = n - len(first)
+            assert [r.getMessage() for r in caplog.records] == (
+                [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
+            if sorted_in:
+                assert sorts == []
+            kept.append(ms.pairs[lexsort(ms.pairs.T[::-1])])
+        assert np.array_equal(*kept)
+
+
 def test_csv_round_trip(tmp_path):
     ms = generate_measurements(LinearModel("C", 1e-6), SamplingPlan(0.0, 1.0, 11))
     path = tmp_path / "c.csv"

@@ -573,7 +573,7 @@ def test_all_known_projection_is_the_reference_stamp(net):
     n = graph.n - 1 + graph.count("L") + graph.count("V")
     for alpha in (0.0, 1.0, 2.0 / 1e-5, 1.0 / 3e-7):
         m = solver.assemble_projection_matrix(alpha)
-        stamp = trad._linear_system(alpha)[1]
+        stamp = trad._base(alpha)[1]  # [J_lin, E_n S], with E_n empty here
         assert np.array_equal(m[n:, :n].view(np.int64), stamp.view(np.int64))
         assert np.array_equal(m[:n, n:], stamp.T)
         assert not m[:n, :n].any() and not m[n:, n:].any()

@@ -7,7 +7,7 @@ from ddmna import elements as em
 from ddmna import reference
 from ddmna.dataset import bindings_from_graph
 from ddmna.ddsolver import DDConfig, run_transient_dd
-from ddmna.netlist import build_incidence, held_circuit, parse_netlist, sources
+from ddmna.netlist import build_incidence, held_circuit, mna_stamp, parse_netlist, sources
 from ddmna.reference import (
     SolverError,
     TraditionalSolver,
@@ -16,7 +16,7 @@ from ddmna.reference import (
     run_transient_traditional,
 )
 from ddmna.scenarios import SCENARIOS, build_scenario, synthesize_datasets
-from ddmna.state import CircuitState, InitialCondition, TransientConfig
+from ddmna.state import CircuitState, InitialCondition, TransientConfig, march
 
 RC_NET = "V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n"
 MLCC_NET = "V1 1 0 DC 10\nR1 1 2 2e4\nC1 2 0 MODEL mlcc(1e-5,2e-6,1.0)\n"
@@ -34,6 +34,14 @@ MIXED_NET = ("V1 1 0 SIN 0 5 100\n"
              "L1 3 4 1e-3\n"
              "R2 4 0 100\n"
              "I1 0 4 DC 1e-3\n")
+# two diodes in series: node 2 touches only the diodes, so the linear stamp
+# leaves it floating and, with both diodes far in reverse bias, the Jacobian
+# nearly singular
+SERIES_NET = ("V1 1 0 SIN 0 5 100\n"
+              "D1 1 2 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n"
+              "D2 2 3 MODEL shockley(2.52e-9,1.752,0.02585,0.01)\n"
+              "C1 3 0 1e-4\n"
+              "R1 3 0 1e3\n")
 LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(
     f"R{k} {k} {k + 1} 100\nC{k} {k + 1} 0 1e-7\n" for k in range(1, 26))
 
@@ -172,11 +180,13 @@ def test_rectifier_charges_toward_peak():
 
 @pytest.mark.parametrize("alpha", [1.0 / 1e-4, 2.0 / 1e-4], ids=["be", "tr"])
 def test_split_jacobian_is_the_true_jacobian(alpha):
-    # the linear stamp plus the nonlinear rank-1 stamps must be the derivative
-    # of the residual, alpha scaling included.  The diode is held in forward
-    # bias, where its conductance stands well above the difference's rounding.
+    # the linear stamp plus the nonlinear rank-m stamp of the returned slopes
+    # must be the derivative of the residual, alpha scaling included.  The
+    # diode is held in forward bias, where its conductance stands well above
+    # the difference's rounding.
     graph, inc, binds = _setup(MIXED_NET)
     solver = TraditionalSolver(graph, inc, binds)
+    g_lin, c_lin, _, _, _, a_n, is_c, *_ = solver._columns
     a_d = inc.a_g[:, [e.name for e in graph.groups["G"]].index("D1")]
     rng = np.random.default_rng(7)
     n = solver.nphi + solver.n_l + solver.n_v
@@ -185,7 +195,9 @@ def test_split_jacobian_is_the_true_jacobian(alpha):
         x = rng.uniform(-0.3, 0.3, n)
         v_d = a_d @ x[:solver.nphi]
         x[:solver.nphi] += a_d * (rng.uniform(0.45, 0.65) - v_d) / 2.0
-        _, jac, _ = solver.residual_jacobian(x, alpha, b)
+        _, slopes, _ = solver.residual_jacobian(x, alpha, b)
+        jac = mna_stamp(inc, alpha, g_lin, c_lin, solver.l_values)
+        jac[:solver.nphi, :solver.nphi] += (a_n * (np.where(is_c, alpha, 1.0) * slopes)) @ a_n.T
         fd = np.empty((n, n))
         for j in range(n):
             dx = np.zeros(n)
@@ -276,21 +288,107 @@ def test_non_finite_newton_residual_raises_solver_error(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_nonlinear_circuit_takes_no_lu_factorization(monkeypatch):
-    # the Newton loop reads the linear stamp alone; only a circuit with no
-    # nonlinear column solves with its LU factors
+def test_nonlinear_circuit_factors_once_per_step_size(monkeypatch):
+    # the base stamp is LU-factored once per alpha: the held circuit's step
+    # at t0 (a different, larger system), the h/100 bootstrap and the step
+    # alpha; the Newton iterates solve with those factors and factor nothing
     graph, inc, binds = _setup(RECT_NET)
-    calls = []
+    shapes, dgesv = [], []
     dgetrf = reference.lapack.dgetrf
 
-    def counting_dgetrf(*args, **kwargs):
-        calls.append(1)
-        return dgetrf(*args, **kwargs)
+    def counting_dgetrf(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return dgetrf(a, *args, **kwargs)
 
     monkeypatch.setattr(reference.lapack, "dgetrf", counting_dgetrf)
+    monkeypatch.setattr(reference.lapack, "dgesv", lambda *args, **kwargs: dgesv.append(1))
     cfg = TransientConfig(scheme="trapezoidal", t_end=0.02, steps=100)
-    run_transient_traditional(graph, inc, binds, cfg)
-    assert calls == []
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    n = graph.n - 1 + graph.count("L") + graph.count("V")
+    assert shapes.count((n, n)) == 2
+    assert len(shapes) == 3
+    assert dgesv == []
+    assert trace.iterations[1:].sum() > cfg.steps
+
+
+def _dense_newton_run(graph, inc, binds, cfg):
+    """The march with each step solved by damped Newton on the full system:
+    the Jacobian stamped at every iterate and solved densely, halving line
+    search on the max-norm residual, one polish step accepted when it lowers
+    the residual; t0 state from the solver under test."""
+    solver = TraditionalSolver(graph, inc, binds)
+    g_lin, c_lin, _, _, models, a_n, is_c, *_ = solver._columns
+    nphi = solver.nphi
+
+    def newton(x, t, alpha, rhs_c, rhs_l):
+        v_src, i_src = sources(graph, t)
+        b = np.concatenate([inc.a_c @ rhs_c + inc.a_i @ i_src, -rhs_l, v_src])
+        j_lin = mna_stamp(inc, alpha, g_lin, c_lin, solver.l_values)
+        scale = np.where(is_c, alpha, 1.0)
+
+        def evaluate(x):
+            values, slopes = np.array([em.response_slope(m, v) for m, v in
+                                       zip(models, a_n.T @ x[:nphi])]).reshape(-1, 2).T
+            f, jac = j_lin @ x - b, j_lin.copy()
+            f[:nphi] += a_n @ (scale * values)
+            jac[:nphi, :nphi] += (a_n * (scale * slopes)) @ a_n.T
+            return f, jac, values
+
+        tol = 1e-12 * max(1.0, *np.abs(v_src), *np.abs(i_src))
+        f, jac, values = evaluate(x)
+        it = 0
+        while not np.abs(f).max() <= tol:
+            it += 1
+            assert it <= 100
+            delta, lam = np.linalg.solve(jac, -f), 1.0
+            for _ in range(9):
+                f_try, jac_try, values_try = evaluate(x + lam * delta)
+                if np.abs(f_try).max() < np.abs(f).max():
+                    break
+                lam *= 0.5
+            x, f, jac, values = x + lam * delta, f_try, jac_try, values_try
+        x_try = x - np.linalg.solve(jac, f)
+        f_try, _, values_try = evaluate(x_try)
+        if np.abs(f_try).max() < np.abs(f).max():
+            x, values = x_try, values_try
+        return solver.state_from_x(x, values), x, it, True, None
+
+    state0 = solver.initial_state(cfg.t0, *cfg.init.resolve(graph))
+    return march(graph, cfg, state0, np.concatenate([state0.phi, state0.i_l, state0.i_v]),
+                 newton)
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("net, t_end, steps", [
+    (RECT_NET, 0.02, 400), (MLCC_NET, 1e-3, 50), (MIXED_NET, 0.02, 400), (SERIES_NET, 4e-3, 80)],
+    ids=["rectifier", "mlcc", "mixed", "series-diodes"])
+def test_branch_newton_equals_dense_full_system_newton(net, t_end, steps, scheme):
+    # the Newton on the nonlinear columns, with its one LU per step size,
+    # against the same damped Newton on the full system.  The series-diode
+    # window ends at 4 ms: later both diodes sit far in reverse bias, where
+    # node 2 only carries i_s (exp(v1/nvT) - exp(v2/nvT)), so any split of
+    # the reverse voltage meets the tolerance and neither solver pins it.
+    # Its forward half-wave is where a fixed base stamp cannot reach the
+    # tolerance by itself (t = 0.5 ms).
+    graph, inc, binds = _setup(net)
+    cfg = TransientConfig(scheme=scheme, t_end=t_end, steps=steps)
+    got = run_transient_traditional(graph, inc, binds, cfg)
+    want = _dense_newton_run(graph, inc, binds, cfg)
+    assert np.abs(_states(got) - _states(want)).max() <= 1e-11 * np.abs(_states(want)).max()
+    assert kcl_residual(inc, got) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+def test_series_diodes_hold_kcl_in_reverse_bias(scheme):
+    # the full 20 ms: both diodes pass through far reverse bias, where the
+    # Woodbury update on the fixed base stamp cannot resolve node 2
+    graph, inc, binds = _setup(SERIES_NET)
+    cfg = TransientConfig(scheme=scheme, t_end=0.02, steps=400)
+    trace = run_transient_traditional(graph, inc, binds, cfg)
+    assert kcl_residual(inc, trace) <= 1e-10
+    # the full-system Newton takes 636 (backward Euler) and 632 iterations;
+    # a base stamp that leaves node 2 nearly floating takes about 800
+    assert trace.iterations.sum() <= 650
 
 
 def _states(trace):
@@ -301,45 +399,43 @@ def _states(trace):
 @pytest.mark.parametrize("net", [RECT_NET, MLCC_NET], ids=["rectifier", "mlcc"])
 def test_step_from_the_accepted_iterate_evaluates_no_model(monkeypatch, net, scheme):
     # a step started from the iterate that the solver's last step accepted,
-    # at the same alpha, reuses that iterate's Jacobian and model values: it
-    # begins with a solve, and the run makes one residual evaluation fewer
-    # per such step than the same run with every warm start copied
+    # at the same alpha, reuses that iterate's model values and slopes: it
+    # evaluates no model at its warm start, and the run makes one residual
+    # evaluation fewer per such step than the same run with every warm
+    # start copied
     graph, inc, binds = _setup(net)
     cfg = TransientConfig(scheme=scheme, t_end=0.02 if net is RECT_NET else 1.0, steps=50)
     step, residual_jacobian = TraditionalSolver.step, TraditionalSolver.residual_jacobian
-    solve = TraditionalSolver._solve
-    calls = []
+    calls, warm = [], [None]
     copy_warm = False
 
     def recording_step(self, x, t, alpha, *rhs):
         calls.append((id(self), alpha))
-        return step(self, x.copy() if copy_warm else x, t, alpha, *rhs)
+        warm[0] = x.copy() if copy_warm else x
+        return step(self, warm[0], t, alpha, *rhs)
 
-    def recording_residual_jacobian(self, *args):
-        calls.append("residual_jacobian")
-        return residual_jacobian(self, *args)
-
-    def recording_solve(*args):
-        calls.append("_solve")
-        return solve(*args)
+    def recording_residual_jacobian(self, x, *args):
+        calls.append("at the warm start" if x is warm[0] else "residual_jacobian")
+        return residual_jacobian(self, x, *args)
 
     monkeypatch.setattr(TraditionalSolver, "step", recording_step)
     monkeypatch.setattr(TraditionalSolver, "residual_jacobian", recording_residual_jacobian)
-    monkeypatch.setattr(TraditionalSolver, "_solve", staticmethod(recording_solve))
     trace = run_transient_traditional(graph, inc, binds, cfg)
     seen, later = set(), 0
     for k, call in enumerate(calls):
         if isinstance(call, tuple):
             if call in seen:
                 later += 1
-                assert calls[k + 1] == "_solve"
+                rest = calls[k + 1:]
+                end = next((j for j, c in enumerate(rest) if isinstance(c, tuple)), len(rest))
+                assert "at the warm start" not in rest[:end]
             seen.add(call)
     assert later == cfg.steps - 1
-    evaluations = calls.count("residual_jacobian")
+    evaluations = sum(isinstance(call, str) for call in calls)
     calls.clear()
     copy_warm = True
     copied = run_transient_traditional(graph, inc, binds, cfg)
-    assert calls.count("residual_jacobian") - evaluations == later
+    assert sum(isinstance(call, str) for call in calls) - evaluations == later
     assert np.array_equal(_states(copied), _states(trace))
 
 
