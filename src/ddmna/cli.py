@@ -38,14 +38,14 @@ SCHEME_ALIASES = {"be": "backward-euler", "tr": "trapezoidal",
                   "backward-euler": "backward-euler", "trapezoidal": "trapezoidal"}
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """A bad option value, reported by argparse or, from a config file, by `main`."""
 
 
 def _positive_int(text: str) -> int:
     n = int(float(text))
     if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise UsageError("must be >= 1")
     return n
 
 
@@ -53,7 +53,7 @@ def _scheme(text: str) -> str:
     try:
         return SCHEME_ALIASES[text.lower()]
     except KeyError:
-        raise argparse.ArgumentTypeError(
+        raise UsageError(
             f"unknown scheme {text!r} (use be, tr or the full names)") from None
 
 
@@ -157,7 +157,10 @@ def _get(args, attr, default=None, convert=None, required=False):
             raise UsageError(f"missing required option --{attr.replace('_', '-')}")
         return default
     if convert is not None and isinstance(val, str):
-        return convert(val)
+        try:
+            return convert(val)
+        except UsageError as exc:
+            raise UsageError(f"--{attr.replace('_', '-')}: {exc}") from None
     return val
 
 

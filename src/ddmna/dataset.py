@@ -8,17 +8,15 @@ of a distance have power (G) or energy (C, L) units.
 
 `FlatIndex` holds several sets in one flat store: each set's pairs in two
 sorted orders of its coordinates, concatenated with per-set offsets.  Its
-search kernel `nearest` takes one query per set, each under its own weight,
-in one call with no Python loop over the sets, and a hint pair per query
-(any stored pair, such as the last pick) that bounds the search without
-changing the answer.  Its `minimize` finds the pair of one set that
-minimises a 2×2 quadratic, the data solver's block search.
-`NearestNeighborIndex` is one set's view of a flat
-index and answers exact weighted k-nearest queries under any weight, with
-no rebuild.  Every answer agrees with the brute-force scan
-`nearest_measurement`, ties included (the lowest index wins).
-`local_tangent_weight` turns the k nearest pairs around a state into a
-local-slope weight.
+`nearest` is the one search kernel: the exact k nearest pairs for any
+number of queries, each in its own set and under its own weight, in one
+call with no Python loop over the sets and no rebuild for a new weight.
+Every answer agrees with the brute-force scan `nearest_measurement`, ties
+included (the lowest index wins).  Its `minimize` finds the pair of one set
+that minimises a 2×2 quadratic, the data solver's block search.
+`NearestNeighborIndex` is the flat index of one set, with a default weight.
+`local_tangent_weight` turns the k nearest pairs of one set around a state
+into a local-slope weight.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +106,11 @@ class SamplingPlan:
 
 
 def _log_symmetric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Log-spaced grid covering [lo, hi], split per sign, endpoints included."""
+    """Log-spaced grid covering [lo, hi], split per sign, endpoints included:
+    a sign branch of one point is its bound."""
     def one_sided(bound: float, n: int) -> np.ndarray:
+        if n == 1:
+            return np.array([bound])
         top = np.log10(abs(bound))
         return np.sign(bound) * np.logspace(top - LOG_SPAN_DECADES, top, n)
 
@@ -143,7 +144,7 @@ class ElementBinding:
             raise ValueError(f"{self.name}: data binding needs a measurement set")
 
 
-def generate_measurements(model, plan: SamplingPlan, kind: str | None = None) -> MeasurementSet:
+def generate_measurements(model, plan: SamplingPlan) -> MeasurementSet:
     """Evaluate a model exactly on the plan's grid (noise-free pairs)."""
     grid = plan.grid()
     if isinstance(model, em.ShockleyDiodeModel):
@@ -178,10 +179,13 @@ def weighted_pair_distance(p, p_ref, w, kind: str):
     """Half-weighted squared distance between pairs of one element kind.
 
     p and p_ref are pairs or arrays of pairs (last axis), w a weight or one
-    weight per pair; the result broadcasts over the leading axes.
+    weight per pair; the result broadcasts over the leading axes.  Arrays
+    and scalars give bit-identical values.
     """
     iw = _W_COL[kind]
-    return _ab_distances(p[..., iw], p[..., 1 - iw], p_ref[..., iw], p_ref[..., 1 - iw], w)
+    da = p[..., iw] - p_ref[..., iw]
+    db = p[..., 1 - iw] - p_ref[..., 1 - iw]
+    return 0.5 * w * da * da + 0.5 / w * db * db
 
 
 def pair_norm(p, w, kind: str):
@@ -189,16 +193,6 @@ def pair_norm(p, w, kind: str):
     go through pow(), as a scalar's `** 2` does; an array's `** 2` multiplies."""
     iw = _W_COL[kind]
     return 0.5 * w * np.float_power(p[..., iw], 2) + 0.5 / w * np.float_power(p[..., 1 - iw], 2)
-
-
-def _ab_distances(a, b, qa, qb, w: float):
-    """Half-weighted squared distances of pairs (a, b) from (qa, qb).
-
-    a carries the weight.  Arrays and scalars give bit-identical values.
-    """
-    da = a - qa
-    db = b - qb
-    return 0.5 * w * da * da + 0.5 / w * db * db
 
 
 def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarray, int]:
@@ -226,8 +220,8 @@ class FlatIndex:
     `searchsorted` of keys g + 1j * x finds a place in every segment asked
     for, as a `searchsorted` of x in each segment would.
 
-    `nearest` is the search kernel: the exact nearest pair for any number of
-    queries, each in its own set and under its own weight.  `minimize` is
+    `nearest` is the search kernel: the exact k nearest pairs for any number
+    of queries, each in its own set and under its own weight.  `minimize` is
     the exact minimiser of a quadratic over one set.
     """
 
@@ -243,6 +237,8 @@ class FlatIndex:
         self.idx = np.empty(size, np.int32)
         self.key = np.empty(size, np.complex128)
         self._to_b = np.array([[0], [self.n_sets]])  # segment shift: a order to b order
+        self._seeds = {}  # k -> `_seeding(k)`
+        self._ids = np.arange(self.n_sets)
         for g in range(2 * self.n_sets):
             mset = self.msets[g % self.n_sets]
             ia = _W_COL[mset.kind]
@@ -276,48 +272,52 @@ class FlatIndex:
                         np.maximum.reduceat(b, first)])
         return np.append(first, hi - lo) + lo, box, (a[-1] - a[0]) + (b.max() - b.min())
 
-    def nearest(self, seg, q, w, hint=None) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest pair to query j, (a, b) = q[:, j], in set seg[j] under
-        weight w[j], for every j.
+    def _seeding(self, k: int):
+        """Per k: the offsets 0..2k-1 (a column), and each set's last first
+        seed, its a segment's end - 2k."""
+        if k not in self._seeds:
+            self._seeds[k] = np.arange(2 * k)[:, None], self.off[1:self.n_sets + 1] - 2 * k
+        return self._seeds[k]
 
-        `hint` is one position per query, of any pair in either of its set's
-        segments: like the pair below the query in the a order, it only
-        bounds the search.  Returns each pick's index in its set and one of
-        its positions, which reads its a and b from `ab` and can be the next
-        hint.  Ties break to the lowest index, as in `nearest_measurement`.
+    def nearest(self, seg, q, w, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The k nearest pairs to query j, (a, b) = q[:, j], in set seg[j]
+        under weight w[j], for every j (each such set has at least k pairs):
+        two (len(seg), k) arrays, each pick's index in its set and one of its
+        positions, from which `ab` reads its a and b.  Row j lists query j's
+        picks by distance, ties to the lowest index, as in `nearest_measurement`.
         """
-        k = len(seg)
-        # Seeds: the pair below each query in the a order, and the hint.
-        keys = np.empty(k, np.complex128)
+        n = len(seg)
+        seeds, last = self._seeding(k)
+        # Seeds: the 2k pairs around each query's place in its a segment.
+        keys = np.empty(n, np.complex128)
         keys.real, keys.imag = seg, q[0]
-        seeds = [np.maximum(self.key.searchsorted(keys) - 1, self.off[seg])]
-        if hint is not None:
-            seeds.append(hint)
+        begin, last = self.off[seg], last[seg]
+        first = np.maximum(np.minimum(self.key.searchsorted(keys) - k, last), begin)
         # Per query: a, b and the coefficients 0.5 w, 0.5 / w of the two
-        # terms of `_ab_distances`.  With rows a and b at once, every
-        # distance below is bit-identical to `_ab_distances`.
-        qc = np.concatenate([q.ravel(), 0.5 * w, 0.5 / w]).reshape(4, 1, k)
-        d = self.ab.take(np.concatenate(seeds), axis=1).reshape(2, len(seeds), k)
+        # terms of `weighted_pair_distance`.  With rows a and b at once, every
+        # distance below is bit-identical to `weighted_pair_distance`.
+        qc = np.concatenate([q.ravel(), 0.5 * w, 0.5 / w]).reshape(4, 1, n)
+        d = self.ab.take(first + seeds, axis=1, mode="clip")
         d -= qc[:2]
         t = qc[2:] * d
         t *= d
-        # r, the seeds' smallest distance, bounds the nearest one's.  Every
-        # pair within r lies in the slab |a - qa| <= sqrt(2 r / w) of the a
-        # segment and in |b - qb| <= sqrt(2 r w) of the b segment.  A pair at
-        # computed distance <= r may lie a few roundings outside the exact
-        # slab, so each half-width is widened by a few ulps.
-        r2 = 2.0 * np.minimum.reduce(t[0] + t[1])
-        qc = qc.reshape(4, k)
-        q = q.ravel()
-        h = np.sqrt(np.concatenate([r2 / w, r2 * w]))
+        # r, the seeds' k-th smallest distance, bounds the k-th nearest one's
+        # (a set of fewer than 2k pairs has repeated seeds: r = inf ranks it
+        # whole).  Every pair within r lies in the slab |a - qa| <= sqrt(2 r / w)
+        # of the a segment and in |b - qb| <= sqrt(2 r w) of the b segment,
+        # each widened by a few ulps for the rounding of distances and bounds.
+        r = np.sort(t[0] + t[1], axis=0)[k - 1]
+        r[last < begin] = np.inf
+        qc = qc.reshape(4, n)
+        h = np.sqrt(r / qc[2:])
         h += _SLAB_ULPS * (np.abs(q) + h)
         # Both ends of both slabs in one search, each with side "left": just
         # above x, that is side "right" at x.
-        keys = np.empty((2, 2, k), np.complex128)
+        keys = np.empty((2, 2, n), np.complex128)
         keys.real = seg + self._to_b
-        keys.imag[0] = (q - h).reshape(2, k)
-        keys.imag[1] = np.nextafter(q + h, np.inf).reshape(2, k)
-        bounds = self.key.searchsorted(keys.ravel()).reshape(2, 2, k)
+        keys.imag[0] = q - h
+        keys.imag[1] = np.nextafter(q + h, np.inf)
+        bounds = self.key.searchsorted(keys)
         count = bounds[1] - bounds[0]
         # Rank the smaller slab of each query, all slabs as one ragged array.
         lo = np.where(count[1] < count[0], bounds[0, 1], bounds[0, 0])
@@ -333,14 +333,20 @@ class FlatIndex:
         t *= d
         t *= d
         d = t[0] + t[1]
-        # The smallest distance, ties to the lowest index: NumPy takes the
-        # minimum of complex numbers by real part, then imaginary part.
-        cand = self.idx[pos]
-        z = np.empty(len(pos), np.complex128)
-        z.real, z.imag = d, cand
-        best = np.minimum.reduceat(z, start).imag.astype(self.idx.dtype)
-        # A slab holds each pair of its set once: one position per query wins.
-        return best, pos[cand == best.repeat(count)]
+        cand = self.idx.take(pos)
+        # A slab holds at least k pairs, each of its set once: its picks are
+        # its k first in the order by query, distance and index.
+        order = np.lexsort((cand, d, np.arange(n).repeat(count)))
+        order = order[start[:, None] + seeds[:k, 0]]
+        return cand[order], pos[order]
+
+    def nearest_to(self, s: int, pair, k: int, w: float) -> np.ndarray:
+        """Indices of the k nearest pairs of set s (all of them, if it has
+        fewer) to one pair in measurement order, under weight w: `nearest`
+        for one query, nearest first."""
+        mset = self.msets[s]
+        q = np.asarray(pair, dtype=float)[::-1 if _W_COL[mset.kind] else 1].reshape(2, 1)
+        return self.nearest(self._ids[s:s + 1], q, np.array([w]), min(k, len(mset)))[0][0]
 
     def minimize(self, s: int, cur: int, gram, g) -> int:
         """Index of the pair of set s that minimises the quadratic
@@ -405,111 +411,49 @@ def _quadratic(da, db, gram, g):
     return q
 
 
-class NearestNeighborIndex:
-    """Exact weighted k-nearest search in one measurement set, for any weight.
-
-    The index reads its set's two segments of a `FlatIndex`: the pairs
-    sorted by the weight-carrying coordinate a and by the other coordinate
-    b.  A query under weight w first bounds the k-th nearest distance by r:
-    `query` through `FlatIndex.nearest`, `k_nearest` by the k-th smallest
-    distance among the 2k pairs around the query's insertion point in the a
-    order.  Every pair within r lies in a slab of either order, and the
-    smaller slab is ranked.
-    Distances use the expression of `nearest_measurement`, and ties break
-    to the lowest index, so every answer equals the brute-force one.
-
-    `weight` is only the default weight of `query`.
+class NearestNeighborIndex(FlatIndex):
+    """The `FlatIndex` of one measurement set, with a default weight: exact
+    weighted nearest and k-nearest queries under any weight, no rebuild.
     """
 
     def __init__(self, mset: MeasurementSet, weight: float):
-        self._bind(FlatIndex([mset]), 0, weight)
-
-    @classmethod
-    def view(cls, flat: FlatIndex, seg: int, weight: float) -> "NearestNeighborIndex":
-        """The index of set `seg` of `flat`, reading its arrays."""
-        index = object.__new__(cls)
-        index._bind(flat, seg, weight)
-        return index
-
-    def _bind(self, flat: FlatIndex, seg: int, weight: float) -> None:
-        self.mset = flat.msets[seg]
+        super().__init__([mset])
+        self.mset = mset
         self.weight = float(weight)
-        self._flat = flat
-        self._seg = np.array([seg])
-        self._ia = _W_COL[self.mset.kind]
-        lo, hi = flat.off[seg], flat.off[seg + 1]
-        lo_b, hi_b = flat.off[flat.n_sets + seg], flat.off[flat.n_sets + seg + 1]
-        # Per order: index in the set, a and b.
-        self._idx_a, (self._a_a, self._b_a) = flat.idx[lo:hi], flat.ab[:, lo:hi]
-        self._idx_b, (self._a_b, self._b_b) = flat.idx[lo_b:hi_b], flat.ab[:, lo_b:hi_b]
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
-        """Nearest stored pair under weight w (default: the index weight)."""
-        w = self.weight if w is None else w
-        q = np.array([[pair[self._ia]], [pair[1 - self._ia]]], dtype=float)
-        idx, _ = self._flat.nearest(self._seg, q, np.array([w], dtype=float))
-        idx = int(idx[0])
+        """Nearest stored pair and its index under weight w (default: the index weight)."""
+        idx = int(self.nearest_to(0, pair, 1, self.weight if w is None else w)[0])
         return self.mset.pairs[idx].copy(), idx
 
     def k_nearest(self, pair, k: int, w: float | None = None) -> np.ndarray:
-        """Indices of the k nearest pairs under weight w, sorted ascending.
-
-        Ties at the k-th distance take the lowest indices.
-        """
-        w = self.weight if w is None else w
-        k = min(k, len(self.mset))
-        qa, qb = float(pair[self._ia]), float(pair[1 - self._ia])
-        # Seed: the 2k pairs around the query's insertion point in the a order.
-        a_a, b_a = self._a_a, self._b_a
-        n = len(a_a)
-        lo = max(0, min(int(a_a.searchsorted(qa)) - k, n - 2 * k))
-        hi = min(n, lo + 2 * k)
-        d = _ab_distances(a_a[lo:hi], b_a[lo:hi], qa, qb, w)
-        r = float(np.partition(d, k - 1)[k - 1])
-        cand, a, b = self._slab(qa, qb, r, w)
-        d = _ab_distances(a, b, qa, qb, w)
-        near = d <= np.partition(d, k - 1)[k - 1]
-        cand, d = cand[near], d[near]
-        return np.sort(cand[np.lexsort((cand, d))[:k]])
-
-    def _slab(self, qa: float, qb: float, r: float, w: float):
-        """(indices, a, b) of the smaller slab, as in `FlatIndex.nearest`,
-        that holds every pair within r of one query."""
-        ha = math.sqrt(2.0 * r / w)
-        hb = math.sqrt(2.0 * r * w)
-        ha += _SLAB_ULPS * (abs(qa) + ha)
-        hb += _SLAB_ULPS * (abs(qb) + hb)
-        lo_a = self._a_a.searchsorted(qa - ha, side="left")
-        hi_a = self._a_a.searchsorted(qa + ha, side="right")
-        lo_b = self._b_b.searchsorted(qb - hb, side="left")
-        hi_b = self._b_b.searchsorted(qb + hb, side="right")
-        if hi_a - lo_a <= hi_b - lo_b:
-            return self._idx_a[lo_a:hi_a], self._a_a[lo_a:hi_a], self._b_a[lo_a:hi_a]
-        return self._idx_b[lo_b:hi_b], self._a_b[lo_b:hi_b], self._b_b[lo_b:hi_b]
+        """Indices of the k nearest pairs under weight w, sorted ascending;
+        ties at the k-th distance take the lowest indices."""
+        return np.sort(self.nearest_to(0, pair, k, self.weight if w is None else w))
 
 
-def local_tangent_weight(index: NearestNeighborIndex, state_pair, k: int,
+def local_tangent_weight(flat: FlatIndex, s: int, state_pair, k: int,
                          current: float, w_min: float, w_max: float) -> float:
-    """Absolute least-squares slope through the k nearest pairs around a state.
+    """Absolute least-squares slope through the k nearest pairs of set s of
+    `flat` around a state.
 
     The neighbours are found under the current weight and fitted in ascending
     index order.  The slope is response over drive (di/dv for G, dq/dv for C,
     dpsi/di for L), clamped to [w_min, w_max].  A degenerate neighborhood (no
     spread in the drive coordinate) keeps the current weight.
     """
-    mset = index.mset
+    mset = flat.msets[s]
     if len(mset) < 2 or k < 2:
         raise ValueError("local tangent needs at least two pairs and k >= 2")
-    neighbors = mset.pairs[index.k_nearest(state_pair, k, current)]
+    neighbors = mset.pairs[np.sort(flat.nearest_to(s, state_pair, k, current))]
     ia = _W_COL[mset.kind]
-    a = neighbors[:, ia]
-    b = neighbors[:, 1 - ia]
-    a_c = a - a.mean()
+    a, b = neighbors[:, ia], neighbors[:, 1 - ia]
+    a_c = a - a.sum() / len(a)  # the mean, without np.mean's call overhead
     var = float(a_c @ a_c)
     if var <= 0.0:
         log.warning("degenerate local-tangent neighborhood; keeping previous weight")
         return current
-    slope = abs(float(a_c @ (b - b.mean())) / var)
+    slope = abs(float(a_c @ (b - b.sum() / len(b))) / var)
     return min(max(slope, w_min), w_max)
 
 

@@ -7,7 +7,7 @@ then moves the data picks.  The iteration is a fixed point monitored through
 the energy mismatch, the weighted squared distance between the two states.
 The weights are one vector in the order of the state's pair block, so the
 mismatch is one array expression over that block.  Every data element's set
-is one set of a `dataset.FlatIndex`.
+is one set of a `dataset.FlatIndex`, searched by the data half-step and the tangent rule.
 
 Elements with a known model are not matched to data.  Each one is a
 constraint only: it enters the Kirchhoff set as its tangent line
@@ -58,7 +58,6 @@ from . import elements as em
 from .dataset import (
     ElementBinding,
     FlatIndex,
-    NearestNeighborIndex,
     checked_weight,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
@@ -345,12 +344,8 @@ class DDSolver:
                 self._nonlinear.append((row, tangent))
         # One flat index over every data set, set s for the s-th data row.
         self.flat = FlatIndex([mset for _, mset in data])
-        self.nn: dict[int, NearestNeighborIndex] = {  # pair-block row -> index
-            row: NearestNeighborIndex.view(self.flat, s, self.weights[row])
-            for s, (row, _) in enumerate(data)}
-        self._data_rows = np.array(list(self.nn), dtype=np.intp)
+        self._data_rows = np.array([row for row, _ in data], dtype=np.intp)
         self._data_sets = np.arange(len(data))
-        self._hint = None  # positions of the last nearest picks, which seed the next search
         self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
@@ -363,12 +358,10 @@ class DDSolver:
 
     # ------------------------------------------------------------------
     def set_weight(self, name: str, value: float) -> None:
-        """Override one element's metric coefficient (and its index's default)."""
+        """Override one element's metric coefficient and its reference weight."""
         w = checked_weight(value)
         row = self.names.index(name)
         self.weights[row] = self.w_ref[row] = w
-        if row in self.nn:
-            self.nn[row].weight = w
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
@@ -454,11 +447,11 @@ class DDSolver:
         """Independent per-element projection onto data / known models.
 
         Data elements take their nearest measured pair, all of them in one
-        search of the flat index, seeded by the last selection.  Known linear
-        elements keep the Kirchhoff state's pair, which lies on their line;
-        known nonlinear ones take the model point at the Kirchhoff state's
-        drive coordinate and are re-linearised there.  The selection is the
-        data indices, then the known-nonlinear pairs in element order.
+        search of the flat index.  Known linear elements keep the Kirchhoff
+        state's pair, which lies on their line; known nonlinear ones take the
+        model point at the Kirchhoff state's drive coordinate and are
+        re-linearised there.  The selection is the data indices, then the
+        known-nonlinear pairs in element order.
         """
         zx, known = self._move_known(zo)
         idx = self._pick_data(zx.pairs())
@@ -477,13 +470,11 @@ class DDSolver:
 
     def _pick_data(self, p: np.ndarray) -> np.ndarray:
         """Move every data element's pair in the pair block p to its nearest
-        measured pair, in one search seeded by the last picks; returns the
-        picks' indices in their sets."""
+        measured pair, in one search; returns the picks' indices in their sets."""
         p, ab = p.reshape(-1), self._data_ab
-        idx, self._hint = self.flat.nearest(self._data_sets, p[ab],
-                                            self.weights[self._data_rows], self._hint)
-        p[ab] = self.flat.ab.take(self._hint, axis=1)
-        return idx
+        idx, pos = self.flat.nearest(self._data_sets, p[ab], self.weights[self._data_rows])
+        p[ab] = self.flat.ab.take(pos[:, 0], axis=1)
+        return idx[:, 0]
 
     def energy_mismatch(self, zo: CircuitState, zx: CircuitState,
                         alpha: float = 1.0) -> float:
@@ -511,9 +502,9 @@ class DDSolver:
 
     def _update_tangent_weights(self, zx: CircuitState) -> None:
         p, w, ref = zx.pairs(), self.weights.tolist(), self.w_ref.tolist()
-        for row, index in self.nn.items():
+        for s, row in enumerate(self._data_rows.tolist()):
             self.weights[row] = local_tangent_weight(
-                index, p[row], TANGENT_K, w[row],
+                self.flat, s, p[row], TANGENT_K, w[row],
                 w_min=W_MIN_FACTOR * ref[row], w_max=W_MAX_FACTOR * ref[row])
 
     # ------------------------------------------------------------------
@@ -694,8 +685,8 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     Returns (best K-feasible state, best index tuple, global minimum
     mismatch).
     """
-    dd_elems = list(solver.nn.items())
-    sizes = [len(index.mset) for _, index in dd_elems]
+    dd_elems = list(zip(solver._data_rows.tolist(), solver.flat.msets))
+    sizes = [len(mset) for _, mset in dd_elems]
     n_tuples = int(np.prod(sizes)) if sizes else 1
     if n_tuples > cap:
         raise DDSolverError(f"brute force cap exceeded: {n_tuples} > {cap}")
@@ -703,14 +694,14 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     best = None
     for combo in itertools.product(*(range(s) for s in sizes)):
         zx = CircuitState.zeros(solver.graph)
-        for (row, index), idx in zip(dd_elems, combo):
-            zx.pairs()[row] = index.mset.pairs[idx]
+        for (row, mset), idx in zip(dd_elems, combo):
+            zx.pairs()[row] = mset.pairs[idx]
         last = None  # the known-nonlinear pairs of the last pass
         for _ in range(200 if solver._nonlinear else 1):
             zo = solver.project_to_kirchhoff(zx, alpha, rhs_c, rhs_l, v_src, i_src)
             zx, pairs = solver._move_known(zo)
-            for (row, index), idx in zip(dd_elems, combo):
-                zx.pairs()[row] = index.mset.pairs[idx]  # tuple stays frozen
+            for (row, mset), idx in zip(dd_elems, combo):
+                zx.pairs()[row] = mset.pairs[idx]  # tuple stays frozen
             if _settled(pairs, last):
                 break
             last = pairs

@@ -237,6 +237,27 @@ def test_config_flag_overrides_file(tmp_path):
     assert len(_read_csv(out / "trace.csv")) == 11
 
 
+@pytest.mark.parametrize("entry, option", [("steps = 0", "--steps"),
+                                           ("scheme = xx", "--scheme")])
+def test_run_bad_config_value_exits_2(tmp_path, capsys, entry, option):
+    net = _write_rc(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nnetlist = {net}\n{entry}\nout = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), "run"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option}: ")
+
+
+def test_experiment_bad_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nscenario = rc-linear\nn = 10\nworkers = 0\n"
+                   f"out = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), "experiment"]) == 2
+    assert capsys.readouterr().err.startswith("error: --workers: ")
+    assert main(["experiment", "rc-linear", "--n", "10", "--schemes", "be,xx",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown scheme 'xx'")
+
+
 def test_version_command(capsys):
     assert main(["version"]) == 0
     out = capsys.readouterr().out.strip()

@@ -3,6 +3,7 @@ import pytest
 
 from ddmna.dataset import (
     ElementBinding,
+    FlatIndex,
     MeasurementSet,
     NearestNeighborIndex,
     SamplingPlan,
@@ -38,6 +39,24 @@ def test_generate_linear_three_points():
 def test_generate_single_point_is_midpoint():
     ms = generate_measurements(LinearModel("G", 2.0), SamplingPlan(0.0, 2.0, 1))
     assert np.allclose(ms.pairs, [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 2.0), (-3e-9, 5e-3), (0.0, 2.0), (-0.7, 0.0)])
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+def test_log_symmetric_grid_keeps_its_endpoints(lo, hi, count):
+    grid = SamplingPlan(lo, hi, count, spacing="log-symmetric").grid()
+    assert len(grid) == count
+    assert np.all(np.diff(grid) > 0.0)
+    assert grid[0] == pytest.approx(lo, rel=1e-15) and grid[-1] == pytest.approx(hi, rel=1e-15)
+    # a zero bound is its own point, and a sign branch of one point is its bound
+    n_neg = count // 2 if lo < 0.0 < hi else (count - 1 if hi == 0.0 else 0)
+    n_pos = count - n_neg - (lo == 0.0 or hi == 0.0)
+    if lo == 0.0 or hi == 0.0:
+        assert 0.0 in grid
+    if n_neg == 1:
+        assert grid[0] == lo
+    if n_pos == 1:
+        assert grid[-1] == hi
 
 
 def test_generate_diode_log_symmetric_consistency():
@@ -166,7 +185,7 @@ def test_local_tangent_exact_on_linear_data():
     a = np.linspace(-1, 1, 30)
     ms = MeasurementSet("G", np.column_stack([a, 3.0 * a]))
     for k in (2, 4, 10):
-        w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.2, 0.6]), k,
+        w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), 0, np.array([0.2, 0.6]), k,
                                  1.0, w_min=1e-12, w_max=1e12)
         assert w == pytest.approx(3.0)
 
@@ -175,7 +194,7 @@ def test_local_tangent_near_mlcc_origin():
     mlcc = MlccCapacitorModel(10e-6, 2e-6, 1.0)
     v = np.linspace(-0.05, 0.05, 101)
     ms = MeasurementSet("C", np.column_stack([v, mlcc_charge(mlcc, v)]))
-    w = local_tangent_weight(NearestNeighborIndex(ms, 5e-6), np.array([0.0, 0.0]), 10,
+    w = local_tangent_weight(NearestNeighborIndex(ms, 5e-6), 0, np.array([0.0, 0.0]), 10,
                              5e-6, w_min=1e-12, w_max=1.0)
     assert mlcc.cinf <= w <= mlcc.c0
     assert w == pytest.approx(mlcc.c0, rel=1e-2)
@@ -184,7 +203,7 @@ def test_local_tangent_near_mlcc_origin():
 def test_local_tangent_clamps():
     a = np.linspace(-1, 1, 20)
     ms = MeasurementSet("G", np.column_stack([a, 1e-30 * a]))
-    w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), np.array([0.0, 0.0]), 5,
+    w = local_tangent_weight(NearestNeighborIndex(ms, 1.0), 0, np.array([0.0, 0.0]), 5,
                              1.0, w_min=1e-9, w_max=1e9)
     assert w == 1e-9
 
@@ -192,9 +211,31 @@ def test_local_tangent_clamps():
 def test_local_tangent_degenerate_keeps_previous():
     ms = MeasurementSet("G", np.array([[1.0, 0.0], [1.0, 2.0], [1.0, -1.0]]))
     prev = 0.7
-    w = local_tangent_weight(NearestNeighborIndex(ms, prev), np.array([1.0, 0.5]), 3,
+    w = local_tangent_weight(NearestNeighborIndex(ms, prev), 0, np.array([1.0, 0.5]), 3,
                              prev, w_min=1e-9, w_max=1e9)
     assert w == prev
+
+
+def test_local_tangent_on_a_multi_set_index_equals_one_set_index():
+    # Sets of each kind and of sizes from below 2k to many times k in one
+    # flat index: the weight of set s > 0 is the one-set index's, bit for bit.
+    rng = np.random.default_rng(3)
+    mlcc = MlccCapacitorModel(10e-6, 2e-6, 1.0)
+    v = np.linspace(-0.05, 0.05, 101)
+    i = np.geomspace(1e-9, 1e-1, 300)
+    sets = [MeasurementSet("G", rng.normal(size=(40, 2))),
+            MeasurementSet("C", np.column_stack([v, mlcc_charge(mlcc, v)])),
+            MeasurementSet("G", np.column_stack([composite_diode_voltage(DIODE_RD, i), i])),
+            MeasurementSet("L", np.column_stack([1e-3 * v, v]) + 1e-6 * rng.normal(size=(101, 2))),
+            MeasurementSet("G", rng.normal(size=(15, 2)))]
+    flat = FlatIndex(sets)
+    for s, ms in enumerate(sets):
+        for pair in ms.pairs[rng.integers(0, len(ms), size=5)] * 1.01:
+            for k in (2, 10, 20):
+                for current in (1e-3, 1.0, 1e3):
+                    args = (pair, k, current, 1e-12, 1e12)
+                    assert local_tangent_weight(flat, s, *args) \
+                        == local_tangent_weight(NearestNeighborIndex(ms, 1.0), 0, *args)
 
 
 def test_operating_envelope_constant_trace():

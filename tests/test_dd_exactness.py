@@ -113,7 +113,7 @@ def _cosine(solver, r: CircuitState, d: CircuitState, alpha) -> float:
     of copies whose known pairs are zeroed, by polarisation, with d rescaled
     to the norm of r first.
     """
-    known = [row for row in range(len(solver.names)) if row not in solver.nn]
+    known = [row for row in range(len(solver.names)) if row not in solver._data_rows]
     r, d = r.copy(), d.copy()
     r.pairs()[known] = d.pairs()[known] = 0.0
     zero = CircuitState.zeros(solver.graph)
@@ -284,8 +284,8 @@ def test_one_data_element_steps_reach_the_global_minimum(name, n, monkeypatch):
 def _tuple_mismatch(solver, combo, args):
     """The mismatch brute force gives the data tuple combo (linear known elements)."""
     zx = CircuitState.zeros(solver.graph)
-    for (row, index), idx in zip(solver.nn.items(), combo):
-        zx.pairs()[row] = index.mset.pairs[idx]
+    for row, mset, idx in zip(solver._data_rows, solver.flat.msets, combo):
+        zx.pairs()[row] = mset.pairs[idx]
     return solver.energy_mismatch(solver.project_to_kirchhoff(zx, *args), zx, args[0])
 
 
@@ -297,8 +297,8 @@ def test_rc_linear_steps_end_at_a_coordinate_wise_minimum():
     def inspect(solver, trace, args):
         sel = trace.selected_indices[-1]
         at = _tuple_mismatch(solver, sel, args)
-        for e, (_, index) in enumerate(solver.nn.items()):
-            for j in range(len(index.mset)):
+        for e, mset in enumerate(solver.flat.msets):
+            for j in range(len(mset)):
                 other = sel[:e] + (j,) + sel[e + 1:]
                 worst.append((_tuple_mismatch(solver, other, args) - at) / at)
         checked[0] += 1

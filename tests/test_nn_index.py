@@ -55,9 +55,13 @@ def indexed_queries(draw):
     return index, queries, w0 * ratio
 
 
+KS = (1, 2, 10)  # k of the flat index's k-nearest queries
+
+
 def brute_k_nearest(mset, q, k, w):
+    """Indices of the k nearest pairs by distance, ties to the lowest index."""
     d = weighted_pair_distance(mset.pairs, q, w, mset.kind)
-    return np.sort(np.lexsort((np.arange(len(d)), d))[:k])
+    return np.lexsort((np.arange(len(d)), d))[:k]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -70,49 +74,48 @@ def test_index_equals_brute_force(case, k):
         assert idx == expected
         assert np.array_equal(p, index.mset.pairs[expected])
         nearest = index.k_nearest(q, k, w=w)
-        assert np.array_equal(nearest, brute_k_nearest(index.mset, q, k, w))
+        assert np.array_equal(nearest, np.sort(brute_k_nearest(index.mset, q, k, w)))
         if w == index.weight:
             assert index.query(q)[1] == idx
-
-
-def position(flat, g, i):
-    """Position of pair i of its set in segment g of a flat index."""
-    lo = flat.off[g]
-    return lo + int(np.flatnonzero(flat.idx[lo:flat.off[g + 1]] == i)[0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_flat_index_equals_per_set_brute_force(data):
-    # Several sets of mixed sizes and kinds in one flat index; any number of
-    # queries, each in any set under its own weight, answered in one call.
+    # Several sets of mixed sizes and kinds in one flat index, and sets cut
+    # from the largest one: for each k, one of exactly k pairs and one of
+    # 2k - 1.  Any number of queries, each in any set under its own weight,
+    # and one more query in every cut set; for each k, one call answers
+    # every query whose set has at least k pairs.
     draw = data.draw
     sets = draw(st.lists(lattice_sets(max_size=60), min_size=1, max_size=6))
+    largest, scale = max(sets, key=lambda item: len(item[0]))
+    sizes = sorted({size for k in KS for size in (k, 2 * k - 1) if size <= len(largest)})
+    cut = list(range(len(sets), len(sets) + len(sizes)))
+    sets += [(MeasurementSet(largest.kind, largest.pairs[:size]), scale) for size in sizes]
     flat = FlatIndex([mset for mset, _ in sets])
-    seg = np.array(draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=10)))
-    msets = [sets[s][0] for s in seg]
-    queries = [half_lattice(draw, sets[s][1]) for s in seg]
+    seg = draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=10))
+    queries = [half_lattice(draw, sets[s][1]) for s in seg] + [half_lattice(draw, scale)] * len(cut)
     # powers of two keep lattice ties exact; other weights keep symmetric ones
-    w = np.array([draw(st.one_of(st.integers(-20, 20).map(lambda e: 2.0 ** e),
-                                 st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)))
-                  for _ in seg])
+    weights = st.one_of(st.integers(-20, 20).map(lambda e: 2.0 ** e),
+                        st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+    w = np.array([draw(weights) for _ in seg] + [draw(weights)] * len(cut))
+    seg = np.array(seg + cut)
+    msets = [sets[s][0] for s in seg]
     ia = np.array([1 if m.kind == "L" else 0 for m in msets])
     rows = np.arange(len(seg))
     q = np.array(queries)
     q = np.array([q[rows, ia], q[rows, 1 - ia]])
-    expected = [nearest_measurement(m, p, wj)[1] for m, p, wj in zip(msets, queries, w)]
-    # The hint never changes the answer: none, arbitrary pairs, the farthest pairs.
-    arbitrary = [draw(st.integers(0, len(m) - 1)) for m in msets]
-    farthest = [int(np.argmax(weighted_pair_distance(m.pairs, p, wj, m.kind)))
-                for m, p, wj in zip(msets, queries, w)]
-    # as positions in the a segments and in the b segments
-    arbitrary = [position(flat, s, i) for s, i in zip(seg, arbitrary)]
-    farthest = [position(flat, s + len(sets), i) for s, i in zip(seg, farthest)]
-    for hint in (None, np.array(arbitrary), np.array(farthest)):
-        idx, pos = flat.nearest(seg, q, w, hint)
-        assert idx.tolist() == expected
-        picked = np.array([m.pairs[i] for m, i in zip(msets, expected)])
-        assert np.array_equal(flat.ab[:, pos], [picked[rows, ia], picked[rows, 1 - ia]])
+    for k in KS:
+        ask = np.array([j for j in rows if len(msets[j]) >= k], dtype=int)
+        if not ask.size:
+            continue
+        idx, pos = flat.nearest(seg[ask], q[:, ask], w[ask], k)
+        for j, picks, at in zip(ask, idx, pos):
+            # by distance, ties to the lowest index, read at the positions
+            assert picks.tolist() == brute_k_nearest(msets[j], queries[j], k, w[j]).tolist()
+            picked = msets[j].pairs[picks]
+            assert np.array_equal(flat.ab[:, at], [picked[:, ia[j]], picked[:, 1 - ia[j]]])
 
 
 def _curve_or_cloud(rng, n, shape):
