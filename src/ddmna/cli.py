@@ -43,10 +43,12 @@ class UsageError(argparse.ArgumentTypeError, ValueError):
 
 
 def _positive_int(text: str) -> int:
-    n = int(float(text))
-    if n < 1:
+    x = float(text)
+    if not x.is_integer():  # nor for inf and nan
+        raise UsageError(f"must be an integer, got {text!r}")
+    if x < 1:
         raise UsageError("must be >= 1")
-    return n
+    return int(x)
 
 
 def _scheme(text: str) -> str:
@@ -62,8 +64,8 @@ def _parse_range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"range must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
-    if not hi >= lo:
-        raise UsageError(f"range must satisfy lo <= hi, got {text!r}")
+    if not -np.inf < lo <= hi < np.inf:
+        raise UsageError(f"range must satisfy -inf < lo <= hi < inf, got {text!r}")
     return lo, hi
 
 
@@ -75,7 +77,7 @@ def _parse_n_list(text: str) -> list[int]:
             raise UsageError("N values must be >= 1")
         k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
         return [10 ** k for k in range(k0, k1 + 1)]
-    return [int(float(tok)) for tok in text.split(",") if tok.strip()]
+    return [_positive_int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,13 +279,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 def cmd_experiment(args: argparse.Namespace) -> int:
     scenario = _get(args, "scenario", required=True)
-    n_text = _get(args, "n", required=True)
     spec = ExperimentSpec(
         scenario=scenario,
-        n_values=_parse_n_list(n_text),
+        n_values=_get(args, "n", required=True, convert=_parse_n_list),
         schemes=[_scheme(s) for s in _get(args, "schemes", "").split(",") if s.strip()],
-        steps_values=[_positive_int(s) for s in _get(args, "steps", "").split(",")
-                      if s.strip()],
+        steps_values=_get(args, "steps", [], convert=lambda text: [
+            _positive_int(s) for s in text.split(",") if s.strip()]),
     )
     out_dir = _get(args, "out", f"out-{scenario}")
     workers = _get(args, "workers", 1, convert=_positive_int)

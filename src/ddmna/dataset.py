@@ -6,14 +6,13 @@ multiplies the voltage coordinate for G and C and the current coordinate for
 L; the complementary coordinate carries the reciprocal weight, so both terms
 of a distance have power (G) or energy (C, L) units.
 
-`FlatIndex` holds several sets in one flat store: each set's pairs in two
-sorted orders of its coordinates, concatenated with per-set offsets.  Its
-`nearest` is the one search kernel: the exact k nearest pairs for any
-number of queries, each in its own set and under its own weight, in one
-call with no Python loop over the sets and no rebuild for a new weight.
-Every answer agrees with the brute-force scan `nearest_measurement`, ties
-included (the lowest index wins).  Its `minimize` finds the pair of one set
-that minimises a 2×2 quadratic, the data solver's block search.
+`FlatIndex` holds several sets in one flat store, each set once, sorted by
+its weight-carrying coordinate, with per-set offsets.  Its `minimize` is the
+one search kernel: the exact k pairs of one set of least value of a 2×2
+quadratic, ties to the lowest index, the data solver's block search.  Its
+`nearest`, the k nearest pairs to one query under any weight with no
+rebuild, is the case of the weighted distance, and agrees with the
+brute-force scan `nearest_measurement`, ties included.
 `NearestNeighborIndex` is the flat index of one set, with a default weight.
 `local_tangent_weight` turns the k nearest pairs of one set around a state
 into a local-slope weight.
@@ -201,214 +200,153 @@ def nearest_measurement(mset: MeasurementSet, query, w: float) -> tuple[np.ndarr
     return mset.pairs[idx].copy(), idx
 
 
-# A slab half-width h around coordinate q grows by this fraction of |q| + h,
-# which covers the rounding of a computed distance and of the bounds q -/+ h.
-_SLAB_ULPS = 8.0 * np.finfo(float).eps
 # Sets larger than this are searched by chunks in `FlatIndex.minimize`.
 _SCAN_ALL = 4096
+# A chunk's lower bound of q gives way by this fraction of the magnitudes of
+# q's terms over the chunk, which covers the rounding of q and of the bound.
+_BOUND_ULPS = 64.0 * np.finfo(float).eps
 
 
 class FlatIndex:
-    """Every pair of several measurement sets in two sorted orders, in flat arrays.
-
-    With S sets, segment s holds set s sorted by its weight-carrying
-    coordinate a, and segment S + s the same set sorted by its other
-    coordinate b (stable sorts).  Segment g occupies positions
-    off[g]:off[g + 1] of `ab` (rows a and b), `idx` (index in the set) and
-    `key` (g + 1j * the sort coordinate).  NumPy orders complex numbers by
-    real part, then imaginary part, so `key` is sorted, and one
-    `searchsorted` of keys g + 1j * x finds a place in every segment asked
-    for, as a `searchsorted` of x in each segment would.
-
-    `nearest` is the search kernel: the exact k nearest pairs for any number
-    of queries, each in its own set and under its own weight.  `minimize` is
-    the exact minimiser of a quadratic over one set.
+    """Every pair of several measurement sets, each set sorted by its
+    weight-carrying coordinate a, in flat arrays: set s occupies positions
+    off[s]:off[s + 1] of `ab` (rows a and b) and `idx` (index in the set).
+    `minimize` is the search kernel, and `nearest` its case of the weighted
+    distance.
     """
 
     def __init__(self, msets):
         self.msets = list(msets)
-        self.n_sets = len(self.msets)
-        sizes = [len(m) for m in self.msets]
-        self.off = np.cumsum([0] + sizes + sizes)
-        size = int(self.off[-1])
+        self.off = np.cumsum([0] + [len(m) for m in self.msets])
         # Indices in 32 bits: the store is built for every solver, and
         # its size is part of the program's peak memory.
-        self.ab = np.empty((2, size))
-        self.idx = np.empty(size, np.int32)
-        self.key = np.empty(size, np.complex128)
-        self._to_b = np.array([[0], [self.n_sets]])  # segment shift: a order to b order
-        self._seeds = {}  # k -> `_seeding(k)`
-        self._ids = np.arange(self.n_sets)
-        for g in range(2 * self.n_sets):
-            mset = self.msets[g % self.n_sets]
-            ia = _W_COL[mset.kind]
-            by_b = g >= self.n_sets
-            lo, hi = self.off[g], self.off[g + 1]
-            a, b = mset.pairs[:, ia], mset.pairs[:, 1 - ia]
-            order = np.argsort(b if by_b else a, kind="stable")
-            self.idx[lo:hi] = order
-            self.ab[0, lo:hi] = a[order]
-            self.ab[1, lo:hi] = b[order]
-            self.key.real[lo:hi] = g
-            self.key.imag[lo:hi] = self.ab[int(by_b), lo:hi]
-            del order  # before the next argsort: the build's peak memory counts
+        self.ab = np.empty((2, self.off[-1]))
+        self.idx = np.empty(self.off[-1], np.int32)
         # Per set: its coordinates a and b in index order (views of its
-        # pairs), and for a large set the chunk boxes of `minimize`.
+        # pairs), and for a large set the chunks of about sqrt(N) positions
+        # of its stretch: their starts (and its end) and their bounding
+        # boxes (rows: a low, b low, a high, b high).
         self.cols = [(m.pairs[:, _W_COL[m.kind]], m.pairs[:, 1 - _W_COL[m.kind]])
-                      for m in self.msets]
-        self._boxes = [self._chunk_boxes(s) if size > _SCAN_ALL else None
-                       for s, size in enumerate(sizes)]
+                     for m in self.msets]
+        self._boxes = [None] * len(self.msets)
+        for s, (a, b) in enumerate(self.cols):
+            lo, n = self.off[s], len(a)
+            order = np.argsort(a, kind="stable")
+            self.idx[lo:lo + n] = order
+            self.ab[0, lo:lo + n] = a[order]
+            self.ab[1, lo:lo + n] = b[order]
+            del order  # before the next argsort: the build's peak memory counts
+            a, b = self.ab[:, lo:lo + n]
+            if n > _SCAN_ALL:
+                first = np.arange(0, n, math.isqrt(n))
+                last = np.append(first[1:], n) - 1
+                box = np.array([a[first], np.minimum.reduceat(b, first),
+                                a[last], np.maximum.reduceat(b, first)])
+                self._boxes[s] = np.append(first, n) + lo, box
 
-    def _chunk_boxes(self, s: int):
-        """Set s's a segment cut into chunks of about sqrt(N) positions: the
-        chunks' first positions (and the segment's end), their bounding
-        boxes (rows: a first, a last, b min, b max), and the set's width
-        (a range + b range)."""
-        lo, hi = int(self.off[s]), int(self.off[s + 1])
-        a, b = self.ab[:, lo:hi]
-        first = np.arange(0, hi - lo, math.isqrt(hi - lo))
-        last = np.append(first[1:], hi - lo) - 1
-        box = np.array([a[first], a[last], np.minimum.reduceat(b, first),
-                        np.maximum.reduceat(b, first)])
-        return np.append(first, hi - lo) + lo, box, (a[-1] - a[0]) + (b.max() - b.min())
+    def nearest(self, s: int, pair, w: float, k: int = 1) -> np.ndarray:
+        """Indices of the k nearest pairs of set s to one pair in measurement
+        order under weight w, as in `nearest_measurement`: `minimize` of
+        0.5 w da² + 0.5 / w db², bit for bit `weighted_pair_distance`."""
+        ia, w = _W_COL[self.msets[s].kind], float(w)
+        return self.minimize(s, (float(pair[ia]), float(pair[1 - ia])),
+                             (0.5 * w, 0.0, 0.5 / w), (0.0, 0.0), k)
 
-    def _seeding(self, k: int):
-        """Per k: the offsets 0..2k-1 (a column), and each set's last first
-        seed, its a segment's end - 2k."""
-        if k not in self._seeds:
-            self._seeds[k] = np.arange(2 * k)[:, None], self.off[1:self.n_sets + 1] - 2 * k
-        return self._seeds[k]
+    def minimize(self, s: int, center, gram, g, k: int = 1) -> np.ndarray:
+        """Indices of the k pairs of set s (all of them, if it has fewer) of
+        least q(d) = d·G d - 2 g·d, with d their (a, b) minus center, ordered
+        by q, ties to the lowest index.  G = [[g_aa, g_ab], [g_ab, g_bb]] is
+        positive semidefinite (`gram` = (g_aa, g_ab, g_bb)); g = (g_a, g_b)
+        and center = (a, b); all Python floats.
 
-    def nearest(self, seg, q, w, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """The k nearest pairs to query j, (a, b) = q[:, j], in set seg[j]
-        under weight w[j], for every j (each such set has at least k pairs):
-        two (len(seg), k) arrays, each pick's index in its set and one of its
-        positions, from which `ab` reads its a and b.  Row j lists query j's
-        picks by distance, ties to the lowest index, as in `nearest_measurement`.
+        A set of at most `_SCAN_ALL` pairs is scanned whole.  In a larger
+        one, q is bounded below over each chunk's box; r is the k-th least q
+        of the chunk of least bound, and the scan runs from the first to the
+        last chunk whose bound is at most r.
         """
-        n = len(seg)
-        seeds, last = self._seeding(k)
-        # Seeds: the 2k pairs around each query's place in its a segment.
-        keys = np.empty(n, np.complex128)
-        keys.real, keys.imag = seg, q[0]
-        begin, last = self.off[seg], last[seg]
-        first = np.maximum(np.minimum(self.key.searchsorted(keys) - k, last), begin)
-        # Per query: a, b and the coefficients 0.5 w, 0.5 / w of the two
-        # terms of `weighted_pair_distance`.  With rows a and b at once, every
-        # distance below is bit-identical to `weighted_pair_distance`.
-        qc = np.concatenate([q.ravel(), 0.5 * w, 0.5 / w]).reshape(4, 1, n)
-        d = self.ab.take(first + seeds, axis=1, mode="clip")
-        d -= qc[:2]
-        t = qc[2:] * d
-        t *= d
-        # r, the seeds' k-th smallest distance, bounds the k-th nearest one's
-        # (a set of fewer than 2k pairs has repeated seeds: r = inf ranks it
-        # whole).  Every pair within r lies in the slab |a - qa| <= sqrt(2 r / w)
-        # of the a segment and in |b - qb| <= sqrt(2 r w) of the b segment,
-        # each widened by a few ulps for the rounding of distances and bounds.
-        r = np.sort(t[0] + t[1], axis=0)[k - 1]
-        r[last < begin] = np.inf
-        qc = qc.reshape(4, n)
-        h = np.sqrt(r / qc[2:])
-        h += _SLAB_ULPS * (np.abs(q) + h)
-        # Both ends of both slabs in one search, each with side "left": just
-        # above x, that is side "right" at x.
-        keys = np.empty((2, 2, n), np.complex128)
-        keys.real = seg + self._to_b
-        keys.imag[0] = q - h
-        keys.imag[1] = np.nextafter(q + h, np.inf)
-        bounds = self.key.searchsorted(keys)
-        count = bounds[1] - bounds[0]
-        # Rank the smaller slab of each query, all slabs as one ragged array.
-        lo = np.where(count[1] < count[0], bounds[0, 1], bounds[0, 0])
-        count = np.minimum(count[0], count[1])
-        start = count.cumsum()
-        start -= count
-        pos = (lo - start).repeat(count)
-        pos += np.arange(len(pos))
-        qc = qc.repeat(count, axis=1)
-        d = self.ab.take(pos, axis=1)
-        d -= qc[:2]
-        t = qc[2:]
-        t *= d
-        t *= d
-        d = t[0] + t[1]
-        cand = self.idx.take(pos)
-        # A slab holds at least k pairs, each of its set once: its picks are
-        # its k first in the order by query, distance and index.
-        order = np.lexsort((cand, d, np.arange(n).repeat(count)))
-        order = order[start[:, None] + seeds[:k, 0]]
-        return cand[order], pos[order]
-
-    def nearest_to(self, s: int, pair, k: int, w: float) -> np.ndarray:
-        """Indices of the k nearest pairs of set s (all of them, if it has
-        fewer) to one pair in measurement order, under weight w: `nearest`
-        for one query, nearest first."""
-        mset = self.msets[s]
-        q = np.asarray(pair, dtype=float)[::-1 if _W_COL[mset.kind] else 1].reshape(2, 1)
-        return self.nearest(self._ids[s:s + 1], q, np.array([w]), min(k, len(mset)))[0][0]
-
-    def minimize(self, s: int, cur: int, gram, g) -> int:
-        """Index of the pair of set s that minimises the quadratic
-        q(d) = d·G d - 2 g·d, with d its (a, b) minus that of pair cur,
-        G = [[g_aa, g_ab], [g_ab, g_bb]] positive semidefinite (`gram` =
-        (g_aa, g_ab, g_bb)) and g = (g_a, g_b), all Python floats.  Pair cur
-        has q = 0, and ties go to the lowest index, so cur is returned when
-        no pair has q < 0 and none with q = 0 has a lower index.
-
-        A set of at most `_SCAN_ALL` pairs is scanned whole.  A larger one is
-        scanned over the stretch of its a segment between the first and the
-        last chunk whose bounding box may hold a pair with q <= 0: over a box,
-        q is bounded below in G's eigenbasis, where it splits into two
-        one-dimensional quadratics, each minimised over its coordinate's range
-        on the box.  The bound gives way by more than the rounding of q, and
-        of a negative rounded eigenvalue taken as 0.
-        """
-        a, b = self.cols[s]
-        ac, bc = a.item(cur), b.item(cur)
         if self._boxes[s] is None:
-            return int(_quadratic(a - ac, b - bc, gram, g).argmin())
-        starts, box, width = self._boxes[s]
+            a, b = self.cols[s]
+            return _least(_quadratic(a - center[0], b - center[1], gram, g), None, k)
+        return _least(*self._scan(s, center, gram, g, k), k)
+
+    def _scan(self, s: int, center, gram, g, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """q and the indices over the stretch of `ab` that `minimize` scans
+        in the large set s.  Over a box, q is bounded below in G's
+        eigenbasis, where it splits into two one-dimensional quadratics,
+        each minimised over its coordinate's range on the box (linear where
+        a rounded eigenvalue is <= 0).  The rotation is exact on the axes
+        (|theta| <= pi/4, eigenvalues from Rayleigh quotients), so the bound
+        of a diagonal G with g = 0, the weighted distance, takes q's own
+        operations, and no pair's q is below it.  Otherwise each box's bound
+        gives way by `_BOUND_ULPS` of the magnitudes of q's terms at the
+        box's far ends, which also covers a small negative eigenvalue.
+        """
+        starts, box = self._boxes[s]
+        ac, bc = center
+        d = box - np.array([[ac], [bc], [ac], [bc]])
         g_aa, g_ab, g_bb = gram
-        mean, rad = 0.5 * (g_aa + g_bb), math.hypot(0.5 * (g_aa - g_bb), g_ab)
-        theta = 0.5 * math.atan2(2.0 * g_ab, g_aa - g_bb)
+        if g_aa != g_bb:
+            theta = 0.5 * math.atan(2.0 * g_ab / (g_aa - g_bb))
+        else:
+            theta = 0.25 * math.pi if g_ab else 0.0
         c, sn = math.cos(theta), math.sin(theta)
-        da, db = box[:2] - ac, box[2:] - bc  # rows: low, high
-        lb = 0.0
-        for lam, (ea, eb) in ((mean + rad, (c, sn)), (mean - rad, (-sn, c))):
+        # Per direction e: its weights of d's rows that give the least e·d
+        # over each box, and the clipped minimiser, lam and 2 beta.
+        rows, coef = [], []
+        for ea, eb in ((c, sn), (-sn, c)):
+            lam = ea * (g_aa * ea + g_ab * eb) + eb * (g_ab * ea + g_bb * eb)
             beta = ea * g[0] + eb * g[1]
-            # the range of x = e·d over each box, from its corners
-            lo = ea * da[int(ea < 0.0)] + eb * db[int(eb < 0.0)]
-            hi = ea * da[int(ea >= 0.0)] + eb * db[int(eb >= 0.0)]
-            if lam > 0.0:
-                x = np.clip(beta / lam, lo, hi)
-            else:  # linear in x
-                x, lam = (hi if beta > 0.0 else lo), 0.0
-            lb = lb + x * (lam * x - 2.0 * beta)
-        slack = (64.0 * np.finfo(float).eps * ((abs(mean) + rad) * width * width
-                 + (abs(g[0]) + abs(g[1])) * width) + max(rad - mean, 0.0) * width * width)
-        sel = np.flatnonzero(lb <= slack)
-        if not sel.size:
-            return cur
-        lo, hi = starts[sel[0]], starts[sel[-1] + 1]
+            rows.append([max(ea, 0.0), max(eb, 0.0), min(ea, 0.0), min(eb, 0.0)])
+            coef.append((beta / lam if lam > 0.0 else math.copysign(math.inf, beta),
+                         max(lam, 0.0), 2.0 * beta))
+        lohi = np.array(rows + [r[2:] + r[:2] for r in rows]).dot(d)  # least, most e·d
+        coef = np.array(coef)
+        x = np.minimum(np.maximum(coef[:, :1], lohi[:2]), lohi[2:])
+        lb = x * (coef[:, 1:2] * x - coef[:, 2:])
+        if g_ab or g[0] or g[1]:
+            ext = np.maximum(-d[:2], d[2:])  # the far ends' |da| and |db|
+            mag = np.array([[abs(g_aa), 2.0 * abs(g_ab), 2.0 * abs(g[0])],
+                            [0.0, abs(g_bb), 2.0 * abs(g[1])]]) * _BOUND_ULPS
+            lb -= (mag[:, :2].dot(ext) + mag[:, 2:]) * ext
+        lb = lb[0] + lb[1]
+        j = lb.argmin()
+        lo, hi = starts[j], starts[j + 1]
         q = _quadratic(self.ab[0, lo:hi] - ac, self.ab[1, lo:hi] - bc, gram, g)
-        m = q.min()
-        best = int(self.idx[lo:hi][q == m].min())
-        return best if m < 0.0 or (m == 0.0 and best < cur) else cur
+        r = np.partition(q, k - 1)[k - 1] if k <= q.size else np.inf
+        sel = (lb <= r).nonzero()[0]
+        if sel[0] != j or sel[-1] != j:  # more than the chunk of least bound
+            lo, hi = starts[sel[0]], starts[sel[-1] + 1]
+            q = _quadratic(self.ab[0, lo:hi] - ac, self.ab[1, lo:hi] - bc, gram, g)
+        return q, self.idx[lo:hi]
 
 
 def _quadratic(da, db, gram, g):
-    """q = g_aa da² + 2 g_ab da db + g_bb db² - 2 (g_a da + g_b db), elementwise."""
+    """q = d·G d - 2 g·d for each d = (da, db); a zero coefficient adds no term."""
     g_aa, g_ab, g_bb = gram
     q = g_aa * da
-    q += 2.0 * g_ab * db
-    q -= 2.0 * g[0]
+    if g_ab:
+        q += 2.0 * g_ab * db
+    if g[0]:
+        q -= 2.0 * g[0]
     q *= da
     t = g_bb * db
-    t -= 2.0 * g[1]
+    if g[1]:
+        t -= 2.0 * g[1]
     t *= db
     q += t
     return q
+
+
+def _least(q, ids, k: int) -> np.ndarray:
+    """The k entries of ids (None: positions in q) of least q, ordered by
+    q, ties to the lowest entry."""
+    if k == 1:
+        if ids is None:
+            return q.argmin(keepdims=True)
+        return ids[q == q[q.argmin()]].min(keepdims=True)
+    sel = (q <= np.partition(q, k - 1)[k - 1]).nonzero()[0] if k < q.size else np.arange(q.size)
+    ids = sel if ids is None else ids[sel]
+    return ids[np.lexsort((ids, q[sel]))[:k]]
 
 
 class NearestNeighborIndex(FlatIndex):
@@ -423,13 +361,13 @@ class NearestNeighborIndex(FlatIndex):
 
     def query(self, pair, w: float | None = None) -> tuple[np.ndarray, int]:
         """Nearest stored pair and its index under weight w (default: the index weight)."""
-        idx = int(self.nearest_to(0, pair, 1, self.weight if w is None else w)[0])
+        idx = int(self.nearest(0, pair, self.weight if w is None else w)[0])
         return self.mset.pairs[idx].copy(), idx
 
     def k_nearest(self, pair, k: int, w: float | None = None) -> np.ndarray:
         """Indices of the k nearest pairs under weight w, sorted ascending;
         ties at the k-th distance take the lowest indices."""
-        return np.sort(self.nearest_to(0, pair, k, self.weight if w is None else w))
+        return np.sort(self.nearest(0, pair, self.weight if w is None else w, k))
 
 
 def local_tangent_weight(flat: FlatIndex, s: int, state_pair, k: int,
@@ -445,7 +383,7 @@ def local_tangent_weight(flat: FlatIndex, s: int, state_pair, k: int,
     mset = flat.msets[s]
     if len(mset) < 2 or k < 2:
         raise ValueError("local tangent needs at least two pairs and k >= 2")
-    neighbors = mset.pairs[np.sort(flat.nearest_to(s, state_pair, k, current))]
+    neighbors = mset.pairs[np.sort(flat.nearest(s, state_pair, current, k))]
     ia = _W_COL[mset.kind]
     a, b = neighbors[:, ia], neighbors[:, 1 - ia]
     a_c = a - a.sum() / len(a)  # the mean, without np.mean's call overhead

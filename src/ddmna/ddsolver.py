@@ -7,7 +7,9 @@ then moves the data picks.  The iteration is a fixed point monitored through
 the energy mismatch, the weighted squared distance between the two states.
 The weights are one vector in the order of the state's pair block, so the
 mismatch is one array expression over that block.  Every data element's set
-is one set of a `dataset.FlatIndex`, searched by the data half-step and the tangent rule.
+is one set of a `dataset.FlatIndex`, whose search kernel serves the data
+half-step, the nearest picks and the tangent rule.  A step warm-started at
+the last picks keeps them: a measured pair is its own nearest pair.
 
 Elements with a known model are not matched to data.  Each one is a
 constraint only: it enters the Kirchhoff set as its tangent line
@@ -354,6 +356,7 @@ class DDSolver:
         # of the last system
         self._lu_slot: list | None = None
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
+        self._last: tuple = (None, None)  # (picks, their (a, b)), see _pick_data
         self._solves = 0  # Kirchhoff right-hand sides solved, see DDStepTrace.solves
 
     # ------------------------------------------------------------------
@@ -446,8 +449,8 @@ class DDSolver:
     def project_to_data(self, zo: CircuitState) -> tuple[CircuitState, tuple]:
         """Independent per-element projection onto data / known models.
 
-        Data elements take their nearest measured pair, all of them in one
-        search of the flat index.  Known linear elements keep the Kirchhoff
+        Data elements take their nearest measured pair, one search of the
+        flat index per element.  Known linear elements keep the Kirchhoff
         state's pair, which lies on their line; known nonlinear ones take the
         model point at the Kirchhoff state's drive coordinate and are
         re-linearised there.  The selection is the data indices, then the
@@ -470,11 +473,15 @@ class DDSolver:
 
     def _pick_data(self, p: np.ndarray) -> np.ndarray:
         """Move every data element's pair in the pair block p to its nearest
-        measured pair, in one search; returns the picks' indices in their sets."""
-        p, ab = p.reshape(-1), self._data_ab
-        idx, pos = self.flat.nearest(self._data_sets, p[ab], self.weights[self._data_rows])
-        p[ab] = self.flat.ab.take(pos[:, 0], axis=1)
-        return idx[:, 0]
+        measured pair; returns the picks' indices in their sets, and keeps
+        them with their (a, b) as the last picks."""
+        w, picks = self.weights.tolist(), []
+        for s, row in enumerate(self._data_rows.tolist()):
+            i = self.flat.nearest(s, p[row], w[row])[0]
+            p[row] = self.flat.msets[s].pairs[i]
+            picks.append(i)
+        self._last = np.array(picks, np.intp), p.reshape(-1)[self._data_ab]
+        return self._last[0]
 
     def energy_mismatch(self, zo: CircuitState, zx: CircuitState,
                         alpha: float = 1.0) -> float:
@@ -537,8 +544,12 @@ class DDSolver:
         cfg = self.config
         trace = DDStepTrace()
         zx = zx.copy()
-        picks = self._pick_data(zx.pairs())
-        ab = zx.pairs().reshape(-1)[self._data_ab]  # the picks' (a, b), one column each
+        # A pair at distance 0 is the only nearest one (a set holds no
+        # duplicates), so a data state at the last picks keeps them.
+        if not np.array_equal(zx.pairs().reshape(-1)[self._data_ab], self._last[1]):
+            self._pick_data(zx.pairs())
+        picks, ab = self._last  # ab: the picks' (a, b), one column each
+        zx.pairs().reshape(-1)[self._data_ab] = ab
         prev_sel = em_first = em_prev = None
         for p in range(1, cfg.max_iters + 1):
             if tangent_weights:
@@ -595,7 +606,7 @@ class DDSolver:
             if kept == k:
                 break
             s, i = sets[e], 2 * e
-            new = self.flat.minimize(s, picks[s], blocks[e], u[i:i + 2].tolist())
+            new = self.flat.minimize(s, ab[:, s].tolist(), blocks[e], u[i:i + 2].tolist())[0]
             kept += 1
             if new != picks[s]:
                 a, b = self.flat.cols[s]

@@ -133,8 +133,8 @@ class TransientConfig:
     def __post_init__(self):
         if self.scheme not in ("backward-euler", "trapezoidal"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
+        if not -np.inf < self.t0 < self.t_end < np.inf:
+            raise ValueError("t0 and t_end must be finite, with t_end > t0")
         if self.steps < 1:
             raise ValueError("need at least one time step")
 

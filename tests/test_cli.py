@@ -238,7 +238,9 @@ def test_config_flag_overrides_file(tmp_path):
 
 
 @pytest.mark.parametrize("entry, option", [("steps = 0", "--steps"),
-                                           ("scheme = xx", "--scheme")])
+                                           ("scheme = xx", "--scheme"),
+                                           ("steps = inf", "--steps"),
+                                           ("steps = 2.5", "--steps")])
 def test_run_bad_config_value_exits_2(tmp_path, capsys, entry, option):
     net = _write_rc(tmp_path)
     cfg = tmp_path / "run.ini"
@@ -256,6 +258,49 @@ def test_experiment_bad_config_value_exits_2(tmp_path, capsys):
     assert main(["experiment", "rc-linear", "--n", "10", "--schemes", "be,xx",
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: unknown scheme 'xx'")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--steps", "inf"], "--steps"),
+    (["run", "--max-iters", "2.5"], "--max-iters"),
+    (["gen", "--n", "2.9"], "--n"),
+    (["experiment", "rc-linear", "--n", "10", "--workers", "inf"], "--workers")])
+def test_non_integral_flag_exits_2(capsys, argv, option):
+    # argparse rejects the value during parsing and exits with the usage code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, entries, option", [
+    ("gen", "model = linear-g\nvalue = 1\nrange = 0:1\nn = 2.9", "--n"),
+    ("experiment", "scenario = rc-linear\nn = 10\nworkers = inf", "--workers"),
+    ("experiment", "scenario = rc-linear\nn = 1e3,inf", "--n"),
+    ("experiment", "scenario = rc-linear\nn = 1:inf", "--n"),
+    ("experiment", "scenario = rc-linear\nn = 10\nsteps = 20,inf", "--steps")])
+def test_bad_integer_config_value_exits_2(tmp_path, capsys, section, entries, option):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{entries}\nout = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), section]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option}: ")
+
+
+@pytest.mark.parametrize("n, steps", [("1e3,inf", "20"), ("1:inf", "20"), ("10", "20,inf")])
+def test_experiment_bad_integer_list_exits_2(tmp_path, capsys, n, steps):
+    assert main(["experiment", "rc-linear", "--n", n, "--steps", steps,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
+def test_run_infinite_time_window_exits_2(tmp_path, capsys):
+    net = _write_rc(tmp_path)
+    for flags in (["--t-end", "inf"], ["--t0=-inf", "--t-end", "0"]):
+        assert main(["run", "--netlist", str(net), *flags, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: t0 and t_end must be finite, with t_end > t0\n"
+    assert not (tmp_path / "o" / "trace.csv").exists()
+    with pytest.raises(ValueError):
+        TransientConfig(t_end=math.inf)
 
 
 def test_version_command(capsys):

@@ -281,6 +281,38 @@ def test_warm_start_reduces_iterations():
     assert iters.max() <= 200
 
 
+def test_warm_started_step_equals_a_fresh_solvers():
+    # A step warm-started from the solver's own last data state keeps the
+    # last picks without a search (a measured pair is its own nearest pair)
+    # and equals the same step on a fresh solver; a step from another data
+    # state searches.  The solve counts differ by the fresh solver's first
+    # build of the reduced quadratic.
+    graph, inc, known, binds, cfg, trad = rc_data_setup(steps=20, scheme="backward-euler")
+    solver = DDSolver(graph, inc, binds, DDConfig())
+    state, zx = solver.initial_state(cfg.t0, *cfg.init.resolve(graph))
+    zx0, alpha = zx, 1.0 / cfg.h
+    searches = []
+    pick = solver._pick_data
+    solver._pick_data = lambda p: searches.append(len(searches)) or pick(p)
+
+    def step_equals_a_fresh_solvers(zx, args):
+        ref_state, ref_zx, ref_trace = DDSolver(graph, inc, binds, DDConfig()).solve_timestep(zx, *args)
+        state, zx, trace = solver.solve_timestep(zx, *args)
+        assert np.array_equal(state.x, ref_state.x) and np.array_equal(zx.x, ref_zx.x)
+        for name in ("selected_indices", "em_history", "stop_reason", "iterations"):
+            assert getattr(trace, name) == getattr(ref_trace, name)
+        return state, zx
+
+    for k, t in enumerate(cfg.times()[1:]):
+        args = (alpha, alpha * state.q_c, NO_L, *sources(graph, t))
+        state, zx = step_equals_a_fresh_solvers(zx, args)
+        if k == 0:
+            searches.clear()  # the initial state's charge moved the C pair off its pick
+    assert not searches
+    step_equals_a_fresh_solvers(zx0, args)
+    assert searches
+
+
 def test_zero_source_zero_centred_data_first_step_zero():
     graph = parse_netlist("V1 1 0 DC 0\nR1 1 0 1\n")
     inc = build_incidence(graph)
