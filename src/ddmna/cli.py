@@ -282,7 +282,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         scenario=scenario,
         n_values=_get(args, "n", required=True, convert=_parse_n_list),
-        schemes=[_scheme(s) for s in _get(args, "schemes", "").split(",") if s.strip()],
+        schemes=_get(args, "schemes", [], convert=lambda text: [
+            _scheme(s) for s in text.split(",") if s.strip()]),
         steps_values=_get(args, "steps", [], convert=lambda text: [
             _positive_int(s) for s in text.split(",") if s.strip()]),
     )

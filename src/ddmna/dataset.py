@@ -436,23 +436,19 @@ def operating_envelope(trace, graph: CircuitGraph,
     voltage otherwise.  The range is widened symmetrically about its
     midpoint; a degenerate range collapses to m +/- (margin - 1) * max(|m|, 1).
     """
-    if len(trace.states) == 0:
+    if len(trace.times) == 0:
         raise ValueError("empty trace")
     if margin < 1.0:
         raise ValueError("margin must be >= 1")
-    out = {}
-    for group in "GCL":
-        for j, e in enumerate(graph.groups[group]):
-            col = 1 if (group == "L" or e.kind == "diode") else 0
-            pairs = trace.pairs(group, j)
-            lo, hi = float(pairs[:, col].min()), float(pairs[:, col].max())
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            if half > 0.0:
-                out[e.name] = (mid - margin * half, mid + margin * half)
-            else:
-                pad = (margin - 1.0) * max(abs(mid), 1.0)
-                out[e.name] = (mid - pad, mid + pad)
-    return out
+    elements = [(group, e) for group in "GCL" for e in graph.groups[group]]
+    cols = [int(group == "L" or e.kind == "diode") for group, e in elements]
+    drive = trace.series(None)[:, 2 * np.arange(len(cols)) + cols]  # (K+1, elements)
+    lo, hi = drive.min(axis=0), drive.max(axis=0)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    pad = (margin - 1.0) * np.maximum(np.abs(mid), 1.0)
+    lo, hi = np.where(half > 0.0, [mid - margin * half, mid + margin * half],
+                      [mid - pad, mid + pad])
+    return {e.name: bounds for (_, e), bounds in zip(elements, zip(lo.tolist(), hi.tolist()))}
 
 
 def save_measurements(mset: MeasurementSet, path) -> None:

@@ -69,7 +69,7 @@ from .dataset import (
 )
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp, sources
 from .reference import NEWTON_RTOL
-from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
+from .state import CircuitState, Lift, TransientConfig, TransientTrace, march, release_held
 
 log = logging.getLogger(__name__)
 
@@ -202,7 +202,7 @@ class KirchhoffSystem:
         phi, i_l, i_v, _, v_g, v_c, i_g, q_c, psi_l = np.split(
             np.arange(2 * self.n + n_g + n_c + n_e),
             np.cumsum([nphi, n_l, self.n - nphi - n_l, self.n, n_g, n_c, n_g, n_c]))
-        self._lift = CircuitState.lifter(diff, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
+        self._lift = Lift(diff, CircuitState(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v))
 
     def _slopes(self) -> np.ndarray:
         """The known tangents' slopes per element, 0 at data elements."""
@@ -673,7 +673,7 @@ def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
 
     def step(zx, t, alpha, rhs_c, rhs_l):
         zo, zx, trace = solver.solve_timestep(zx, alpha, rhs_c, rhs_l, *sources(graph, t))
-        return zo, zx, trace.iterations, trace.converged, trace
+        return zo.x, zx, trace.iterations, trace.converged, trace
 
     trace = march(graph, config, state0, zx0, step)
     capped = int(np.count_nonzero(~trace.converged))

@@ -14,11 +14,11 @@ Newton step from it.  A circuit with no nonlinear column has B = J_lin, and
 x_b is its solution.  The solver keeps the model values and slopes of the
 iterate it accepts, and a step that starts from that iterate at the same
 alpha, as the march's next step does, starts from them with the arithmetic of
-`residual_jacobian`, so it equals a fresh start bit for bit.  The state is one
-exact lift of the accepted x: an unknown, a potential difference or, at a
-nonlinear column, that iterate's model value, times 1 or a linear G, C or L
-value.  The consistent state at t0 is one step of the held circuit
-(`netlist.held_circuit`), so `step` holds the only solver code.
+`residual_jacobian`, so it equals a fresh start bit for bit.  A march step
+returns [x, a_g.T phi, a_c.T phi, model values], which `lift` takes to the
+state, an unknown, a potential difference or a model value, times 1 or a
+linear G, C or L value.  The consistent state at t0 is one step of the held
+circuit (`netlist.held_circuit`), so `step` holds the only solver code.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from scipy.linalg import lapack
 from . import elements as em
 from .dataset import ElementBinding, held_values
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp
-from .state import CircuitState, TransientConfig, TransientTrace, march, release_held
+from .state import CircuitState, Lift, TransientConfig, TransientTrace, march, release_held
 
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 8
 NEWTON_RTOL = 1e-12
-KCL_BLOCK = 32  # steps per stacked block of `kcl_residual`: bounds its temporaries
 _NO_VALUES = np.zeros(0)  # the model values of a circuit with no nonlinear column
 
 
@@ -283,10 +282,11 @@ class TraditionalSolver:
         return x, it, np.array(values)
 
     @functools.cached_property
-    def _lift(self):
-        """(lift, coef): the state at x is coef * lift(x, values), one gather from
-        [x, a_g.T phi, a_c.T phi, values] (`CircuitState.lifter`), with values the
-        nonlinear columns' i and q and coef 1, a linear G or C value or an L value."""
+    def lift(self) -> Lift:
+        """The `Lift` of (x, values), `values` the nonlinear columns' i and q
+        at x (G first) as `step` returns them: the state at x is coef times
+        one gather from [x, a_g.T phi, a_c.T phi, values], coef 1, a linear
+        G or C value or an L value."""
         g_lin, c_lin, nl_g, nl_c, *_ = self._columns
         n_g, n_c = len(g_lin), len(c_lin)
         phi, i_l, i_v, v_g, v_c, nl = np.split(
@@ -297,17 +297,8 @@ class TraditionalSolver:
         coef = CircuitState.zeros(self.graph)
         coef.x[:], coef.i_g, coef.q_c, coef.psi_l = 1.0, g_lin, c_lin, self.l_values
         coef.i_g[nl_g] = coef.q_c[nl_c] = 1.0
-        lift = CircuitState.lifter(np.vstack([self.inc.a_g.T, self.inc.a_c.T]),
-                                   phi, v_g, i_g, v_c, q_c, i_l, i_l, i_v)
-        return lift, coef.x
-
-    def state_from_x(self, x: np.ndarray, values: np.ndarray) -> CircuitState:
-        """The circuit state at the Newton vector x, given `values`, the nonlinear
-        columns' i and q at x (G first), as `step` returns them."""
-        lift, coef = self._lift
-        state = lift(x, values)
-        state.x *= coef
-        return state
+        return Lift(np.vstack([self.inc.a_g.T, self.inc.a_c.T]),
+                    CircuitState(phi, v_g, i_g, v_c, q_c, i_l, i_l, i_v), coef.x)
 
     # -- consistent initial state -----------------------------------------
     def initial_state(self, t0: float, q_c0: np.ndarray, psi_l0: np.ndarray) -> CircuitState:
@@ -319,7 +310,7 @@ class TraditionalSolver:
         held = TraditionalSolver(graph, build_incidence(graph), self.bindings)
         none = np.zeros(0)
         x, _, values = held.step(np.zeros(held.nphi + held.n_v), t0, 0.0, none, none)
-        return release_held(held.state_from_x(x, values), self.inc.a_c, q_c0, psi_l0, i_l0)
+        return release_held(held.lift(x, values), self.inc.a_c, q_c0, psi_l0, i_l0)
 
 
 def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
@@ -329,12 +320,14 @@ def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
     solver = TraditionalSolver(graph, inc, bindings)
     state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
+    lift = solver.lift
+
     def step(x, t, alpha, rhs_c, rhs_l):
         x, n_it, values = solver.step(x, t, alpha, rhs_c, rhs_l)
-        return solver.state_from_x(x, values), x, n_it, True, None
+        return lift.vector(x, values), x, n_it, True, None
 
     return march(graph, config, state0,
-                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
+                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step, lift)
 
 
 def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:
@@ -342,20 +335,15 @@ def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:
 
     Uses the charge rates recorded by `state.march`, so it applies to both
     schemes and both solvers.  Source currents are read from `trace.graph`.
-    Blocks of up to KCL_BLOCK steps are stacked as columns, so the residuals
-    and each step's scale are matrix expressions of bounded size.
+    Each step's residual and scale are one row of a matrix expression over
+    the trace's state array and rate matrix.
     """
+    i_g, i_l, i_v = (trace.series(name)[1:] for name in ("i_g", "i_l", "i_v"))
+    qdot = trace.ydot[1:, :inc.a_c.shape[1]]
     waves = [e.waveform for e in trace.graph.groups["I"]]
-    worst = 0.0
-    for k in range(1, len(trace.states), KCL_BLOCK):
-        block = slice(k, k + KCL_BLOCK)
-        i_g, i_l, i_v = (np.array([getattr(s, name) for s in trace.states[block]]).T
-                         for name in ("i_g", "i_l", "i_v"))
-        qdot = np.array([rates[0] for rates in trace.rates[block]]).T
-        i_src = np.array([[em.source_value(w, t) for w in waves] for t in trace.times[block]]).T
-        r = inc.a_g.dot(i_g) + inc.a_c.dot(qdot) + inc.a_l.dot(i_l) + inc.a_v.dot(i_v) \
-            - inc.a_i.dot(i_src)
-        scale = np.maximum.reduce([np.abs(part).max(axis=0, initial=0.0)
-                                   for part in (i_g, i_v, qdot)])
-        worst = max(worst, (np.abs(r).max(axis=0, initial=0.0) / np.maximum(scale, 1e-30)).max())
-    return float(worst)
+    i_src = np.array([[em.source_value(w, t) for w in waves] for t in trace.times[1:]])
+    r = i_g.dot(inc.a_g.T) + qdot.dot(inc.a_c.T) + i_l.dot(inc.a_l.T) + i_v.dot(inc.a_v.T) \
+        - i_src.dot(inc.a_i.T)
+    scale = np.maximum.reduce([np.abs(part).max(axis=1, initial=0.0)
+                               for part in (i_g, i_v, qdot)])
+    return float((np.abs(r).max(axis=1, initial=0.0) / np.maximum(scale, 1e-30)).max())

@@ -32,7 +32,7 @@ from .metrics import ConvergencePoint, convergence_slope, \
     energy_mismatch_error, rms_error
 from .netlist import build_incidence, parse_netlist
 from .reference import analytic_rc_voltage, run_transient_traditional
-from .state import CircuitState, TransientConfig, TransientTrace
+from .state import TransientConfig, TransientTrace
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,14 @@ def element_location(graph, name: str) -> tuple[str, int]:
 
 
 def analytic_rc_trace(graph, times: np.ndarray, r: float, c: float, v: float) -> TransientTrace:
-    """Exact series-RC trace on the given grid (nodes: source node, capacitor node)."""
-    states = []
-    for t in times:
-        v_c = float(analytic_rc_voltage(r, c, v, t))
-        i = (v - v_c) / r
-        states.append(CircuitState(phi=[v, v_c], v_g=[v - v_c], i_g=[i], v_c=[v_c],
-                                   q_c=[c * v_c], psi_l=[], i_l=[], i_v=[-i]))
-    return TransientTrace(graph=graph, times=times, states=states,
-                          iterations=np.zeros(len(times), int),
-                          converged=np.ones(len(times), bool))
+    """Exact series-RC trace on the given grid (nodes: source node, capacitor
+    node), with the exact charge rate qdot = i."""
+    v_c = analytic_rc_voltage(r, c, v, times)
+    i = (v - v_c) / r
+    # columns: phi (source node, capacitor node), (v, i) of R, (v, q) of C, i_v
+    x = np.column_stack([np.full_like(v_c, v), v_c, v - v_c, i, v_c, c * v_c, -i])
+    return TransientTrace(graph=graph, times=times, x=x, ydot=i[:, None],
+                          iterations=np.zeros(len(times), int), converged=np.ones(len(times), bool))
 
 
 def synthesize_datasets(scenario: Scenario, graph, known_bindings,

@@ -4,12 +4,14 @@ A `CircuitState` is one float vector `x`, laid out like a `trace.csv` row
 after `t`: node potentials phi; one pair per element, (v, i) per G element,
 (v, q) per capacitor, (psi, i) per inductor; voltage-source currents i_v.
 The pairs are one contiguous block, which `pairs()` views as an (n, 2)
-array; the eight named fields are views of `x` too.  A solver builds its
-states as one exact lift of its solution vector (`CircuitState.lifter`).
+array; the eight named fields are views of `x` too.  A solver's state is one
+exact lift (`Lift`) of its solver vector; `march` lifts a run's vectors in
+blocks into one array, whose rows a `TransientTrace` views as states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,6 +20,7 @@ import numpy as np
 from .netlist import CircuitGraph
 
 _FIELDS = ("phi", "v_g", "i_g", "v_c", "q_c", "psi_l", "i_l", "i_v")
+LIFT_BLOCK = 256  # step vectors `march` buffers before it lifts them at once
 
 
 @lru_cache(maxsize=None)
@@ -68,18 +71,6 @@ class CircuitState:
         return s
 
     @classmethod
-    def lifter(cls, diff, phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v):
-        """A function (src, *tail) -> CircuitState that takes each field from
-        the given positions of [src, diff @ src[:k], *tail], k = diff's column
-        count, with one gather.  With diff a stack of transposed incidence
-        matrices, every entry is one entry of src or of tail, copied as it is,
-        or one potential difference: an exact lift of src."""
-        template = cls(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v)
-        index, lay, k = template.x.astype(np.intp), template._lay, diff.shape[1]
-        return lambda src, *tail: cls._of(
-            np.concatenate([src, diff.dot(src[:k]), *tail]).take(index), lay)
-
-    @classmethod
     def zeros(cls, graph: CircuitGraph) -> "CircuitState":
         lay = _layout(graph.n - 1, *(graph.count(group) for group in "GCLV"))
         return cls._of(np.zeros(lay["size"]), lay)
@@ -98,6 +89,29 @@ class CircuitState:
 
     def set_pair(self, group: str, index: int, pair) -> None:
         self.pairs(group)[index] = pair
+
+
+class Lift:
+    """The exact lift of a solver's vectors to states.  A solution src and
+    extra values tail give the vector e = [src, diff @ src[:k], *tail]
+    (`vector`), k being diff's column count; entry j of the state is
+    e[index[j]] * coef[j], with index the x of `positions` and coef 1 when
+    None.  With diff a stack of transposed incidence matrices, every state
+    entry is an entry of src or tail or one potential difference, times one
+    coefficient.  `take` lifts one vector or a block of them, row by row."""
+
+    def __init__(self, diff, positions: CircuitState, coef: np.ndarray | None = None):
+        self.diff, self.index, self.lay = diff, positions.x.astype(np.intp), positions._lay
+        self.coef = np.ones(len(self.index)) if coef is None else coef
+
+    def vector(self, src: np.ndarray, *tail) -> np.ndarray:
+        return np.concatenate([src, self.diff.dot(src[:self.diff.shape[1]]), *tail])
+
+    def take(self, e: np.ndarray) -> np.ndarray:
+        return e.take(self.index, axis=-1) * self.coef
+
+    def __call__(self, src: np.ndarray, *tail) -> CircuitState:
+        return CircuitState._of(self.take(self.vector(src, *tail)), self.lay)
 
 
 def release_held(held: CircuitState, a_c: np.ndarray, q_c0: np.ndarray,
@@ -146,46 +160,77 @@ class TransientConfig:
         return self.t0 + self.h * np.arange(self.steps + 1)
 
 
+class _Rows(Sequence):
+    """A sequence of views of an array's rows: item k is view(rows[k])."""
+
+    def __init__(self, rows: np.ndarray, view):
+        self._rows, self._view = rows, view
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        return _Rows(self._rows[k], self._view) if isinstance(k, slice) else self._view(self._rows[k])
+
+
 @dataclass
 class TransientTrace:
-    """Time series of circuit states with per-step solver diagnostics."""
+    """Time series of circuit states with per-step solver diagnostics.  Row k
+    of `x` is the state at times[k] (`states` views the rows), row k of `ydot`
+    the rates (qdot_c, psidot_l) step k solved for (`rates` views the rows);
+    row 0 holds the trapezoidal bootstrap rates, zeros under backward Euler."""
 
     graph: CircuitGraph
     times: np.ndarray
-    states: list[CircuitState]
+    x: np.ndarray                   # (K+1, len(CircuitState.x))
+    ydot: np.ndarray                # (K+1, n_c + n_l)
     iterations: np.ndarray          # per step (index 0 unused, kept 0)
     converged: np.ndarray           # bool per step
     step_details: list = field(default_factory=list)  # solver-specific per-step records
-    # per step (qdot_c, psidot_l) the step solved for; index 0 holds the
-    # trapezoidal bootstrap rates (None under backward Euler)
-    rates: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.states) != len(self.times):
-            raise ValueError("trace length mismatch")
+        g, n = self.graph, len(self.times)
+        self._lay = _layout(g.n - 1, *(g.count(group) for group in "GCLV"))
+        shapes = (n, self._lay["size"]), (n, g.count("C") + g.count("L"))
+        if (self.x.shape, self.ydot.shape) != shapes:
+            raise ValueError(f"state array and rate matrix of shapes {self.x.shape}, "
+                             f"{self.ydot.shape} do not match {shapes[0]}, {shapes[1]}")
+
+    @property
+    def states(self) -> Sequence[CircuitState]:
+        return _Rows(self.x, lambda row: CircuitState._of(row, self._lay))
+
+    @property
+    def rates(self) -> Sequence[tuple[np.ndarray, np.ndarray]]:
+        n_c = self.graph.count("C")
+        return _Rows(self.ydot, lambda row: (row[:n_c], row[n_c:]))
+
+    def series(self, name: str | None) -> np.ndarray:
+        """(K+1, n) view of a field of x or a pair block ("G", "C", "L", None)."""
+        return self.x[:, self._lay[name]]
 
     def pairs(self, group: str, index: int) -> np.ndarray:
         """(K+1, 2) array of one element's pairs over the whole trace."""
-        return np.array([s.pairs(group)[index] for s in self.states])
+        return self.series(group).reshape(len(self.times), -1, 2)[:, index].copy()
 
     def csv_header(self) -> list[str]:
         """Column names of `write_csv`: t, then the layout of `CircuitState.x`."""
-        cols = ["t"] + [f"phi_{nd}" for nd in self.graph.non_ground_nodes]
-        for group, names in (("G", ("v", "i")), ("C", ("v", "q")), ("L", ("psi", "i"))):
-            for e in self.graph.groups[group]:
-                cols += [f"{names[0]}_{e.name}", f"{names[1]}_{e.name}"]
-        cols += [f"i_{e.name}" for e in self.graph.groups["V"]]
-        return cols
+        g, pair = self.graph, {"G": ("v", "i"), "C": ("v", "q"), "L": ("psi", "i")}
+        return (["t"] + [f"phi_{nd}" for nd in g.non_ground_nodes]
+                + [f"{a}_{e.name}" for group in "GCL" for e in g.groups[group] for a in pair[group]]
+                + [f"i_{e.name}" for e in g.groups["V"]])
 
     def write_csv(self, path) -> None:
+        """One row per time: t, then x, each as "%.17g" (round-trip exact)."""
+        line = ",".join(["%.17g"] * (1 + self.x.shape[1])) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.csv_header()) + "\n")
-            for t, s in zip(self.times, self.states):
-                fh.write(",".join(f"{x:.17g}" for x in (t, *s.x.tolist())) + "\n")
+            fh.writelines(line % tuple(row)
+                          for row in np.column_stack([self.times, self.x]).tolist())
 
 
 def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
-          warm, step) -> TransientTrace:
+          warm, step, lift: Lift | None = None) -> TransientTrace:
     """March one implicit solver over the configured time grid.
 
     Capacitor and inductor laws are discretised in companion form: the rates
@@ -194,51 +239,59 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
     trapezoidal rule has alpha = 2/h and rhs = alpha * q_n + qdot_n, so
     qdot = (2/h)(q - q_n) - qdot_n, and it needs the rates at t0: they come
     from one backward-Euler step of h/100 from the initial warm start, which
-    that step does not advance.  The march carries the reactive vector
-    y = (q_c, psi_l), one gather from each state, so each step takes one
-    right-hand side and one rate update, written into its row of one rate
-    matrix; `rhs_c`/`rhs_l` and the recorded rates are views of the
-    right-hand side and of that row.
+    that step does not advance.
 
     `state0` is the consistent state at t0 and `warm` the solver's warm start.
     `step(warm, t, alpha, rhs_c, rhs_l)` solves one step at time t and returns
-    (state, next warm start, iterations, converged, per-step record).
+    (its vector, next warm start, iterations, converged, per-step record);
+    `lift` maps vectors to states (None: a vector is the state's x).  The
+    vectors fill a buffer of LIFT_BLOCK rows, lifted whenever it fills into a
+    state array allocated before the first step.  The reactive vector
+    y = (q_c, psi_l) is the lift restricted to those entries, so it equals the
+    state's bit for bit.  `rhs_c`/`rhs_l` are views of one right-hand side,
+    rewritten for the next step; backward Euler's rates are taken a block at
+    a time, as no step reads them.
     """
-    trapezoidal = config.scheme == "trapezoidal"
+    trapezoidal, steps, h = config.scheme == "trapezoidal", config.steps, config.h
     lay, n_c = state0._lay, graph.count("C")
     positions = np.arange(lay["size"])
+    lift = lift or Lift(None, CircuitState._of(positions, lay))
     reactive = np.concatenate([positions[lay["q_c"]], positions[lay["psi_l"]]])
-    y = state0.x.take(reactive)
-    ydot = np.zeros((config.steps + 1, len(reactive)))  # row k: the rates of step k
+    iy, cy = lift.index[reactive], lift.coef[reactive]  # the lift of y alone
+    y, ydot = state0.x.take(reactive), np.zeros((steps + 1, len(reactive)))
+    x = np.empty((steps + 1, lay["size"]))  # the state array: row k at times[k]
+    x[0] = state0.x
+    # every entry of a step's vector is the source of some state entry
+    block, j = np.empty((min(LIFT_BLOCK, steps), lift.index.max() + 1)), 0
     if trapezoidal:
-        h_b = config.h / 100.0
+        h_b = h / 100.0
         alpha_b = 1.0 / h_b
         rhs = alpha_b * y
-        s, *_ = step(warm, config.t0 + h_b, alpha_b, rhs[:n_c], rhs[n_c:])
-        ydot[0] = (s.x.take(reactive) - y) / h_b
+        vector, *_ = step(warm, config.t0 + h_b, alpha_b, rhs[:n_c], rhs[n_c:])
+        ydot[0] = (vector.take(iy) * cy - y) / h_b
 
-    alpha = 2.0 / config.h if trapezoidal else 1.0 / config.h
-    times = config.times()
-    states = [state0]
-    iters = np.zeros(config.steps + 1, dtype=int)
-    converged = np.ones(config.steps + 1, dtype=bool)
-    details: list = [None]
-    for k in range(1, config.steps + 1):
-        rhs = alpha * y
+    alpha, times = 2.0 / h if trapezoidal else 1.0 / h, config.times()
+    rate, details = ydot[0], [None]
+    iters, converged = np.zeros(steps + 1, dtype=int), np.ones(steps + 1, dtype=bool)
+    rhs = np.empty(len(reactive))  # each step's right-hand side, rewritten in place
+    rhs_c, rhs_l = rhs[:n_c], rhs[n_c:]
+    for k, t in enumerate(times[1:].tolist(), 1):
+        np.multiply(y, alpha, out=rhs)
         if trapezoidal:
-            rhs += ydot[k - 1]
-        s, warm, iters[k], converged[k], detail = step(warm, times[k], alpha,
-                                                       rhs[:n_c], rhs[n_c:])
-        states.append(s)
+            rhs += rate
+        vector, warm, iters[k], converged[k], detail = step(warm, t, alpha, rhs_c, rhs_l)
         details.append(detail)
-        y_new = s.x.take(reactive)
+        block[j] = vector
+        j += 1
+        y_new = vector.take(iy) * cy
         if trapezoidal:
-            ydot[k] = alpha * (y_new - y) - ydot[k - 1]
-        else:
-            ydot[k] = (y_new - y) / config.h
+            ydot[k] = rate = alpha * (y_new - y) - rate
         y = y_new
-    rates = [(rate[:n_c], rate[n_c:]) for rate in ydot]
-    if not trapezoidal:
-        rates[0] = None
-    return TransientTrace(graph=graph, times=times, states=states, iterations=iters,
-                          converged=converged, step_details=details, rates=rates)
+        if j == len(block) or k == steps:
+            x[k + 1 - j:k + 1] = lift.take(block[:j])
+            if not trapezoidal:  # backward Euler's rates, (y - y_prev) / h, a block at once
+                y_block = x[k - j:k + 1, reactive]
+                ydot[k + 1 - j:k + 1] = (y_block[1:] - y_block[:-1]) / h
+            j = 0
+    return TransientTrace(graph=graph, times=times, x=x, ydot=ydot, iterations=iters,
+                          converged=converged, step_details=details)

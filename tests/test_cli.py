@@ -172,8 +172,7 @@ def _plain(x):
     if isinstance(x, CircuitState):
         return x.x.tolist()
     if isinstance(x, TransientTrace):
-        return _plain([x.times, x.states, x.iterations, x.converged, x.step_details,
-                       x.rates])
+        return _plain([x.times, x.x, x.iterations, x.converged, x.step_details, x.ydot])
     if dataclasses.is_dataclass(x):
         return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (list, tuple)):
@@ -257,7 +256,7 @@ def test_experiment_bad_config_value_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --workers: ")
     assert main(["experiment", "rc-linear", "--n", "10", "--schemes", "be,xx",
                  "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: unknown scheme 'xx'")
+    assert capsys.readouterr().err.startswith("error: --schemes: unknown scheme 'xx'")
 
 
 @pytest.mark.parametrize("argv, option", [

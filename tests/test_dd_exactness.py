@@ -242,7 +242,7 @@ def _each_step(scenario, n, inspect, every=1):
         zo, zx, trace = solver.solve_timestep(zx, *args)
         if next(calls) % every == 0:
             inspect(solver, trace, args)
-        return zo, zx, trace.iterations, trace.converged, trace
+        return zo.x, zx, trace.iterations, trace.converged, trace
 
     march(graph, cfg, *solver.initial_state(cfg.t0, *cfg.init.resolve(graph)), step)
 
@@ -348,7 +348,7 @@ def test_known_nonlinear_steps_settle_at_the_global_minimum():
         del solver.project_to_kirchhoff
         if trace.selected_indices[-1] != combo:
             differ.append((trace.selected_indices[-1], combo))
-        return zo, zx, trace.iterations, trace.converged, trace
+        return zo.x, zx, trace.iterations, trace.converged, trace
 
     march(graph, cfg, state0, zx0, step)
     capped = sum(p == 200 for p in passes)

