@@ -52,10 +52,8 @@ from .ddsolver import (
 )
 from .metrics import (
     ConvergencePoint,
-    ErrorDecomposition,
     ErrorSeries,
     convergence_slope,
-    decompose_error,
     energy_mismatch_error,
     rms_error,
 )

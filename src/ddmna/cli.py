@@ -7,7 +7,8 @@ Subcommands:
     version     print the package version
 
 Exit codes: 0 success, 1 solver failure, 2 usage or configuration error.
-A config file (INI, section per subcommand) may supply any long option;
+A config file (INI, section per subcommand) may supply any long option or
+positional of the subcommand, keyed by its name without the dashes;
 command-line flags override config values.
 """
 
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t0", type=float, default=None)
     run.add_argument("--t-end", type=float, default=None)
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--tol-em", type=float, default=None)
     run.add_argument("--max-iters", type=_positive_int, default=None)
     run.add_argument("--weight-rule", choices=["constant", "local-tangent"],
                      default=None)
@@ -135,8 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the INI section named after the subcommand."""
+def _config_keys(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, str]:
+    """Config key -> dest for the subcommand of args: each long option name
+    without its dashes, and each positional's name."""
+    sub = parser._subparsers._group_actions[0].choices[args.command]
+    keys = {}
+    for action in sub._actions:
+        if hasattr(args, action.dest):  # not --help
+            names = [s[2:] for s in action.option_strings if s.startswith("--")]
+            keys.update((name, action.dest) for name in names or [action.dest])
+    return keys
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill unset options from the INI section named after the subcommand.
+    A key of the section that names no option is an error; keys of
+    [DEFAULT] are exempt."""
     if not args.config:
         return
     if not os.path.exists(args.config):
@@ -145,11 +159,15 @@ def _apply_config(args: argparse.Namespace) -> None:
     ini.read(args.config)
     if not ini.has_section(args.command):
         return
+    keys = _config_keys(parser, args)
     for key, raw in ini.items(args.command):
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or getattr(args, attr) is not None:
-            continue
-        setattr(args, attr, raw)
+        dest = keys.get(key)
+        if dest is None:
+            if key in ini.defaults():
+                continue
+            raise UsageError(f"config [{args.command}]: unknown option {key!r}")
+        if getattr(args, dest) is None:
+            setattr(args, dest, raw)
 
 
 def _get(args, attr, default=None, convert=None, required=False):
@@ -193,8 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = run_transient_traditional(graph, inc, bindings, config)
         residual = kcl_residual(inc, trace)
     else:
-        dd_config = DDConfig(**_set_options(args, tol_em=float, max_iters=_positive_int,
-                                            weight_rule=None))
+        dd_config = DDConfig(**_set_options(args, max_iters=_positive_int, weight_rule=None))
         trace = run_transient_dd(graph, inc, bindings, config, dd_config)
         steps = trace.step_details[1:]
         residual = max((d.feasibility_residual for d in steps), default=0.0)
@@ -309,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "gen": cmd_gen,
                 "experiment": cmd_experiment, "version": cmd_version}
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return handlers[args.command](args)
     except (ValueError, FileNotFoundError, configparser.Error) as exc:
         # ValueError covers UsageError and NetlistError

@@ -351,7 +351,7 @@ def _least(q, ids, k: int) -> np.ndarray:
 
 class NearestNeighborIndex(FlatIndex):
     """The `FlatIndex` of one measurement set, with a default weight: exact
-    weighted nearest and k-nearest queries under any weight, no rebuild.
+    weighted nearest queries under any weight, no rebuild.
     """
 
     def __init__(self, mset: MeasurementSet, weight: float):
@@ -363,11 +363,6 @@ class NearestNeighborIndex(FlatIndex):
         """Nearest stored pair and its index under weight w (default: the index weight)."""
         idx = int(self.nearest(0, pair, self.weight if w is None else w)[0])
         return self.mset.pairs[idx].copy(), idx
-
-    def k_nearest(self, pair, k: int, w: float | None = None) -> np.ndarray:
-        """Indices of the k nearest pairs under weight w, sorted ascending;
-        ties at the k-th distance take the lowest indices."""
-        return np.sort(self.nearest(0, pair, self.weight if w is None else w, k))
 
 
 def local_tangent_weight(flat: FlatIndex, s: int, state_pair, k: int,

@@ -3,8 +3,9 @@ Kirchhoff-feasible state nearest the measurement data.
 
 Each iteration solves one linear system for the weighted projection onto the
 constraints (LU factors from LAPACK, kept while the system is unchanged),
-then moves the data picks.  The iteration is a fixed point monitored through
-the energy mismatch, the weighted squared distance between the two states.
+then moves the data picks.  The iteration stops when the picks repeat, at a
+fixed point of the two half-steps, and is monitored through the energy
+mismatch, the weighted squared distance between the two states.
 The weights are one vector in the order of the state's pair block, so the
 mismatch is one array expression over that block.  Every data element's set
 is one set of a `dataset.FlatIndex`, whose search kernel serves the data
@@ -60,7 +61,6 @@ from . import elements as em
 from .dataset import (
     ElementBinding,
     FlatIndex,
-    checked_weight,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     held_values,
@@ -87,13 +87,10 @@ class DDSolverError(RuntimeError):
 
 @dataclass
 class DDConfig:
-    tol_em: float = 1e-10
     max_iters: int = 500
     weight_rule: str = "constant"  # or "local-tangent"
 
     def __post_init__(self):
-        if not self.tol_em > 0.0:
-            raise ValueError("tol_em must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.weight_rule not in ("constant", "local-tangent"):
@@ -108,8 +105,7 @@ class DDStepTrace:
     em_history: list = field(default_factory=list)
     selected_indices: list = field(default_factory=list)  # dd-index tuple per iteration
     # why the step stopped: "selection-fixed" (the selection repeated),
-    # "mismatch-floor", "stall" (the mismatch stopped moving) or "cap"
-    # (max_iters reached)
+    # "mismatch-floor" or "cap" (max_iters reached)
     stop_reason: str = "cap"
     final_mismatch: float = np.nan
     feasibility_residual: float = np.nan
@@ -168,7 +164,7 @@ class KirchhoffSystem:
         self.n = nphi + n_l + inc.a_v.shape[1]  # the length of x and of y
         self._groups = (slice(0, n_g), slice(n_g, n_g + n_c), slice(n_g + n_c, n_e))
         first = {"G": 0, "C": n_g, "L": n_g + n_c}
-        self._tangents = [t for group in "GCL" for t in self.known[group]]
+        self.tangents = [t for group in "GCL" for t in self.known[group]]
         self._known = np.array([first[group] + t.index for group in "GCL"
                                 for t in self.known[group]], np.intp)
         self._is_data = np.ones(n_e)
@@ -207,7 +203,7 @@ class KirchhoffSystem:
     def _slopes(self) -> np.ndarray:
         """The known tangents' slopes per element, 0 at data elements."""
         s = np.zeros(self._is_data.size)
-        s[self._known] = [t.slope for t in self._tangents]
+        s[self._known] = [t.slope for t in self.tangents]
         return s
 
     def _data_weights(self, w: np.ndarray) -> np.ndarray:
@@ -218,7 +214,7 @@ class KirchhoffSystem:
         """The responses of the flat pair block p at data elements and the
         known tangents' offsets, per element."""
         r = p.take(self.response)
-        r[self._known] = [t.offset for t in self._tangents]
+        r[self._known] = [t.offset for t in self.tangents]
         return r
 
     def matrix(self, alpha: float, w: np.ndarray) -> np.ndarray:
@@ -330,13 +326,13 @@ class DDSolver:
         # reads only the data pairs.  The data half-step keeps a known-linear
         # pair as it is and moves a nonlinear one by one Newton step, so a
         # step stops when the data indices repeat and the known-nonlinear
-        # pairs settle, or on the mismatch floor or the stall test.
+        # pairs settle, or on the mismatch floor.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
         self._nonlinear = []  # (row, tangent)
-        data = []  # (row, measurement set)
+        data = []  # measurement set per data row
         for row, (group, j, b) in enumerate(elements):
             if b.mode == "data":
-                data.append((row, b.data))
+                data.append(b.data)
             elif isinstance(b.model, em.LinearModel):
                 self.known[group].append(KnownTangent(j, b.model, b.model.value))
             else:
@@ -344,27 +340,19 @@ class DDSolver:
                 tangent.relinearize(0.0)
                 self.known[group].append(tangent)
                 self._nonlinear.append((row, tangent))
-        # One flat index over every data set, set s for the s-th data row.
-        self.flat = FlatIndex([mset for _, mset in data])
-        self._data_rows = np.array([row for row, _ in data], dtype=np.intp)
+        # One flat index over every data set, set s for the s-th data row
+        # (`system.data`).
+        self.flat = FlatIndex(data)
         self._data_sets = np.arange(len(data))
-        self._tangents = [t for group in "GCL" for t in self.known[group]]
         self.system = KirchhoffSystem("step", inc, self.known)
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
-        self._data_ab = np.stack([self.system.drive, self.system.response])[:, self._data_rows]
+        self._data_ab = self.system.data_coords.reshape(-1, 2).T
         # [key, LU, pivots, response coefficients, reduced quadratic or None]
         # of the last system
         self._lu_slot: list | None = None
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
         self._last: tuple = (None, None)  # (picks, their (a, b)), see _pick_data
         self._solves = 0  # Kirchhoff right-hand sides solved, see DDStepTrace.solves
-
-    # ------------------------------------------------------------------
-    def set_weight(self, name: str, value: float) -> None:
-        """Override one element's metric coefficient and its reference weight."""
-        w = checked_weight(value)
-        row = self.names.index(name)
-        self.weights[row] = self.w_ref[row] = w
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
@@ -383,7 +371,7 @@ class DDSolver:
         kept in one slot and renewed when the system, alpha, a weight or a
         slope changes."""
         key = (system.tag, alpha, self.weights.tobytes(),
-               tuple(t.slope for t in self._tangents))
+               tuple(t.slope for t in self.system.tangents))
         if self._lu_slot is None or self._lu_slot[0] != key:
             lu, piv, info = lapack.dgetrf(assemble())
             if info != 0:
@@ -476,7 +464,7 @@ class DDSolver:
         measured pair; returns the picks' indices in their sets, and keeps
         them with their (a, b) as the last picks."""
         w, picks = self.weights.tolist(), []
-        for s, row in enumerate(self._data_rows.tolist()):
+        for s, row in enumerate(self.system.data.tolist()):
             i = self.flat.nearest(s, p[row], w[row])[0]
             p[row] = self.flat.msets[s].pairs[i]
             picks.append(i)
@@ -509,7 +497,7 @@ class DDSolver:
 
     def _update_tangent_weights(self, zx: CircuitState) -> None:
         p, w, ref = zx.pairs(), self.weights.tolist(), self.w_ref.tolist()
-        for s, row in enumerate(self._data_rows.tolist()):
+        for s, row in enumerate(self.system.data.tolist()):
             self.weights[row] = local_tangent_weight(
                 self.flat, s, p[row], TANGENT_K, w[row],
                 w_min=W_MIN_FACTOR * ref[row], w_max=W_MAX_FACTOR * ref[row])
@@ -541,7 +529,6 @@ class DDSolver:
         """Iterate `project` (data state -> Kirchhoff state of `system`) and
         the data half-step on the data elements of `sets` until a stop test
         fires."""
-        cfg = self.config
         trace = DDStepTrace()
         zx = zx.copy()
         # A pair at distance 0 is the only nearest one (a set holds no
@@ -550,8 +537,8 @@ class DDSolver:
             self._pick_data(zx.pairs())
         picks, ab = self._last  # ab: the picks' (a, b), one column each
         zx.pairs().reshape(-1)[self._data_ab] = ab
-        prev_sel = em_first = em_prev = None
-        for p in range(1, cfg.max_iters + 1):
+        prev_sel = None
+        for p in range(1, self.config.max_iters + 1):
             if tangent_weights:
                 self._update_tangent_weights(zx)
             zo = project(zx)
@@ -559,22 +546,13 @@ class DDSolver:
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
             trace.iterations = p
-            if em_first is None:
-                em_first = mismatch
-            # Known-nonlinear pairs still moving are Newton's iterates, which
-            # move the mismatch less and less: the stall test waits for them.
-            settled = prev_sel is not None and _settled(sel[1], prev_sel[1])
-            if settled and sel[0] == prev_sel[0]:
+            if prev_sel is not None and sel[0] == prev_sel[0] and _settled(sel[1], prev_sel[1]):
                 trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
             if mismatch <= MISMATCH_FLOOR:
                 trace.stop_reason = "mismatch-floor"
                 break
-            if settled and abs(em_prev - mismatch) <= cfg.tol_em * (em_first + MISMATCH_FLOOR):
-                trace.stop_reason = "stall"
-                break
-            em_prev = mismatch
         trace.final_mismatch = trace.em_history[-1]
         return zo, zx, trace
 
@@ -651,7 +629,7 @@ class DDSolver:
                                 self.inc.a_c, q_c0, psi_l0, i_l0)
 
         state, zx, _ = self._iterate(held, 0.0, project, self.seed_state(q_c0, psi_l0),
-                                     np.flatnonzero(self._data_rows < self.n_g), False)
+                                     np.flatnonzero(self.system.data < self.n_g), False)
         zx.q_c, zx.psi_l = q_c0, psi_l0
         return state, zx
 
@@ -696,7 +674,7 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     Returns (best K-feasible state, best index tuple, global minimum
     mismatch).
     """
-    dd_elems = list(zip(solver._data_rows.tolist(), solver.flat.msets))
+    dd_elems = list(zip(solver.system.data.tolist(), solver.flat.msets))
     sizes = [len(mset) for _, mset in dd_elems]
     n_tuples = int(np.prod(sizes)) if sizes else 1
     if n_tuples > cap:

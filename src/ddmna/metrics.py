@@ -1,6 +1,5 @@
 """Error measures comparing transient traces: per-step energy-mismatch error,
-RMS-over-time error, the time-vs-data error decomposition, and the empirical
-convergence rate over dataset size.
+RMS-over-time error, and the empirical convergence rate over dataset size.
 
 Weights are the true model parameters of the reference solution; for
 nonlinear elements the local tangent of the true model at the reference
@@ -77,29 +76,6 @@ def rms_error(trace: TransientTrace, ref_trace: TransientTrace,
     if denom <= 0.0:
         raise ValueError("degenerate all-zero reference trace")
     return float(np.sqrt(series.values.sum() / denom))
-
-
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    eps_time: float   # traditional vs reference (RMS)
-    eps_data: float   # data-driven vs traditional (RMS)
-    eps_total: float  # data-driven vs reference (RMS)
-    bound_satisfied: bool  # squared-sum bound: sum|ref-dd|^2 <= sum|ref-trad|^2 + sum|dd-trad|^2
-
-
-def decompose_error(dd_trace: TransientTrace, trad_trace: TransientTrace,
-                    ref_trace: TransientTrace, true_model, group: str,
-                    index: int) -> ErrorDecomposition:
-    """Split the overall error into time-discretization and finite-data parts."""
-    eps_time = rms_error(trad_trace, ref_trace, true_model, group, index)
-    eps_data = rms_error(dd_trace, trad_trace, true_model, group, index)
-    eps_total = rms_error(dd_trace, ref_trace, true_model, group, index)
-
-    # Triangle inequality on the normalized root errors.  A plain sum of the
-    # squared parts would drop the cross term and does not bound the total.
-    bound = eps_total <= eps_time + eps_data + 1e-12 * (eps_time + eps_data)
-    return ErrorDecomposition(eps_time=eps_time, eps_data=eps_data,
-                              eps_total=eps_total, bound_satisfied=bool(bound))
 
 
 def convergence_slope(points: list[ConvergencePoint]) -> float:

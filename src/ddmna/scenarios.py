@@ -34,6 +34,9 @@ from .netlist import build_incidence, parse_netlist
 from .reference import analytic_rc_voltage, run_transient_traditional
 from .state import TransientConfig, TransientTrace
 
+# Each data set covers its element's reference envelope widened by this factor.
+ENVELOPE_MARGIN = 1.2
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -45,7 +48,6 @@ class Scenario:
     t_end: float
     metric_element: str
     weight_rule: str = "constant"
-    envelope_margin: float = 1.2
     analytic_reference: bool = False
 
 
@@ -136,10 +138,10 @@ def synthesize_datasets(scenario: Scenario, graph, known_bindings,
     """Replace the scenario's data-driven elements by synthetic measurement sets.
 
     The per-element count splits n_total evenly; grids cover the envelope of
-    the reference run (margin per scenario).  Diode datasets are gridded
+    the reference run, widened by ENVELOPE_MARGIN.  Diode datasets are gridded
     log-symmetrically in current to resolve the exponential forward branch.
     """
-    env = operating_envelope(envelope_trace, graph, margin=scenario.envelope_margin)
+    env = operating_envelope(envelope_trace, graph, margin=ENVELOPE_MARGIN)
     count = max(1, n_total // len(scenario.dd_names))
     by_name = {b.name: b for b in known_bindings}
     out = []
@@ -181,16 +183,12 @@ class CellResult:
     wall_s: float                 # the whole cell, reference run included
 
 
-def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
-             dd_config: DDConfig | None = None,
-             t_end: float | None = None) -> CellResult:
+def run_cell(scenario_name: str, scheme: str, steps: int, n: int) -> CellResult:
     """Run one (scheme, K, N) sweep cell: traditional + data-driven + metrics."""
     t_start = time.perf_counter()
     scenario = SCENARIOS[scenario_name]
     graph, inc, known = build_scenario(scenario)
-    config = TransientConfig(scheme=scheme, t0=0.0,
-                             t_end=t_end if t_end is not None else scenario.t_end,
-                             steps=steps)
+    config = TransientConfig(scheme=scheme, t0=0.0, t_end=scenario.t_end, steps=steps)
     trad = run_transient_traditional(graph, inc, known, config)
 
     if scenario.analytic_reference:
@@ -205,9 +203,7 @@ def run_cell(scenario_name: str, scheme: str, steps: int, n: int,
         ref = trad
 
     bindings = synthesize_datasets(scenario, graph, known, trad, n)
-    if dd_config is None:
-        dd_config = DDConfig(weight_rule=scenario.weight_rule)
-    dd = run_transient_dd(graph, inc, bindings, config, dd_config)
+    dd = run_transient_dd(graph, inc, bindings, config, DDConfig(weight_rule=scenario.weight_rule))
 
     group, index = element_location(graph, scenario.metric_element)
     true_model = next(b for b in known if b.name == scenario.metric_element).model
@@ -231,7 +227,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
     scenario = SCENARIOS[spec.scenario]
     dd_config = DDConfig(weight_rule=scenario.weight_rule)
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(spec.scenario, scheme, steps, n, dd_config)
+    tasks = [(spec.scenario, scheme, steps, n)
              for scheme in spec.schemes
              for steps in spec.steps_values
              for n in spec.n_values]

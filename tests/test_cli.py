@@ -236,6 +236,42 @@ def test_config_flag_overrides_file(tmp_path):
     assert len(_read_csv(out / "trace.csv")) == 11
 
 
+@pytest.mark.parametrize("model, entries", [
+    ("linear-g", "value = 1e-3\nrange = 0:1"),
+    ("shockley", "i-range = 1e-9:10\nis = 1e-9\nspacing = log")])
+def test_config_keys_are_the_long_option_names(tmp_path, model, entries):
+    # --range, --i-range and --is store their values under other names
+    # (vrange, irange, i_s); a file names them as the command line does
+    out = [tmp_path / "flags.csv", tmp_path / "file.csv"]
+    flags = ["--" + line.replace(" = ", "=") for line in entries.split("\n")]
+    assert main(["gen", "--model", model, "--n", "5", *flags, "--out", str(out[0])]) == 0
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text(f"[gen]\nmodel = {model}\nn = 5\n{entries}\nout = {out[1]}\n")
+    assert main(["--config", str(cfg), "gen"]) == 0
+    assert out[1].read_text() == out[0].read_text()
+
+
+@pytest.mark.parametrize("section, key", [("run", "bogus"), ("run", "tol-em"), ("run", "t_end"),
+                                          ("run", "help"), ("gen", "vrange")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, section, key):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{key} = 1\nout = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), section]) == 2
+    assert capsys.readouterr().err == f"error: config [{section}]: unknown option '{key}'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_section_keys_fill_the_options_they_name(tmp_path):
+    # [DEFAULT] is shared by every section: `steps` sets --steps of run, and
+    # `workers`, an option of experiment only, is no error in [run]
+    net = _write_rc(tmp_path)
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[DEFAULT]\nsteps = 10\nworkers = 2\n[run]\nnetlist = {net}\nout = {out}\n")
+    assert main(["--config", str(cfg), "run"]) == 0
+    assert len(_read_csv(out / "trace.csv")) == 11
+
+
 @pytest.mark.parametrize("entry, option", [("steps = 0", "--steps"),
                                            ("scheme = xx", "--scheme"),
                                            ("steps = inf", "--steps"),

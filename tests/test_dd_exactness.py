@@ -12,7 +12,9 @@ same RL circuit with its inductor as data as well covers the data inductor's
 alpha-weighted distance.
 """
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ import scipy.linalg
 from ddmna.dataset import ElementBinding, SamplingPlan, bindings_from_graph, generate_measurements
 from ddmna.ddsolver import DDConfig, DDSolver, brute_force_timestep, run_transient_dd
 from ddmna.netlist import build_incidence, parse_netlist, sources
-from ddmna.reference import run_transient_traditional
+from ddmna.reference import kcl_residual, run_transient_traditional
 from ddmna.scenarios import SCENARIOS, Scenario, build_scenario, run_cell, synthesize_datasets
 from ddmna.state import CircuitState, TransientConfig, march
 
@@ -113,7 +115,7 @@ def _cosine(solver, r: CircuitState, d: CircuitState, alpha) -> float:
     of copies whose known pairs are zeroed, by polarisation, with d rescaled
     to the norm of r first.
     """
-    known = [row for row in range(len(solver.names)) if row not in solver._data_rows]
+    known = [row for row in range(len(solver.names)) if row not in solver.system.data]
     r, d = r.copy(), d.copy()
     r.pairs()[known] = d.pairs()[known] = 0.0
     zero = CircuitState.zeros(solver.graph)
@@ -284,7 +286,7 @@ def test_one_data_element_steps_reach_the_global_minimum(name, n, monkeypatch):
 def _tuple_mismatch(solver, combo, args):
     """The mismatch brute force gives the data tuple combo (linear known elements)."""
     zx = CircuitState.zeros(solver.graph)
-    for row, mset, idx in zip(solver._data_rows, solver.flat.msets, combo):
+    for row, mset, idx in zip(solver.system.data, solver.flat.msets, combo):
         zx.pairs()[row] = mset.pairs[idx]
     return solver.energy_mismatch(solver.project_to_kirchhoff(zx, *args), zx, args[0])
 
@@ -356,3 +358,34 @@ def test_known_nonlinear_steps_settle_at_the_global_minimum():
           f"({capped} of {len(passes)} at the cap), differing {differ}")
     assert set(stops) == {"selection-fixed"}
     assert not differ
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("name", ["rectifier", "rc-nonlinear"])
+def test_known_nonlinear_full_cells_stop_on_a_repeated_selection(name, scheme):
+    # The built-in netlists over their full runs with R1 as data (N = 1e3,
+    # constant weights) beside a known nonlinear element, the Shockley D1 or
+    # the MLCC C1: every step re-linearises it until its pair settles, and
+    # stops on a repeated selection.
+    scenario = dataclasses.replace(SCENARIOS[name], dd_names=("R1",), weight_rule="constant")
+    graph, inc, known = build_scenario(scenario)
+    cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end, steps=scenario.steps)
+    trad = run_transient_traditional(graph, inc, known, cfg)
+    binds = synthesize_datasets(scenario, graph, known, trad, 1000)
+    dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
+    steps = dd.step_details[1:]
+    stops = Counter(s.stop_reason for s in steps)
+    iterations = sorted(Counter(s.iterations for s in steps).items())
+    feasibility = max(s.feasibility_residual for s in steps)
+    capped = int(np.count_nonzero(~dd.converged))
+    kcl = kcl_residual(inc, dd)
+    print(f"{name} {scheme}: stops {dict(stops)}, iterations {iterations}, "
+          f"feasibility {feasibility:.2g}, KCL {kcl:.2g}")
+    assert stops == {"selection-fixed": scenario.steps}
+    assert capped == 0
+    assert feasibility <= 1e-10
+    # The rc-nonlinear KCL is not gated: it differences two charges of
+    # ~3e-5 C, alpha * (q_new - q_old), against currents that decay to
+    # ~3e-14 A, and that rounding leaves ~1e-10 (ROADMAP item 5).
+    if name == "rectifier":
+        assert kcl <= 1e-10

@@ -39,7 +39,7 @@ def one_node_solver():
     inc = build_incidence(graph)
     binds = [ElementBinding("R1", "G", "data", data=ONE_NODE_SET)]
     solver = DDSolver(graph, inc, binds, DDConfig())
-    solver.set_weight("R1", 1.0)
+    solver.weights[:] = solver.w_ref[:] = 1.0
     return graph, solver
 
 
@@ -116,7 +116,8 @@ def test_project_to_data_element_independence():
         data=MeasurementSet("C", np.array([[0.0, 0.0], [1.0, 1e-6]])))
         for b in binds]
     solver2 = DDSolver(graph, inc, binds2, DDConfig())
-    solver2.set_weight("R1", solver.weights[solver.names.index("R1")])
+    r1 = solver.names.index("R1")
+    solver2.weights[r1] = solver2.w_ref[r1] = solver.weights[r1]
     _, (sel_b, _) = solver2.project_to_data(zo)
     assert sel_a[0] == sel_b[0]
 
@@ -172,7 +173,7 @@ def test_single_point_dataset_matches_oracle():
     binds = [ElementBinding("R1", "G", "data",
                             data=MeasurementSet("G", np.array([[0.5, 1.5]])))]
     solver = DDSolver(graph, inc, binds, DDConfig())
-    solver.set_weight("R1", 1.0)
+    solver.weights[:] = solver.w_ref[:] = 1.0
     zo_b, combo, mm = brute_force_timestep(solver, 1.0, NO_L, NO_L,
                                            np.array([1.0]), NO_L)
     zx = solver.seed_state(NO_L, NO_L)
@@ -336,8 +337,8 @@ def test_weight_scaling_leaves_projection_unchanged():
     outs = []
     for scale in (1.0, 10.0):
         solver = DDSolver(graph, inc, binds, DDConfig())
-        for name, w in zip(solver.names, solver.weights.tolist()):
-            solver.set_weight(name, w * scale)
+        solver.weights *= scale
+        solver.w_ref *= scale
         v_src, i_src = sources(graph, cfg.h)
         zo = solver.project_to_kirchhoff(zx, alpha, np.zeros(1), NO_L,
                                          v_src, i_src)
@@ -358,8 +359,7 @@ def test_stopping_on_selection_repetition():
 
 def test_non_convergence_flag_on_tiny_budget():
     graph, inc, known, binds, cfg, trad = rc_data_setup(steps=5, n=2000)
-    dd = run_transient_dd(graph, inc, binds, cfg,
-                          DDConfig(max_iters=1, tol_em=1e-30))
+    dd = run_transient_dd(graph, inc, binds, cfg, DDConfig(max_iters=1))
     flags = [s.converged for s in dd.step_details[1:]]
     assert not all(flags)
 
@@ -369,12 +369,11 @@ def test_stop_reasons_and_one_warning_for_capped_steps(caplog):
     with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
         dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
     reasons = {s.stop_reason for s in dd.step_details[1:]}
-    assert reasons <= {"selection-fixed", "mismatch-floor", "stall"}
+    assert reasons <= {"selection-fixed", "mismatch-floor"}
     assert not caplog.records
 
     with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
-        dd = run_transient_dd(graph, inc, binds, cfg,
-                              DDConfig(max_iters=1, tol_em=1e-30))
+        dd = run_transient_dd(graph, inc, binds, cfg, DDConfig(max_iters=1))
     steps = dd.step_details[1:]
     assert [s.stop_reason for s in steps] == ["cap"] * 5
     assert not any(s.converged for s in steps)
@@ -432,8 +431,7 @@ def mixed_solver(rng, log_w=(-7.0, 3.0)):
                                data=generate_measurements(b.model, plan))
         binds.append(b)
     solver = DDSolver(graph, build_incidence(graph), binds, DDConfig())
-    for name in solver.names:
-        solver.set_weight(name, 10.0 ** rng.uniform(*log_w))
+    solver.weights[:] = solver.w_ref[:] = [10.0 ** rng.uniform(*log_w) for _ in solver.names]
     return graph, solver
 
 
@@ -535,10 +533,6 @@ def test_weights_must_be_positive_and_finite(bad):
 
     with pytest.raises(ValueError, match="0 < w < inf"):
         default_weight(ElementBinding("R1", "G", "known", model=UncheckedLinear("G", bad)))
-    graph, solver = one_node_solver()
-    with pytest.raises(ValueError, match="0 < w < inf"):
-        solver.set_weight("R1", bad)
-    assert solver.weights.tolist() == solver.w_ref.tolist() == [1.0]
 
 
 LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(

@@ -7,7 +7,6 @@ from ddmna.elements import LinearModel
 from ddmna.metrics import (
     ConvergencePoint,
     convergence_slope,
-    decompose_error,
     energy_mismatch_error,
     rms_error,
     true_weights,
@@ -98,31 +97,9 @@ def test_rms_rejects_zero_reference():
         rms_error(trace, trace, LinearModel("C", 1e-6), "C", 0)
 
 
-def test_decompose_identities():
-    graph, trace = _rc_trace()
-    shifted = _perturbed(trace, dv=1e-4)
-    model = LinearModel("C", 1e-6)
-    d1 = decompose_error(shifted, shifted, trace, model, "C", 0)
-    assert d1.eps_data == 0.0
-    assert d1.eps_total == pytest.approx(d1.eps_time)
-    d2 = decompose_error(shifted, trace, trace, model, "C", 0)
-    assert d2.eps_time == 0.0
-    assert d2.bound_satisfied
-
-
-def test_decompose_bound_on_real_run():
-    res = run_cell("rc-linear", "backward-euler", 100, 1000)
-    d = decompose_error(res.dd_trace, res.trad_trace, res.ref_trace,
-                        res.true_model, res.group, res.index)
-    assert d.bound_satisfied
-    assert d.eps_time > 0.0 and d.eps_data >= 0.0
-
-
 def test_stagnation_at_time_discretization_floor():
     res = run_cell("rc-linear", "backward-euler", 100, 10 ** 6)
-    d = decompose_error(res.dd_trace, res.trad_trace, res.ref_trace,
-                        res.true_model, res.group, res.index)
-    assert res.rms <= 2.0 * d.eps_time
+    assert res.rms <= 2.0 * res.rms_traditional
 
 
 def test_slope_exact_power_law():

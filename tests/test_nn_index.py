@@ -79,7 +79,7 @@ def test_index_equals_brute_force(case, k):
         _, expected = nearest_measurement(index.mset, q, w)
         assert idx == expected
         assert np.array_equal(p, index.mset.pairs[expected])
-        nearest = index.k_nearest(q, k, w=w)
+        nearest = np.sort(index.nearest(0, q, w, k))
         assert np.array_equal(nearest, np.sort(brute_k_nearest(index.mset, q, k, w)))
         if w == index.weight:
             assert index.query(q)[1] == idx
