@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 solver failure, 2 usage or configuration error.
 A config file (INI, section per subcommand) may supply any long option or
-positional of the subcommand, keyed by its name without the dashes;
+positional of the subcommand, keyed by its name without the dashes; each
+value passes through its option's type and choices, as a flag's does, and
 command-line flags override config values.
 """
 
@@ -60,6 +61,14 @@ def _scheme(text: str) -> str:
             f"unknown scheme {text!r} (use be, tr or the full names)") from None
 
 
+def _schemes(text: str) -> list[str]:
+    return [_scheme(s) for s in text.split(",") if s.strip()]
+
+
+def _int_list(text: str) -> list[int]:
+    return [_positive_int(s) for s in text.split(",") if s.strip()]
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -78,7 +87,7 @@ def _parse_n_list(text: str) -> list[int]:
             raise UsageError("N values must be >= 1")
         k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
         return [10 ** k for k in range(k0, k1 + 1)]
-    return [_positive_int(tok) for tok in text.split(",") if tok.strip()]
+    return _int_list(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,10 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="synthesize a measurement CSV")
     gen.add_argument("--model", choices=["shockley", "mlcc", "linear-g",
                                          "linear-c", "linear-l"], default=None)
-    gen.add_argument("--range", dest="vrange", default=None,
-                     help="drive range lo:hi (voltage, or current for diodes/inductors)")
-    gen.add_argument("--i-range", dest="irange", default=None,
-                     help="alias of --range for current-driven models")
+    gen.add_argument("--range", dest="vrange", type=_parse_range, default=None,
+                     help="drive range lo:hi (voltage, or current for diodes/inductors); "
+                          "a negative lo takes the = form, --range=-1:1")
+    gen.add_argument("--i-range", dest="irange", type=_parse_range, default=None,
+                     help="alias of --range for current-driven models; "
+                          "a negative lo takes the = form, --i-range=-2e-9:0.05")
     gen.add_argument("--n", type=_positive_int, default=None, help="sample count")
     gen.add_argument("--spacing", choices=["uniform", "log"], default=None)
     gen.add_argument("--out", default=None, help="output CSV path")
@@ -124,10 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a built-in scenario sweep")
     exp.add_argument("scenario", choices=sorted(SCENARIOS), nargs="?", default=None)
-    exp.add_argument("--n", default=None,
+    exp.add_argument("--n", type=_parse_n_list, default=None,
                      help="dataset sizes: comma list or decade span lo:hi")
-    exp.add_argument("--schemes", default=None, help="comma list, e.g. be,tr")
-    exp.add_argument("--steps", default=None, help="comma list of step counts")
+    exp.add_argument("--schemes", type=_schemes, default=None, help="comma list, e.g. be,tr")
+    exp.add_argument("--steps", type=_int_list, default=None, help="comma list of step counts")
     exp.add_argument("--out", default=None, help="output directory")
     exp.add_argument("--workers", type=_positive_int, default=None)
 
@@ -135,21 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, str]:
-    """Config key -> dest for the subcommand of args: each long option name
-    without its dashes, and each positional's name."""
+def _config_keys(parser: argparse.ArgumentParser, args: argparse.Namespace
+                 ) -> dict[str, argparse.Action]:
+    """Config key -> action for the subcommand of args: each long option
+    name without its dashes, and each positional's name."""
     sub = parser._subparsers._group_actions[0].choices[args.command]
     keys = {}
     for action in sub._actions:
         if hasattr(args, action.dest):  # not --help
             names = [s[2:] for s in action.option_strings if s.startswith("--")]
-            keys.update((name, action.dest) for name in names or [action.dest])
+            keys.update((name, action) for name in names or [action.dest])
     return keys
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill unset options from the INI section named after the subcommand.
-    A key of the section that names no option is an error; keys of
+    """Fill unset options from the INI section named after the subcommand,
+    each value through its option's type and choices as argparse takes a
+    flag's.  A key of the section that names no option is an error; keys of
     [DEFAULT] are exempt."""
     if not args.config:
         return
@@ -161,33 +174,33 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         return
     keys = _config_keys(parser, args)
     for key, raw in ini.items(args.command):
-        dest = keys.get(key)
-        if dest is None:
+        action = keys.get(key)
+        if action is None:
             if key in ini.defaults():
                 continue
             raise UsageError(f"config [{args.command}]: unknown option {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, raw)
+        if getattr(args, action.dest) is not None:
+            continue
+        try:
+            value = parser._get_value(action, raw)
+            parser._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"{exc.argument_name}: {exc.message}") from None
+        setattr(args, action.dest, value)
 
 
-def _get(args, attr, default=None, convert=None, required=False):
+def _get(args, attr, default=None, required=False):
     val = getattr(args, attr)
     if val is None:
         if required and default is None:
             raise UsageError(f"missing required option --{attr.replace('_', '-')}")
         return default
-    if convert is not None and isinstance(val, str):
-        try:
-            return convert(val)
-        except UsageError as exc:
-            raise UsageError(f"--{attr.replace('_', '-')}: {exc}") from None
     return val
 
 
-def _set_options(args, **converters) -> dict:
-    """The named options the user set, converted; the config class owns the defaults."""
-    return {attr: _get(args, attr, convert=convert) for attr, convert in converters.items()
-            if getattr(args, attr) is not None}
+def _set_options(args, *attrs) -> dict:
+    """The named options the user set; the config class owns the defaults."""
+    return {attr: getattr(args, attr) for attr in attrs if getattr(args, attr) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     inc = build_incidence(graph)
     bindings = bindings_from_graph(graph, base_dir=os.path.dirname(netlist_path) or ".")
 
-    config = TransientConfig(**_set_options(args, scheme=_scheme, t0=float, t_end=float,
-                                            steps=_positive_int))
+    config = TransientConfig(**_set_options(args, "scheme", "t0", "t_end", "steps"))
     solver = _get(args, "solver", "traditional")
     out_dir = _get(args, "out", "out")
     os.makedirs(out_dir, exist_ok=True)
@@ -211,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = run_transient_traditional(graph, inc, bindings, config)
         residual = kcl_residual(inc, trace)
     else:
-        dd_config = DDConfig(**_set_options(args, max_iters=_positive_int, weight_rule=None))
+        dd_config = DDConfig(**_set_options(args, "max_iters", "weight_rule"))
         trace = run_transient_dd(graph, inc, bindings, config, dd_config)
         steps = trace.step_details[1:]
         residual = max((d.feasibility_residual for d in steps), default=0.0)
@@ -252,31 +264,31 @@ def _write_run_convergence(trace, solver: str, path: str) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     model_name = _get(args, "model", required=True)
     out_path = _get(args, "out", required=True)
-    count = _get(args, "n", required=True, convert=_positive_int)
+    count = _get(args, "n", required=True)
     spacing = _get(args, "spacing", "uniform")
 
-    range_text = args.irange if args.irange is not None else args.vrange
-    if range_text is None:
+    bounds = args.irange if args.irange is not None else args.vrange
+    if bounds is None:
         raise UsageError("missing required option --range (or --i-range)")
-    lo, hi = _parse_range(range_text)
+    lo, hi = bounds
 
     if model_name == "shockley":
         model = em.ShockleyDiodeModel(
-            i_s=_get(args, "i_s", 2.52e-9, convert=float),
-            n_ideality=_get(args, "n_ideality", 1.752, convert=float),
-            v_t=_get(args, "vt", 25.85e-3, convert=float),
-            r_series=_get(args, "rd", 0.0, convert=float),
+            i_s=_get(args, "i_s", 2.52e-9),
+            n_ideality=_get(args, "n_ideality", 1.752),
+            v_t=_get(args, "vt", 25.85e-3),
+            r_series=_get(args, "rd", 0.0),
         )
         drive = "i"
     elif model_name == "mlcc":
         model = em.MlccCapacitorModel(
-            c0=_get(args, "c0", 10e-6, convert=float),
-            cinf=_get(args, "cinf", 2e-6, convert=float),
-            v0=_get(args, "v0", 1.0, convert=float),
+            c0=_get(args, "c0", 10e-6),
+            cinf=_get(args, "cinf", 2e-6),
+            v0=_get(args, "v0", 1.0),
         )
         drive = "v"
     else:
-        value = _get(args, "value", required=True, convert=float)
+        value = _get(args, "value", required=True)
         kind = model_name.split("-")[1].upper()
         model = em.LinearModel(kind, value)
         drive = "i" if kind == "L" else "v"
@@ -298,14 +310,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     scenario = _get(args, "scenario", required=True)
     spec = ExperimentSpec(
         scenario=scenario,
-        n_values=_get(args, "n", required=True, convert=_parse_n_list),
-        schemes=_get(args, "schemes", [], convert=lambda text: [
-            _scheme(s) for s in text.split(",") if s.strip()]),
-        steps_values=_get(args, "steps", [], convert=lambda text: [
-            _positive_int(s) for s in text.split(",") if s.strip()]),
+        n_values=_get(args, "n", required=True),
+        schemes=_get(args, "schemes", []),
+        steps_values=_get(args, "steps", []),
     )
     out_dir = _get(args, "out", f"out-{scenario}")
-    workers = _get(args, "workers", 1, convert=_positive_int)
+    workers = _get(args, "workers", 1)
     results = run_experiment(spec, out_dir, workers=workers)
     for r in results:
         print(f"{r.scenario} {r.scheme} K={r.steps} N={r.n}: "

@@ -1,18 +1,20 @@
 """Measurement sets, their weighted metric, nearest-neighbor search and weights.
 
-Pairs are stored in measurement order: (v, i) for conductive elements (G),
-(v, q) for capacitors (C) and (psi, i) for inductors (L).  The metric weight
-multiplies the voltage coordinate for G and C and the current coordinate for
-L; the complementary coordinate carries the reciprocal weight, so both terms
-of a distance have power (G) or energy (C, L) units.
+Each pair is (v, i) for conductive elements (G), (v, q) for capacitors (C)
+and (psi, i) for inductors (L).  The metric weight multiplies the voltage
+coordinate for G and C and the current coordinate for L; the complementary
+coordinate carries the reciprocal weight, so both terms of a distance have
+power (G) or energy (C, L) units.
 
-`FlatIndex` holds several sets in one flat store, each set once, sorted by
-its weight-carrying coordinate, with per-set offsets.  Its `minimize` is the
-one search kernel: the exact k pairs of one set of least value of a 2×2
-quadratic, ties to the lowest index, the data solver's block search.  Its
-`nearest`, the k nearest pairs to one query under any weight with no
-rebuild, is the case of the weighted distance, and agrees with the
-brute-force scan `nearest_measurement`, ties included.
+A `MeasurementSet` holds its pairs in one order, by the weight-carrying
+coordinate a, then by the other coordinate b; an index into a set, the
+solvers' selection included, refers to it.  `FlatIndex` holds several sets
+as their contiguous a and b columns.  Its `minimize` is the one search
+kernel: the exact k pairs of one set of least value of a 2×2 quadratic,
+ties to the lowest index, the data solver's block search.  Its `nearest`,
+the k nearest pairs to one query under any weight with no rebuild, is the
+case of the weighted distance, and agrees with the brute-force scan
+`nearest_measurement`, ties included.
 `NearestNeighborIndex` is the flat index of one set, with a default weight.
 `local_tangent_weight` turns the k nearest pairs of one set around a state
 into a local-slope weight.
@@ -57,22 +59,20 @@ class MeasurementSet:
             raise ValueError("measurement set must be a non-empty (N, 2) array")
         if not np.all(np.isfinite(self.pairs)):
             raise ValueError("measurement pairs must be finite")
-        # Duplicates sit next to each other in a lexicographic order (stable,
-        # so each first occurrence leads its run); values compare as numbers,
-        # so -0.0 equals 0.0.  Rows already in that order, as synthesized
-        # sets arrive, are their own stable order: one pass checks it, and
-        # the sort is skipped.
-        a, b = self.pairs.T
-        order = None
+        # Held sorted by a, then b, so the search needs no order of its own.
+        # Values compare as numbers (-0.0 equals 0.0) in a stable sort, so
+        # each first occurrence leads its run of duplicates.  Rows already
+        # in that order, as synthesized sets arrive, take no sort.
+        ia = _W_COL[self.kind]
+        a, b = self.pairs[:, ia], self.pairs[:, 1 - ia]
         if not ((a[:-1] < a[1:]) | ((a[:-1] == a[1:]) & (b[:-1] <= b[1:]))).all():
-            order = np.lexsort((b, a))
-            a, b = a.take(order), b.take(order)
+            self.pairs = self.pairs[np.lexsort((b, a))]
+            a, b = self.pairs[:, ia], self.pairs[:, 1 - ia]
         dup = a[1:] == a[:-1]
         dup &= b[1:] == b[:-1]
         if dup.any():
             log.warning("dropping %d duplicate measurement pairs", int(dup.sum()))
-            keep = np.concatenate([[True], ~dup])
-            self.pairs = self.pairs[keep if order is None else np.sort(order[keep])]
+            self.pairs = self.pairs[np.concatenate([[True], ~dup])]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -208,45 +208,33 @@ _BOUND_ULPS = 64.0 * np.finfo(float).eps
 
 
 class FlatIndex:
-    """Every pair of several measurement sets, each set sorted by its
-    weight-carrying coordinate a, in flat arrays: set s occupies positions
-    off[s]:off[s + 1] of `ab` (rows a and b) and `idx` (index in the set).
-    `minimize` is the search kernel, and `nearest` its case of the weighted
-    distance.
+    """Several measurement sets, each as its contiguous columns a and b in
+    the set's order, so a position is an index in the set.  `minimize` is
+    the search kernel, and `nearest` its case of the weighted distance.
     """
 
     def __init__(self, msets):
         self.msets = list(msets)
-        self.off = np.cumsum([0] + [len(m) for m in self.msets])
-        # Indices in 32 bits: the store is built for every solver, and
-        # its size is part of the program's peak memory.
-        self.ab = np.empty((2, self.off[-1]))
-        self.idx = np.empty(self.off[-1], np.int32)
-        # Per set: its coordinates a and b in index order (views of its
-        # pairs), and for a large set the chunks of about sqrt(N) positions
-        # of its stretch: their starts (and its end) and their bounding
-        # boxes (rows: a low, b low, a high, b high).
-        self.cols = [(m.pairs[:, _W_COL[m.kind]], m.pairs[:, 1 - _W_COL[m.kind]])
-                     for m in self.msets]
-        self._boxes = [None] * len(self.msets)
-        for s, (a, b) in enumerate(self.cols):
-            lo, n = self.off[s], len(a)
-            order = np.argsort(a, kind="stable")
-            self.idx[lo:lo + n] = order
-            self.ab[0, lo:lo + n] = a[order]
-            self.ab[1, lo:lo + n] = b[order]
-            del order  # before the next argsort: the build's peak memory counts
-            a, b = self.ab[:, lo:lo + n]
+        # Per set: its columns a and b, and for a large set the chunks of
+        # about sqrt(N) positions: their starts (and its end) and their
+        # bounding boxes (rows: a low, b low, a high, b high).
+        self.cols, self._boxes = [], []
+        for m in self.msets:
+            ia, n = _W_COL[m.kind], len(m)
+            a, b = np.array([m.pairs[:, ia], m.pairs[:, 1 - ia]])
+            self.cols.append((a, b))
+            chunks = None
             if n > _SCAN_ALL:
                 first = np.arange(0, n, math.isqrt(n))
                 last = np.append(first[1:], n) - 1
-                box = np.array([a[first], np.minimum.reduceat(b, first),
-                                a[last], np.maximum.reduceat(b, first)])
-                self._boxes[s] = np.append(first, n) + lo, box
+                chunks = np.append(first, n), np.array([
+                    a[first], np.minimum.reduceat(b, first),
+                    a[last], np.maximum.reduceat(b, first)])
+            self._boxes.append(chunks)
 
     def nearest(self, s: int, pair, w: float, k: int = 1) -> np.ndarray:
-        """Indices of the k nearest pairs of set s to one pair in measurement
-        order under weight w, as in `nearest_measurement`: `minimize` of
+        """Indices of the k nearest pairs of set s to one pair, (v, i), (v, q)
+        or (psi, i), under weight w, as in `nearest_measurement`: `minimize` of
         0.5 w da² + 0.5 / w db², bit for bit `weighted_pair_distance`."""
         ia, w = _W_COL[self.msets[s].kind], float(w)
         return self.minimize(s, (float(pair[ia]), float(pair[1 - ia])),
@@ -266,12 +254,13 @@ class FlatIndex:
         """
         if self._boxes[s] is None:
             a, b = self.cols[s]
-            return _least(_quadratic(a - center[0], b - center[1], gram, g), None, k)
-        return _least(*self._scan(s, center, gram, g, k), k)
+            return _least(_quadratic(a - center[0], b - center[1], gram, g), k)
+        q, lo = self._scan(s, center, gram, g, k)
+        return _least(q, k) + lo
 
-    def _scan(self, s: int, center, gram, g, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """q and the indices over the stretch of `ab` that `minimize` scans
-        in the large set s.  Over a box, q is bounded below in G's
+    def _scan(self, s: int, center, gram, g, k: int) -> tuple[np.ndarray, int]:
+        """q over the stretch that `minimize` scans in the large set s, and
+        the stretch's first position.  Over a box, q is bounded below in G's
         eigenbasis, where it splits into two one-dimensional quadratics,
         each minimised over its coordinate's range on the box (linear where
         a rounded eigenvalue is <= 0).  The rotation is exact on the axes
@@ -310,14 +299,15 @@ class FlatIndex:
             lb -= (mag[:, :2].dot(ext) + mag[:, 2:]) * ext
         lb = lb[0] + lb[1]
         j = lb.argmin()
+        a, b = self.cols[s]
         lo, hi = starts[j], starts[j + 1]
-        q = _quadratic(self.ab[0, lo:hi] - ac, self.ab[1, lo:hi] - bc, gram, g)
+        q = _quadratic(a[lo:hi] - ac, b[lo:hi] - bc, gram, g)
         r = np.partition(q, k - 1)[k - 1] if k <= q.size else np.inf
         sel = (lb <= r).nonzero()[0]
         if sel[0] != j or sel[-1] != j:  # more than the chunk of least bound
             lo, hi = starts[sel[0]], starts[sel[-1] + 1]
-            q = _quadratic(self.ab[0, lo:hi] - ac, self.ab[1, lo:hi] - bc, gram, g)
-        return q, self.idx[lo:hi]
+            q = _quadratic(a[lo:hi] - ac, b[lo:hi] - bc, gram, g)
+        return q, lo
 
 
 def _quadratic(da, db, gram, g):
@@ -337,16 +327,13 @@ def _quadratic(da, db, gram, g):
     return q
 
 
-def _least(q, ids, k: int) -> np.ndarray:
-    """The k entries of ids (None: positions in q) of least q, ordered by
-    q, ties to the lowest entry."""
+def _least(q, k: int) -> np.ndarray:
+    """The positions of the k least entries of q, ordered by q, ties to the
+    lowest position."""
     if k == 1:
-        if ids is None:
-            return q.argmin(keepdims=True)
-        return ids[q == q[q.argmin()]].min(keepdims=True)
+        return q.argmin(keepdims=True)
     sel = (q <= np.partition(q, k - 1)[k - 1]).nonzero()[0] if k < q.size else np.arange(q.size)
-    ids = sel if ids is None else ids[sel]
-    return ids[np.lexsort((ids, q[sel]))[:k]]
+    return sel[np.argsort(q[sel], kind="stable")[:k]]
 
 
 class NearestNeighborIndex(FlatIndex):

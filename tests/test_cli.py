@@ -132,9 +132,12 @@ def test_gen_linear_three_samples(tmp_path):
     assert np.allclose(got, [(0.0, 0.0), (0.5, 0.5e-3), (1.0, 1e-3)])
 
 
-def test_gen_bad_range_exits_2(tmp_path):
-    assert main(["gen", "--model", "linear-g", "--value", "1",
-                 "--range", "nonsense", "--out", str(tmp_path / "x.csv")]) == 2
+def test_gen_bad_range_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--model", "linear-g", "--value", "1",
+              "--range", "nonsense", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --range: range must be lo:hi, got 'nonsense'" in capsys.readouterr().err
 
 
 def test_experiment_sweep_artifacts(tmp_path):
@@ -203,12 +206,13 @@ def test_experiment_decade_span_parsing(tmp_path):
     assert (out / "slopes.csv").exists()
 
 
-def test_experiment_unknown_scenario_exits_2(tmp_path):
+def test_experiment_unknown_scenario_exits_2(tmp_path, capsys):
     assert main(["experiment", "--n", "10",
                  "--out", str(tmp_path / "x")]) == 2
-    rc = main(["experiment", "rc-linear", "--n", "0",
-               "--out", str(tmp_path / "y")])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "rc-linear", "--n", "0", "--out", str(tmp_path / "y")])
+    assert exc.value.code == 2
+    assert "argument --n: must be >= 1" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -290,9 +294,16 @@ def test_experiment_bad_config_value_exits_2(tmp_path, capsys):
                    f"out = {tmp_path / 'o'}\n")
     assert main(["--config", str(cfg), "experiment"]) == 2
     assert capsys.readouterr().err.startswith("error: --workers: ")
-    assert main(["experiment", "rc-linear", "--n", "10", "--schemes", "be,xx",
-                 "--out", str(tmp_path / "o")]) == 2
+    cfg.write_text(f"[experiment]\nscenario = rc-linear\nn = 10\nschemes = be,xx\n"
+                   f"out = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), "experiment"]) == 2
     assert capsys.readouterr().err.startswith("error: --schemes: unknown scheme 'xx'")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "rc-linear", "--n", "10", "--schemes", "be,xx",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --schemes: unknown scheme 'xx'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -321,11 +332,49 @@ def test_bad_integer_config_value_exits_2(tmp_path, capsys, section, entries, op
     assert capsys.readouterr().err.startswith(f"error: {option}: ")
 
 
+@pytest.mark.parametrize("section, entries, option", [
+    ("run", "netlist = {net}\nsolver = foo", "--solver"),
+    ("gen", "model = linear-g\nvalue = 1\nrange = 0:1\nn = 3\nspacing = logg", "--spacing"),
+    ("gen", "model = foo\nvalue = 1\nrange = 0:1\nn = 3", "--model"),
+    ("gen", "model = shockley\nrange = 0:1\nn = 3\nis = abc", "--is")],
+    ids=["solver", "spacing", "model", "is"])
+def test_config_value_takes_its_options_type_and_choices(tmp_path, capsys, section, entries,
+                                                         option):
+    # A config value passes through its option's type and choices, as a
+    # flag does, and is rejected before any work, named by its option.
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{entries.format(net=_write_rc(tmp_path))}\nout = {out}\n")
+    assert main(["--config", str(cfg), section]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option}: ")
+    assert not out.exists()
+
+
+def test_negative_range_bound_takes_the_equals_form(tmp_path, capsys):
+    # After a space, argparse reads "-2e-9:0.05" as an option; the = form on
+    # the command line and a config value carry it, and --help shows the form.
+    flag_out, file_out = tmp_path / "flag.csv", tmp_path / "file.csv"
+    assert main(["gen", "--model", "shockley", "--n", "5", "--i-range=-2e-9:0.05",
+                 "--out", str(flag_out)]) == 0
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text(f"[gen]\nmodel = shockley\nn = 5\ni-range = -2e-9:0.05\nout = {file_out}\n")
+    assert main(["--config", str(cfg), "gen"]) == 0
+    for out in (flag_out, file_out):
+        assert float(_read_csv(out)[0]["i"]) == -2e-9
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    text = "".join(capsys.readouterr().out.split())  # unwrapped
+    assert "--range=-1:1" in text and "--i-range=-2e-9:0.05" in text
+
+
 @pytest.mark.parametrize("n, steps", [("1e3,inf", "20"), ("1:inf", "20"), ("10", "20,inf")])
 def test_experiment_bad_integer_list_exits_2(tmp_path, capsys, n, steps):
-    assert main(["experiment", "rc-linear", "--n", n, "--steps", steps,
-                 "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: --")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "rc-linear", "--n", n, "--steps", steps,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument --{'steps' if n == '10' else 'n'}: " in capsys.readouterr().err
 
 
 def test_run_infinite_time_window_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from ddmna.dataset import (
     MeasurementSet,
     NearestNeighborIndex,
     SamplingPlan,
+    bindings_from_graph,
     chord_weight,
     generate_measurements,
     load_measurements,
@@ -16,6 +17,7 @@ from ddmna.dataset import (
     save_measurements,
     weighted_pair_distance,
 )
+from ddmna.ddsolver import DDConfig, run_transient_dd
 from ddmna.elements import (
     LinearModel,
     MlccCapacitorModel,
@@ -241,7 +243,6 @@ def test_local_tangent_on_a_multi_set_index_equals_one_set_index():
 def test_operating_envelope_constant_trace():
     graph = parse_netlist("V1 1 0 DC 1\nR1 1 0 1e3\n")
     inc = build_incidence(graph)
-    from ddmna.dataset import bindings_from_graph
     cfg = TransientConfig(scheme="backward-euler", t_end=1e-3, steps=10)
     trace = run_transient_traditional(graph, inc, bindings_from_graph(graph), cfg)
     env = operating_envelope(trace, graph, margin=1.2)
@@ -252,7 +253,6 @@ def test_operating_envelope_constant_trace():
 def test_operating_envelope_covers_rc_transient():
     graph = parse_netlist("V1 1 0 DC 1\nR1 1 2 1e3\nC1 2 0 1e-6\n")
     inc = build_incidence(graph)
-    from ddmna.dataset import bindings_from_graph
     cfg = TransientConfig(scheme="trapezoidal", t_end=5e-3, steps=500)
     trace = run_transient_traditional(graph, inc, bindings_from_graph(graph), cfg)
     env = operating_envelope(trace, graph, margin=1.0)
@@ -266,51 +266,107 @@ def test_measurement_set_drops_duplicates():
     assert len(ms) == 2
 
 
+def _signed_zero_pairs(rng, n):
+    """n pairs on a half-integer lattice, so that rows repeat, about a third
+    of the coordinates negated, so that zeros come with either sign."""
+    pairs = rng.integers(-2, 3, size=(n, 2)) * 0.5
+    pairs[rng.random(pairs.shape) < 0.3] *= -1.0
+    return pairs
+
+
 def test_duplicate_rule_equals_unique_rows(caplog):
-    # The rows kept (first occurrences, in their order) and the warning are
-    # those of np.unique(axis=0); -0.0 and 0.0 are one value.
+    # The set holds, bit for bit, the first occurrence of each row that
+    # np.unique(axis=0) keeps, ordered by the weight-carrying coordinate a,
+    # then by b (for L, a is column 1), and warns of the rest; -0.0 and 0.0
+    # are one value, and a kept zero keeps the sign it was given.
     rng = np.random.default_rng(4)
-    for n in (1, 2, 7, 50, 400):
-        for _ in range(10):
-            pairs = rng.integers(-2, 3, size=(n, 2)) * 0.5
-            pairs[rng.random(pairs.shape) < 0.3] *= -1.0  # signed zeros
-            _, first = np.unique(pairs, axis=0, return_index=True)
-            caplog.clear()
-            ms = MeasurementSet("C", pairs)
-            assert np.array_equal(ms.pairs.view(np.int64), pairs[np.sort(first)].view(np.int64))
-            dropped = n - len(first)
-            assert [r.getMessage() for r in caplog.records] == (
-                [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
+    for kind, ia in (("G", 0), ("C", 0), ("L", 1)):
+        for n in (1, 2, 7, 50, 400):
+            for _ in range(10):
+                pairs = _signed_zero_pairs(rng, n)
+                _, first = np.unique(pairs[:, [ia, 1 - ia]], axis=0, return_index=True)
+                caplog.clear()
+                ms = MeasurementSet(kind, pairs)
+                assert np.array_equal(ms.pairs.view(np.int64), pairs[first].view(np.int64))
+                dropped = n - len(first)
+                assert [r.getMessage() for r in caplog.records] == (
+                    [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
+        for given in ([[-0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [-0.0, 1.0]]):
+            held = MeasurementSet(kind, given).pairs
+            assert held.shape == (1, 2) and np.signbit(held[0, 0]) == np.signbit(given[0][0])
 
 
 def test_presorted_pairs_skip_the_sort(caplog, monkeypatch):
-    # Rows already in lexicographic order take no sort, and give the sorting
-    # path's result: a shuffled copy of each set takes that path, and both
-    # keep the np.unique(axis=0) rows (first occurrences, signed zeros as
-    # given, in their order) and warn alike.
+    # Rows already in the held order take no sort and are held as given,
+    # bar duplicates; a shuffled copy, which takes the sort, gives the same
+    # set (values compare as numbers, so a zero's sign may differ) and the
+    # same warning.
     sorts = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
     rng = np.random.default_rng(5)
-    for n in (2, 7, 50, 400):
-        pairs = rng.integers(-2, 3, size=(n, 2)) * 0.5
-        pairs[rng.random(pairs.shape) < 0.3] *= -1.0  # signed zeros
-        presorted = pairs[lexsort(pairs.T[::-1])]
-        shuffled = presorted[rng.permutation(n)]
-        kept = []
-        for given, sorted_in in ((presorted, True), (shuffled, False)):
-            _, first = np.unique(given, axis=0, return_index=True)
-            sorts.clear()
-            caplog.clear()
-            ms = MeasurementSet("G", given)
-            assert np.array_equal(ms.pairs.view(np.int64), given[np.sort(first)].view(np.int64))
-            dropped = n - len(first)
-            assert [r.getMessage() for r in caplog.records] == (
-                [f"dropping {dropped} duplicate measurement pairs"] if dropped else [])
-            if sorted_in:
-                assert sorts == []
-            kept.append(ms.pairs[lexsort(ms.pairs.T[::-1])])
-        assert np.array_equal(*kept)
+    for kind, ia in (("G", 0), ("C", 0), ("L", 1)):
+        for n in (2, 7, 50, 400):
+            pairs = _signed_zero_pairs(rng, n)
+            presorted = pairs[lexsort((pairs[:, 1 - ia], pairs[:, ia]))]
+            held, warnings = [], []
+            for given in (presorted, presorted[rng.permutation(n)]):
+                sorts.clear()
+                caplog.clear()
+                held.append(MeasurementSet(kind, given).pairs)
+                warnings.append([r.getMessage() for r in caplog.records])
+                if given is presorted:
+                    assert sorts == []
+            _, first = np.unique(presorted[:, [ia, 1 - ia]], axis=0, return_index=True)
+            assert np.array_equal(held[0].view(np.int64), presorted[np.sort(first)].view(np.int64))
+            assert np.array_equal(*held)
+            assert warnings[0] == warnings[1]
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_synthesized_sets_arrive_in_the_held_order(name, monkeypatch):
+    # The built-in scenarios' sets are synthesized in the held order, under
+    # either scheme's envelope, so they take no sort, and the set order, the
+    # selection indices and the built-in traces stay those of the grid.
+    sc = scenarios.SCENARIOS[name]
+    graph, inc, known = scenarios.build_scenario(sc)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    for scheme in ("backward-euler", "trapezoidal"):
+        cfg = TransientConfig(scheme=scheme, t_end=sc.t_end, steps=sc.steps)
+        trad = run_transient_traditional(graph, inc, known, cfg)
+        for n in (100, 1000):
+            scenarios.synthesize_datasets(sc, graph, known, trad, n)
+            assert sorts == [], (scheme, n)
+
+
+def test_a_shuffled_data_csv_gives_the_same_data_driven_run(tmp_path):
+    # A data CSV may list its pairs in any order: the runs on shuffled
+    # copies of sorted files equal the runs on the sorted files, trace and
+    # selection indices alike, under either weight rule.
+    net = "V1 1 0 SIN 0 1 100\nR1 1 2 DATA r.csv\nL1 2 3 DATA l.csv\nC1 3 0 DATA c.csv\n"
+    sets = {"r": (LinearModel("G", 1e-2), SamplingPlan(-1.5, 1.5, 301)),
+            "l": (LinearModel("L", 0.1), SamplingPlan(-0.02, 0.02, 201, drive="i")),
+            "c": (MlccCapacitorModel(1e-5, 2e-6, 1.0), SamplingPlan(-1.5, 1.5, 251))}
+    rng = np.random.default_rng(6)
+    for order in ("sorted", "shuffled"):
+        (tmp_path / order).mkdir()
+        for stem, (model, plan) in sets.items():
+            ms = generate_measurements(model, plan)
+            if order == "shuffled":
+                ms.pairs = ms.pairs[rng.permutation(len(ms))]
+            save_measurements(ms, tmp_path / order / f"{stem}.csv")
+    graph = parse_netlist(net)
+    inc = build_incidence(graph)
+    cfg = TransientConfig(scheme="trapezoidal", t_end=2e-2, steps=80)
+    for rule in ("constant", "local-tangent"):
+        runs = [run_transient_dd(graph, inc, bindings_from_graph(graph, str(tmp_path / order)),
+                                 cfg, DDConfig(weight_rule=rule))
+                for order in ("sorted", "shuffled")]
+        assert np.array_equal(runs[0].x, runs[1].x)
+        assert [d.selected_indices for d in runs[0].step_details[1:]] \
+            == [d.selected_indices for d in runs[1].step_details[1:]]
 
 
 def test_csv_round_trip(tmp_path):

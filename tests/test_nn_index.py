@@ -208,10 +208,11 @@ def test_minimize_of_a_distance_to_the_line_of_the_data(k):
 
 
 def test_nearest_tie_across_chunks_under_any_weight():
-    # Pairs on the a axis, given in descending order: the query at the
-    # origin is as near to a = -1, the last pair of one chunk, as to a = +1,
-    # the first of the next, which has the lower index.  Each chunk's bound
-    # is exact, so the scan takes both under any weight.
+    # Pairs on the a axis, given in descending order and held in ascending
+    # order: the query at the origin is as near to a = -1, the last pair of
+    # one chunk, as to a = +1, the first of the next.  Each chunk's bound is
+    # exact, so the scan takes both under any weight, and the tie goes to
+    # the lower index, a = -1.
     size = 5000
     first = math.isqrt(size) * 30  # the position of a = +1
     a = np.arange(size, dtype=float) - first  # a = -1 at position first - 1
@@ -219,4 +220,5 @@ def test_nearest_tie_across_chunks_under_any_weight():
     mset = MeasurementSet("G", np.column_stack([a[::-1], np.zeros(size)]))
     flat = FlatIndex([mset])
     for w in (1e-10, 1e-3, 1.0, 1e3, 1e10):
-        assert flat.nearest(0, (0.0, 0.0), w).tolist() == brute_k_nearest(mset, np.zeros(2), 1, w).tolist()
+        assert flat.nearest(0, (0.0, 0.0), w).tolist() \
+            == brute_k_nearest(mset, np.zeros(2), 1, w).tolist() == [first - 1]
