@@ -62,7 +62,7 @@ def _scheme(text: str) -> str:
 
 
 def _schemes(text: str) -> list[str]:
-    return [_scheme(s) for s in text.split(",") if s.strip()]
+    return [_scheme(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def _int_list(text: str) -> list[int]:
@@ -80,13 +80,17 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Dataset sizes: either a comma list (1e3,1e4) or a decade span (1e2:1e6)."""
+    """Dataset sizes: either a comma list (1e3,1e4) or a decade span (1e2:1e6),
+    the powers of ten in [lo, hi]."""
     if ":" in text:
         lo, hi = _parse_range(text)
         if lo < 1:
             raise UsageError("N values must be >= 1")
-        k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
-        return [10 ** k for k in range(k0, k1 + 1)]
+        k0, k1 = int(np.floor(np.log10(lo))), int(np.ceil(np.log10(hi)))
+        sizes = [10 ** k for k in range(k0, k1 + 1) if lo <= 10 ** k <= hi]
+        if not sizes:
+            raise UsageError(f"span {text!r} holds no power of ten")
+        return sizes
     return _int_list(text)
 
 
@@ -136,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a built-in scenario sweep")
     exp.add_argument("scenario", choices=sorted(SCENARIOS), nargs="?", default=None)
     exp.add_argument("--n", type=_parse_n_list, default=None,
-                     help="dataset sizes: comma list or decade span lo:hi")
+                     help="dataset sizes: comma list or decade span lo:hi "
+                          "(the powers of ten in it)")
     exp.add_argument("--schemes", type=_schemes, default=None, help="comma list, e.g. be,tr")
     exp.add_argument("--steps", type=_int_list, default=None, help="comma list of step counts")
     exp.add_argument("--out", default=None, help="output directory")

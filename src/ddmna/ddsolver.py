@@ -101,17 +101,23 @@ class DDConfig:
 class DDStepTrace:
     """Per-time-step fixed-point diagnostics."""
 
-    iterations: int = 0
-    em_history: list = field(default_factory=list)
+    em_history: list = field(default_factory=list)  # mismatch per iteration
     selected_indices: list = field(default_factory=list)  # dd-index tuple per iteration
     # why the step stopped: "selection-fixed" (the selection repeated),
     # "mismatch-floor" or "cap" (max_iters reached)
     stop_reason: str = "cap"
-    final_mismatch: float = np.nan
     feasibility_residual: float = np.nan
     # Kirchhoff right-hand sides solved in the step, the columns of the
     # reduced quadratic's map included
     solves: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.em_history)
+
+    @property
+    def final_mismatch(self) -> float:
+        return self.em_history[-1]
 
     @property
     def converged(self) -> bool:
@@ -538,14 +544,13 @@ class DDSolver:
         picks, ab = self._last  # ab: the picks' (a, b), one column each
         zx.pairs().reshape(-1)[self._data_ab] = ab
         prev_sel = None
-        for p in range(1, self.config.max_iters + 1):
+        for _ in range(self.config.max_iters):
             if tangent_weights:
                 self._update_tangent_weights(zx)
             zo = project(zx)
             zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab, sets)
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
-            trace.iterations = p
             if prev_sel is not None and sel[0] == prev_sel[0] and _settled(sel[1], prev_sel[1]):
                 trace.stop_reason = "selection-fixed"
                 break
@@ -553,7 +558,6 @@ class DDSolver:
             if mismatch <= MISMATCH_FLOOR:
                 trace.stop_reason = "mismatch-floor"
                 break
-        trace.final_mismatch = trace.em_history[-1]
         return zo, zx, trace
 
     def _data_step(self, system: KirchhoffSystem, alpha: float, zo: CircuitState,

@@ -177,15 +177,6 @@ def mlcc_charge(model: MlccCapacitorModel, v):
     return float(out) if scalar or np.ndim(v) == 0 else out
 
 
-def capacitor_charge(model, v):
-    """Charge of a capacitor model (linear or MLCC) at voltage v."""
-    if isinstance(model, LinearModel):
-        return model.value * np.asarray(v, dtype=float) if np.ndim(v) else model.value * v
-    if isinstance(model, MlccCapacitorModel):
-        return mlcc_charge(model, v)
-    raise TypeError(f"not a capacitor model: {model!r}")
-
-
 def capacitor_voltage_from_charge(model, q: float) -> float:
     """Invert q(v) for a capacitor model; q(v) is strictly increasing."""
     if isinstance(model, LinearModel):
@@ -198,15 +189,6 @@ def capacitor_voltage_from_charge(model, q: float) -> float:
         if abs(step) <= CHARGE_TOL * (abs(v) + model.v0):
             return v
     raise RuntimeError("capacitor charge inversion did not converge")
-
-
-def conductor_current(model, v):
-    """Current of a static conductive element (linear resistor or diode) at voltage v."""
-    if isinstance(model, LinearModel):
-        return model.value * v
-    if isinstance(model, ShockleyDiodeModel):
-        return composite_diode_current(model, v)
-    raise TypeError(f"not a conductive element model: {model!r}")
 
 
 def conductor_conductance(model, v):

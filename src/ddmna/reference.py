@@ -15,10 +15,11 @@ x_b is its solution.  The solver keeps the model values and slopes of the
 iterate it accepts, and a step that starts from that iterate at the same
 alpha, as the march's next step does, starts from them with the arithmetic of
 `residual_jacobian`, so it equals a fresh start bit for bit.  A march step
-returns [x, a_g.T phi, a_c.T phi, model values], which `lift` takes to the
-state, an unknown, a potential difference or a model value, times 1 or a
-linear G, C or L value.  The consistent state at t0 is one step of the held
-circuit (`netlist.held_circuit`), so `step` holds the only solver code.
+returns the state that `lift` takes from [x, a_g.T phi, a_c.T phi, model
+values]: each entry an unknown, a potential difference or a model value,
+times 1 or a linear G, C or L value.  The consistent state at t0 is one step
+of the held circuit (`netlist.held_circuit`), so `step` holds the only solver
+code.
 """
 
 from __future__ import annotations
@@ -320,14 +321,12 @@ def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
     solver = TraditionalSolver(graph, inc, bindings)
     state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
-    lift = solver.lift
-
     def step(x, t, alpha, rhs_c, rhs_l):
         x, n_it, values = solver.step(x, t, alpha, rhs_c, rhs_l)
-        return lift.vector(x, values), x, n_it, True, None
+        return solver.lift(x, values).x, x, n_it, True, None
 
     return march(graph, config, state0,
-                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step, lift)
+                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
 
 
 def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:

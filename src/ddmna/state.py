@@ -5,8 +5,8 @@ after `t`: node potentials phi; one pair per element, (v, i) per G element,
 (v, q) per capacitor, (psi, i) per inductor; voltage-source currents i_v.
 The pairs are one contiguous block, which `pairs()` views as an (n, 2)
 array; the eight named fields are views of `x` too.  A solver's state is one
-exact lift (`Lift`) of its solver vector; `march` lifts a run's vectors in
-blocks into one array, whose rows a `TransientTrace` views as states.
+exact lift (`Lift`) of its solver vector; `march` writes each step's state
+into a row of one array, whose rows a `TransientTrace` views as states.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .netlist import CircuitGraph
 
 _FIELDS = ("phi", "v_g", "i_g", "v_c", "q_c", "psi_l", "i_l", "i_v")
-LIFT_BLOCK = 256  # step vectors `march` buffers before it lifts them at once
 
 
 @lru_cache(maxsize=None)
@@ -93,25 +92,19 @@ class CircuitState:
 
 class Lift:
     """The exact lift of a solver's vectors to states.  A solution src and
-    extra values tail give the vector e = [src, diff @ src[:k], *tail]
-    (`vector`), k being diff's column count; entry j of the state is
-    e[index[j]] * coef[j], with index the x of `positions` and coef 1 when
-    None.  With diff a stack of transposed incidence matrices, every state
-    entry is an entry of src or tail or one potential difference, times one
-    coefficient.  `take` lifts one vector or a block of them, row by row."""
+    extra values tail give the vector e = [src, diff @ src[:k], *tail], k
+    being diff's column count; entry j of the state is e[index[j]] * coef[j],
+    with index the x of `positions` and coef 1 when None.  With diff a stack
+    of transposed incidence matrices, every state entry is an entry of src or
+    tail or one potential difference, times one coefficient."""
 
     def __init__(self, diff, positions: CircuitState, coef: np.ndarray | None = None):
         self.diff, self.index, self.lay = diff, positions.x.astype(np.intp), positions._lay
         self.coef = np.ones(len(self.index)) if coef is None else coef
 
-    def vector(self, src: np.ndarray, *tail) -> np.ndarray:
-        return np.concatenate([src, self.diff.dot(src[:self.diff.shape[1]]), *tail])
-
-    def take(self, e: np.ndarray) -> np.ndarray:
-        return e.take(self.index, axis=-1) * self.coef
-
     def __call__(self, src: np.ndarray, *tail) -> CircuitState:
-        return CircuitState._of(self.take(self.vector(src, *tail)), self.lay)
+        e = np.concatenate([src, self.diff.dot(src[:self.diff.shape[1]]), *tail])
+        return CircuitState._of(e.take(self.index) * self.coef, self.lay)
 
 
 def release_held(held: CircuitState, a_c: np.ndarray, q_c0: np.ndarray,
@@ -177,8 +170,8 @@ class _Rows(Sequence):
 class TransientTrace:
     """Time series of circuit states with per-step solver diagnostics.  Row k
     of `x` is the state at times[k] (`states` views the rows), row k of `ydot`
-    the rates (qdot_c, psidot_l) step k solved for (`rates` views the rows);
-    row 0 holds the trapezoidal bootstrap rates, zeros under backward Euler."""
+    the rates (qdot_c, psidot_l) step k solved for; row 0 holds the
+    trapezoidal bootstrap rates, zeros under backward Euler."""
 
     graph: CircuitGraph
     times: np.ndarray
@@ -199,11 +192,6 @@ class TransientTrace:
     @property
     def states(self) -> Sequence[CircuitState]:
         return _Rows(self.x, lambda row: CircuitState._of(row, self._lay))
-
-    @property
-    def rates(self) -> Sequence[tuple[np.ndarray, np.ndarray]]:
-        n_c = self.graph.count("C")
-        return _Rows(self.ydot, lambda row: (row[:n_c], row[n_c:]))
 
     def series(self, name: str | None) -> np.ndarray:
         """(K+1, n) view of a field of x or a pair block ("G", "C", "L", None)."""
@@ -230,7 +218,7 @@ class TransientTrace:
 
 
 def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
-          warm, step, lift: Lift | None = None) -> TransientTrace:
+          warm, step) -> TransientTrace:
     """March one implicit solver over the configured time grid.
 
     Capacitor and inductor laws are discretised in companion form: the rates
@@ -243,32 +231,25 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
 
     `state0` is the consistent state at t0 and `warm` the solver's warm start.
     `step(warm, t, alpha, rhs_c, rhs_l)` solves one step at time t and returns
-    (its vector, next warm start, iterations, converged, per-step record);
-    `lift` maps vectors to states (None: a vector is the state's x).  The
-    vectors fill a buffer of LIFT_BLOCK rows, lifted whenever it fills into a
-    state array allocated before the first step.  The reactive vector
-    y = (q_c, psi_l) is the lift restricted to those entries, so it equals the
-    state's bit for bit.  `rhs_c`/`rhs_l` are views of one right-hand side,
-    rewritten for the next step; backward Euler's rates are taken a block at
-    a time, as no step reads them.
+    (its state's x, next warm start, iterations, converged, per-step record);
+    step k's x becomes row k of a state array allocated before the first
+    step, and y = (q_c, psi_l) is taken from that row.  `rhs_c`/`rhs_l` are
+    views of one right-hand side, rewritten for the next step; backward
+    Euler's rates are taken after the last step, as no step reads them.
     """
     trapezoidal, steps, h = config.scheme == "trapezoidal", config.steps, config.h
     lay, n_c = state0._lay, graph.count("C")
     positions = np.arange(lay["size"])
-    lift = lift or Lift(None, CircuitState._of(positions, lay))
     reactive = np.concatenate([positions[lay["q_c"]], positions[lay["psi_l"]]])
-    iy, cy = lift.index[reactive], lift.coef[reactive]  # the lift of y alone
     y, ydot = state0.x.take(reactive), np.zeros((steps + 1, len(reactive)))
     x = np.empty((steps + 1, lay["size"]))  # the state array: row k at times[k]
     x[0] = state0.x
-    # every entry of a step's vector is the source of some state entry
-    block, j = np.empty((min(LIFT_BLOCK, steps), lift.index.max() + 1)), 0
     if trapezoidal:
         h_b = h / 100.0
         alpha_b = 1.0 / h_b
         rhs = alpha_b * y
-        vector, *_ = step(warm, config.t0 + h_b, alpha_b, rhs[:n_c], rhs[n_c:])
-        ydot[0] = (vector.take(iy) * cy - y) / h_b
+        x_b, *_ = step(warm, config.t0 + h_b, alpha_b, rhs[:n_c], rhs[n_c:])
+        ydot[0] = (x_b.take(reactive) - y) / h_b
 
     alpha, times = 2.0 / h if trapezoidal else 1.0 / h, config.times()
     rate, details = ydot[0], [None]
@@ -279,19 +260,14 @@ def march(graph: CircuitGraph, config: TransientConfig, state0: CircuitState,
         np.multiply(y, alpha, out=rhs)
         if trapezoidal:
             rhs += rate
-        vector, warm, iters[k], converged[k], detail = step(warm, t, alpha, rhs_c, rhs_l)
+        x[k], warm, iters[k], converged[k], detail = step(warm, t, alpha, rhs_c, rhs_l)
         details.append(detail)
-        block[j] = vector
-        j += 1
-        y_new = vector.take(iy) * cy
+        y_new = x[k].take(reactive)
         if trapezoidal:
             ydot[k] = rate = alpha * (y_new - y) - rate
         y = y_new
-        if j == len(block) or k == steps:
-            x[k + 1 - j:k + 1] = lift.take(block[:j])
-            if not trapezoidal:  # backward Euler's rates, (y - y_prev) / h, a block at once
-                y_block = x[k - j:k + 1, reactive]
-                ydot[k + 1 - j:k + 1] = (y_block[1:] - y_block[:-1]) / h
-            j = 0
+    if not trapezoidal:
+        y_all = x[:, reactive]
+        ydot[1:] = (y_all[1:] - y_all[:-1]) / h
     return TransientTrace(graph=graph, times=times, x=x, ydot=ydot, iterations=iters,
                           converged=converged, step_details=details)

@@ -206,6 +206,40 @@ def test_experiment_decade_span_parsing(tmp_path):
     assert (out / "slopes.csv").exists()
 
 
+@pytest.mark.parametrize("span, sizes", [("1e2:5e3", ["100", "1000"]), ("2:10", ["10"])])
+def test_experiment_decade_span_takes_the_powers_of_ten_inside_it(tmp_path, span, sizes):
+    out = tmp_path / "sp"
+    assert main(["experiment", "rc-linear", "--schemes", "tr", "--steps", "20",
+                 "--n", span, "--out", str(out)]) == 0
+    assert [r["N"] for r in _read_csv(out / "sweep.csv")] == sizes
+
+
+def test_decade_span_without_a_power_of_ten_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "rc-linear", "--n", "2:9", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --n: span '2:9' holds no power of ten" in capsys.readouterr().err
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nscenario = rc-linear\nn = 2:9\nout = {tmp_path / 'o'}\n")
+    assert main(["--config", str(cfg), "experiment"]) == 2
+    assert capsys.readouterr().err.startswith("error: --n: span '2:9' holds no power of ten")
+    assert not (tmp_path / "o").exists()
+
+
+def test_comma_lists_take_spaces_after_the_commas(tmp_path):
+    # on the command line and in a config file, as a comma list would be typed
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert main(["experiment", "rc-linear", "--schemes", "be, tr", "--steps", "20",
+                 "--n", "10", "--out", str(flag)]) == 0
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nscenario = rc-linear\nschemes = be, tr\nsteps = 20\n"
+                   f"n = 10\nout = {file}\n")
+    assert main(["--config", str(cfg), "experiment"]) == 0
+    for out in (flag, file):
+        assert [r["scheme"] for r in _read_csv(out / "sweep.csv")] == ["backward-euler",
+                                                                      "trapezoidal"]
+
+
 def test_experiment_unknown_scenario_exits_2(tmp_path, capsys):
     assert main(["experiment", "--n", "10",
                  "--out", str(tmp_path / "x")]) == 2

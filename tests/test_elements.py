@@ -10,16 +10,13 @@ import pytest
 import ddmna
 from ddmna.elements import (
     EXP_CLAMP,
-    LinearModel,
     MlccCapacitorModel,
     ModelDomainError,
     ShockleyDiodeModel,
     SourceWaveform,
-    capacitor_charge,
     composite_diode_conductance,
     composite_diode_current,
     composite_diode_voltage,
-    conductor_current,
     mlcc_capacitance,
     mlcc_charge,
     shockley_conductance,
@@ -204,14 +201,9 @@ def test_mlcc_charge_strictly_increasing():
     assert np.all(np.diff(mlcc_charge(MLCC, v)) > 0.0)
 
 
-def test_eval_linear_elements():
-    assert conductor_current(LinearModel("G", 1e-3), 2.0) == pytest.approx(2e-3)
-    assert capacitor_charge(LinearModel("C", 100e-6), 5.0) == pytest.approx(500e-6)
-
-
 def test_eval_diode_inversion_consistency():
     v = composite_diode_voltage(DIODE_RD, 1e-3)
-    assert conductor_current(DIODE_RD, v) == pytest.approx(1e-3, rel=1e-10)
+    assert composite_diode_current(DIODE_RD, v) == pytest.approx(1e-3, rel=1e-10)
 
 
 def test_source_values():

@@ -1,5 +1,6 @@
-"""The recorded trace: the march's block lift against a per-step lift, and the
-trace's array consumers against the per-state loops they replaced."""
+"""The recorded trace: each state the march records against the per-step lift
+or Kirchhoff state, and the trace's array consumers against the per-state
+loops they replaced."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ddmna.ddsolver import DDConfig, DDSolver, run_transient_dd
 from ddmna.netlist import build_incidence, parse_netlist
 from ddmna.reference import TraditionalSolver, kcl_residual, run_transient_traditional
 from ddmna.scenarios import SCENARIOS, build_scenario, synthesize_datasets
-from ddmna.state import LIFT_BLOCK, TransientConfig, TransientTrace
+from ddmna.state import TransientConfig, TransientTrace
 
 RL_NET = "I1 0 1 DC 1e-3\nR1 1 0 1e3\nL1 1 2 1e-3\nR2 2 0 10\n"
 CIRCUITS = {"rectifier": (SCENARIOS["rectifier"].netlist, 0.02),
@@ -45,16 +46,16 @@ def _old_rates(trace, boot, scheme, h):
     return np.array(ydot)
 
 
-@pytest.mark.parametrize("steps", [1, LIFT_BLOCK, LIFT_BLOCK + 44])
+@pytest.mark.parametrize("steps", [1, 2, 256, 300])
 @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_block_lift_equals_the_per_step_lift(monkeypatch, name, scheme, steps):
-    # every recorded state is the one-vector lift of the step's Newton vector
-    # and model values, bit for bit (signs of zero included), whether its
-    # block is full, partial or a single step; the rates are the old march's
+    # every recorded state is the lift of the step's Newton vector and model
+    # values, bit for bit (signs of zero included), and the rates are the old
+    # per-state march's
     net, t_end = CIRCUITS[name]
     graph, inc, binds = _setup(net)
-    cfg = TransientConfig(scheme=scheme, t_end=t_end * steps / (LIFT_BLOCK + 44), steps=steps)
+    cfg = TransientConfig(scheme=scheme, t_end=t_end * steps / 300, steps=steps)
     step, calls = TraditionalSolver.step, []
 
     def recording_step(self, x, t, alpha, *rhs):
@@ -74,17 +75,14 @@ def test_block_lift_equals_the_per_step_lift(monkeypatch, name, scheme, steps):
     assert np.array_equal(_bits(trace.x), _bits(want))
     assert all(np.array_equal(_bits(s.x), _bits(w)) for s, w in zip(trace.states, want))
     assert np.array_equal(_bits(trace.ydot), _bits(_old_rates(trace, boot, scheme, cfg.h)))
-    assert all(np.array_equal(_bits(np.concatenate(trace.rates[k])), _bits(trace.ydot[k]))
-               for k in range(steps + 1))
 
 
 @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
 def test_data_driven_states_are_the_kirchhoff_states(monkeypatch, scheme):
-    # the data-driven lift is a copy: each recorded state is the step's
-    # Kirchhoff state, over a full and a partial block
+    # each recorded state is the step's Kirchhoff state, bit for bit
     scenario = SCENARIOS["rc-linear"]
     graph, inc, known = build_scenario(scenario)
-    cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end / 3, steps=LIFT_BLOCK + 30)
+    cfg = TransientConfig(scheme=scheme, t_end=scenario.t_end / 3, steps=300)
     data = synthesize_datasets(scenario, graph, known,
                                run_transient_traditional(graph, inc, known, cfg), 200)
     solve, calls = DDSolver.solve_timestep, []
@@ -156,7 +154,7 @@ def _kcl_residual_blocks(inc, trace, block_steps=32):
         block = slice(k, k + block_steps)
         i_g, i_l, i_v = (np.array([getattr(s, name) for s in trace.states[block]]).T
                          for name in ("i_g", "i_l", "i_v"))
-        qdot = np.array([rates[0] for rates in trace.rates[block]]).T
+        qdot = trace.ydot[block, :inc.a_c.shape[1]].T
         i_src = np.array([[em.source_value(w, t) for w in waves] for t in trace.times[block]]).T
         r = inc.a_g.dot(i_g) + inc.a_c.dot(qdot) + inc.a_l.dot(i_l) + inc.a_v.dot(i_v) \
             - inc.a_i.dot(i_src)
