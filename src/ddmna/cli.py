@@ -284,22 +284,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
             v_t=_get(args, "vt", 25.85e-3),
             r_series=_get(args, "rd", 0.0),
         )
-        drive = "i"
     elif model_name == "mlcc":
         model = em.MlccCapacitorModel(
             c0=_get(args, "c0", 10e-6),
             cinf=_get(args, "cinf", 2e-6),
             v0=_get(args, "v0", 1.0),
         )
-        drive = "v"
     else:
         value = _get(args, "value", required=True)
         kind = model_name.split("-")[1].upper()
         model = em.LinearModel(kind, value)
-        drive = "i" if kind == "L" else "v"
 
-    plan = SamplingPlan(lo, hi, count, drive=drive,
-                        spacing="log-symmetric" if spacing == "log" else "uniform")
+    plan = SamplingPlan(lo, hi, count, spacing="log-symmetric" if spacing == "log" else "uniform")
     mset = generate_measurements(model, plan)
     out_parent = os.path.dirname(out_path)
     if out_parent:

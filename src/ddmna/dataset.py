@@ -86,7 +86,6 @@ class SamplingPlan:
     hi: float
     count: int
     spacing: str = "uniform"  # or "log-symmetric"
-    drive: str = "v"          # gridded coordinate: "v" (G, C), "i" or "psi" (L, diode)
 
     def __post_init__(self):
         if self.count < 1:
@@ -144,11 +143,10 @@ class ElementBinding:
 
 
 def generate_measurements(model, plan: SamplingPlan) -> MeasurementSet:
-    """Evaluate a model exactly on the plan's grid (noise-free pairs)."""
+    """Evaluate a model exactly on the plan's grid (noise-free pairs).  The
+    grid is the current of a diode or an inductor, the voltage otherwise."""
     grid = plan.grid()
     if isinstance(model, em.ShockleyDiodeModel):
-        if plan.drive != "i":
-            raise ValueError("diode measurement plans grid the current coordinate")
         pairs = np.column_stack([em.composite_diode_voltage(model, grid), grid])
         return MeasurementSet("G", pairs)
     if isinstance(model, em.MlccCapacitorModel):
@@ -156,10 +154,7 @@ def generate_measurements(model, plan: SamplingPlan) -> MeasurementSet:
         return MeasurementSet("C", pairs)
     if isinstance(model, em.LinearModel):
         if model.kind == "L":
-            if plan.drive == "psi":
-                pairs = np.column_stack([grid, grid / model.value])
-            else:
-                pairs = np.column_stack([model.value * grid, grid])
+            pairs = np.column_stack([model.value * grid, grid])
         else:
             pairs = np.column_stack([grid, model.value * grid])
         return MeasurementSet(model.kind, pairs)

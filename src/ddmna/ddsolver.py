@@ -31,7 +31,7 @@ solver's): K of the known tangents' slopes, D of the data weights
 As known elements carry no distance, a step's mismatch is a quadratic form
 in the 2k coordinates p of its k data pairs, E(p) = |A p - pi0|²_C: C holds
 the mismatch's coefficients, A = I - P with P the linear part of the
-projection's map on data coordinates (`KirchhoffSystem.reduced`, one
+projection's map on data coordinates (`KirchhoffSystem.quadratic`, one
 2k-column solve with the kept factors), and pi0 follows from the Kirchhoff
 state of the iteration.  The data half-step is exact block-coordinate
 descent on E from the current picks: each data element in turn takes the
@@ -146,8 +146,9 @@ class KnownTangent:
 
 @dataclass
 class KirchhoffSystem:
-    """The Kirchhoff projection of one circuit as two MNA stamps; `tag` keeps
-    its LU factors apart from other systems'.
+    """The Kirchhoff projection of one circuit as two MNA stamps, with the LU
+    factors, response coefficients and reduced quadratic of its last alpha,
+    weights and slopes, and a count of the right-hand sides it has solved.
 
     Its elements are the leading pairs of a state's pair block, with the
     leading weights: G, C, then L.  Each pair is a drive (v for G and C, i
@@ -158,7 +159,6 @@ class KirchhoffSystem:
     inductor law and of the source voltages.
     """
 
-    tag: str
     inc: IncidenceSet
     known: dict  # group -> list[KnownTangent]
 
@@ -205,6 +205,9 @@ class KirchhoffSystem:
             np.arange(2 * self.n + n_g + n_c + n_e),
             np.cumsum([nphi, n_l, self.n - nphi - n_l, self.n, n_g, n_c, n_g, n_c]))
         self._lift = Lift(diff, CircuitState(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v))
+        # [key, LU, pivots, response coefficients, quadratic or None], see _factors
+        self._slot: list = [None]
+        self.solves = 0  # right-hand sides solved, the quadratic's columns included
 
     def _slopes(self) -> np.ndarray:
         """The known tangents' slopes per element, 0 at data elements."""
@@ -258,10 +261,32 @@ class KirchhoffSystem:
         known element's slope, and -w (G, C) or w (L) at a data element."""
         return self._slopes() + self._sign * self._data_weights(w)
 
-    def reduced(self, lu: np.ndarray, piv: np.ndarray, alpha: float, w: np.ndarray) -> tuple:
-        """The step's mismatch as a quadratic form in the data coordinates p
-        (`data_coords`, (drive, response) per data element), given the LU
-        factors of `matrix(alpha, w)`.
+    def _factors(self, alpha: float, w: np.ndarray) -> list:
+        """The slot of `matrix(alpha, w)` at the present slopes: its LU
+        factors, the response coefficients and the quadratic, None until
+        built; renewed when alpha, a weight or a slope changes."""
+        key = (alpha, w.tobytes(), tuple(t.slope for t in self.tangents))
+        if self._slot[0] != key:
+            lu, piv, info = lapack.dgetrf(self.matrix(alpha, w))
+            if info != 0:
+                raise DDSolverError(f"singular projection system (dgetrf info {info})")
+            self._slot = [key, lu, piv, self.response_coefficients(w), None]
+        return self._slot
+
+    def solve(self, zx: CircuitState, alpha: float, w: np.ndarray, b: np.ndarray) -> CircuitState:
+        """The state of the solution of `matrix(alpha, w)` z = b for data
+        state zx (b from `rhs`), with the kept factors."""
+        _, lu, piv, coef, _ = self._factors(alpha, w)
+        z, info = lapack.dgetrs(lu, piv, b)
+        if info != 0:
+            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+        self.solves += 1
+        return self.state(z, zx, coef)
+
+    def quadratic(self, alpha: float, w: np.ndarray) -> tuple:
+        """The mismatch of a projection at alpha and w as a quadratic form in
+        the data coordinates p (`data_coords`, (drive, response) per data
+        element); built on first use and kept with the factors.
 
         The projection maps p to the Kirchhoff state's data coordinates
         pi0 + P p: a drive is its row of the map on x, a response p's own
@@ -270,23 +295,31 @@ class KirchhoffSystem:
         takes one solve with the 2k columns of B.  With A = I - P and C the
         mismatch's coefficients (0.5 w on a drive, 0.5 / w on a response,
         times alpha for C and L), the mismatch is |A p - pi0|²_C.  Returns
-        (C A, Aᵀ C A).
+        (C A, Aᵀ C A, (g_aa, g_ab, g_bb) per data element), the last the
+        element's 2 × 2 block of Aᵀ C A.
         """
-        d, w, sign = self._data_drives, w[self.data], self._sign[self.data]
-        scale = np.where(self._dynamic, alpha, 1.0)
-        k, n = d.shape
-        b = np.zeros((2 * n, 2 * k))
-        b[:n, 0::2] = d.T * (w * scale)
-        b[n:, 1::2] = d.T * (sign * scale)
-        z, info = lapack.dgetrs(lu, piv, b)
-        if info != 0:
-            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
-        a = np.empty((2 * k, 2 * k))
-        a[0::2] = -d.dot(z[:n])
-        a[1::2] = -(sign * w)[:, None] * d.dot(z[n:])
-        a[0::2, 0::2] += np.eye(k)  # I's response entries cancel the responses' own p
-        ca = np.column_stack([0.5 * w * scale, 0.5 * scale / w]).reshape(-1, 1) * a
-        return ca, a.T.dot(ca)
+        slot = self._factors(alpha, w)
+        if slot[4] is None:
+            d, w, sign = self._data_drives, w[self.data], self._sign[self.data]
+            scale = np.where(self._dynamic, alpha, 1.0)
+            k, n = d.shape
+            b = np.zeros((2 * n, 2 * k))
+            b[:n, 0::2] = d.T * (w * scale)
+            b[n:, 1::2] = d.T * (sign * scale)
+            z, info = lapack.dgetrs(slot[1], slot[2], b)
+            if info != 0:
+                raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+            a = np.empty((2 * k, 2 * k))
+            a[0::2] = -d.dot(z[:n])
+            a[1::2] = -(sign * w)[:, None] * d.dot(z[n:])
+            a[0::2, 0::2] += np.eye(k)  # I's response entries cancel the responses' own p
+            ca = np.column_stack([0.5 * w * scale, 0.5 * scale / w]).reshape(-1, 1) * a
+            gram = a.T.dot(ca)
+            i = np.arange(0, 2 * k, 2)
+            blocks = np.stack([gram[i, i], gram[i, i + 1], gram[i + 1, i + 1]], axis=1)
+            slot[4] = ca, gram, blocks.tolist()
+            self.solves += 2 * k
+        return slot[4]
 
     def state(self, z: np.ndarray, zx: CircuitState, coef: np.ndarray) -> CircuitState:
         """The circuit state in the solution z for data state zx, with coef
@@ -349,59 +382,22 @@ class DDSolver:
         # One flat index over every data set, set s for the s-th data row
         # (`system.data`).
         self.flat = FlatIndex(data)
-        self._data_sets = np.arange(len(data))
-        self.system = KirchhoffSystem("step", inc, self.known)
+        self.system = KirchhoffSystem(inc, self.known)
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
         self._data_ab = self.system.data_coords.reshape(-1, 2).T
-        # [key, LU, pivots, response coefficients, reduced quadratic or None]
-        # of the last system
-        self._lu_slot: list | None = None
         self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
         self._last: tuple = (None, None)  # (picks, their (a, b)), see _pick_data
-        self._solves = 0  # Kirchhoff right-hand sides solved, see DDStepTrace.solves
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
-        """The projection's matrix [[D, Kᵀ], [K, -D]] (`KirchhoffSystem.matrix`)."""
+        """The projection's matrix [[D, Kᵀ], [K, -D]] (`KirchhoffSystem.matrix`);
+        the solver factors it through `KirchhoffSystem.solve`, not this call."""
         return self.system.matrix(alpha, self.weights)
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
                                 rhs_c: np.ndarray, rhs_l: np.ndarray,
                                 v_src: np.ndarray, i_src: np.ndarray) -> np.ndarray:
         return self.system.rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src, self.weights)
-
-    def _solve(self, system: KirchhoffSystem, alpha: float, zx: CircuitState,
-               b: np.ndarray, assemble) -> CircuitState:
-        """The state of system's solution for data state zx and right-hand side
-        b, with the LU factors of assemble() and the response coefficients,
-        kept in one slot and renewed when the system, alpha, a weight or a
-        slope changes."""
-        key = (system.tag, alpha, self.weights.tobytes(),
-               tuple(t.slope for t in self.system.tangents))
-        if self._lu_slot is None or self._lu_slot[0] != key:
-            lu, piv, info = lapack.dgetrf(assemble())
-            if info != 0:
-                raise DDSolverError(f"singular projection system (dgetrf info {info})")
-            self._lu_slot = [key, lu, piv, system.response_coefficients(self.weights), None]
-        _, lu, piv, coef, _ = self._lu_slot
-        z, info = lapack.dgetrs(lu, piv, b)
-        if info != 0:
-            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
-        self._solves += 1
-        return system.state(z, zx, coef)
-
-    def _reduced(self, system: KirchhoffSystem, alpha: float) -> tuple:
-        """`system.reduced` for the factors of the last `_solve`, which must
-        have been of `system` at alpha under the present weights and
-        slopes; built on first use and kept with the factors."""
-        slot = self._lu_slot
-        if slot[4] is None:
-            ca, gram = system.reduced(slot[1], slot[2], alpha, self.weights)
-            i = np.arange(0, len(gram), 2)
-            blocks = np.stack([gram[i, i], gram[i, i + 1], gram[i + 1, i + 1]], axis=1)
-            slot[4] = ca, gram, blocks.tolist()  # (g_aa, g_ab, g_bb) per data element
-            self._solves += system.data_coords.size
-        return slot[4]
 
     def project_to_kirchhoff(self, zx: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
@@ -410,13 +406,15 @@ class DDSolver:
         metric; the known elements are constraints only, and their pairs in zx
         are not read."""
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
-        return self._solve(self.system, alpha, zx, b,
-                           lambda: self.assemble_projection_matrix(alpha))
+        return self.system.solve(zx, alpha, self.weights, b)
 
     def feasibility_residual(self, state: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
                              v_src: np.ndarray, i_src: np.ndarray) -> float:
-        """Max relative residual over the five time-discrete constraint blocks."""
+        """Max relative residual over three time-discrete constraint blocks:
+        KCL, the inductor law and the source voltages.  The element voltages
+        v_g and v_c need no block: a Kirchhoff state lifts them from phi as
+        A_g.T phi and A_c.T phi, so they hold exactly."""
         inc = self.inc
         kcl = inc.a_g @ state.i_g + alpha * (inc.a_c @ state.q_c) + inc.a_l @ state.i_l \
             + inc.a_v @ state.i_v - inc.a_i @ i_src - inc.a_c @ rhs_c
@@ -426,10 +424,6 @@ class DDSolver:
                         np.abs(state.i_v).max(initial=0.0),
                         np.abs(i_src).max(initial=0.0))
         res = np.abs(kcl).max(initial=0.0) / kcl_scale
-        for a_x, v_x in ((inc.a_g, state.v_g), (inc.a_c, state.v_c)):
-            if a_x.shape[1]:
-                gap = np.abs(a_x.T @ state.phi - v_x).max()
-                res = max(res, gap / max(np.abs(v_x).max(), MISMATCH_FLOOR))
         if self.n_l:
             gap = np.abs(inc.a_l.T @ state.phi - (alpha * state.psi_l - rhs_l)).max()
             scale = max(np.abs(inc.a_l.T @ state.phi).max(), MISMATCH_FLOOR)
@@ -484,7 +478,8 @@ class DDSolver:
         Dynamic elements are scaled by alpha, matching the metric used by
         project_to_kirchhoff.  The terms 0.5 w da da + 0.5 / w db db are added
         left to right (np.sum adds pairwise, and the builtin sum compensates
-        from Python 3.12 on): the stop tests compare mismatches exactly.
+        from Python 3.12 on), so a recorded mismatch (`DDStepTrace.em_history`)
+        has the same bits on every platform; no stop test compares mismatches.
         """
         d = zo.pairs() - zx.pairs()
         q = self._coefficients() * d * d
@@ -520,20 +515,18 @@ class DDSolver:
         step's reduced quadratic (`_data_step`).  Returns the last Kirchhoff
         state, the data state the next step starts from, and the trace.
         """
-        args = (alpha, rhs_c, rhs_l, v_src, i_src)
-        self._solves = 0
+        args, solves = (alpha, rhs_c, rhs_l, v_src, i_src), self.system.solves
         zo, zx, trace = self._iterate(
             self.system, alpha, lambda zx: self.project_to_kirchhoff(zx, *args), zx_seed,
-            self._data_sets, self.config.weight_rule == "local-tangent")
-        trace.solves = self._solves
+            self.config.weight_rule == "local-tangent")
+        trace.solves = self.system.solves - solves
         trace.feasibility_residual = self.feasibility_residual(zo, *args)
         return zo, zx, trace
 
     def _iterate(self, system: KirchhoffSystem, alpha: float, project, zx: CircuitState,
-                 sets: np.ndarray, tangent_weights: bool
-                 ) -> tuple[CircuitState, CircuitState, DDStepTrace]:
+                 tangent_weights: bool) -> tuple[CircuitState, CircuitState, DDStepTrace]:
         """Iterate `project` (data state -> Kirchhoff state of `system`) and
-        the data half-step on the data elements of `sets` until a stop test
+        the data half-step on the data elements of `system` until a stop test
         fires."""
         trace = DDStepTrace()
         zx = zx.copy()
@@ -548,7 +541,7 @@ class DDSolver:
             if tangent_weights:
                 self._update_tangent_weights(zx)
             zo = project(zx)
-            zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab, sets)
+            zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab)
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
             if prev_sel is not None and sel[0] == prev_sel[0] and _settled(sel[1], prev_sel[1]):
@@ -561,8 +554,7 @@ class DDSolver:
         return zo, zx, trace
 
     def _data_step(self, system: KirchhoffSystem, alpha: float, zo: CircuitState,
-                   picks: np.ndarray, ab: np.ndarray, sets: np.ndarray
-                   ) -> tuple[CircuitState, tuple, float]:
+                   picks: np.ndarray, ab: np.ndarray) -> tuple[CircuitState, tuple, float]:
         """The data half-step from zo, the Kirchhoff state of `system` for
         the data state of the picks `picks` (index per data set) at `ab`
         (their (a, b) per column); moves both in place.
@@ -570,32 +562,33 @@ class DDSolver:
         The data state is zo with the known-nonlinear elements moved to
         their model and the picks at the data elements; its mismatch to zo
         is E at the picks zo came from, and is returned.  Then the data
-        elements of `sets` descend on E.  With the residual r = zo's data
+        elements of `system` descend on E; they are the leading data sets,
+        as G elements come first.  With the residual r = zo's data
         coordinates minus the picks', and u = Aᵀ C r, a move d of element
         e's pick changes E by d·(Aᵀ C A)_ee d - 2 u_e·d.  Returns the moved
         data state, the selection (the data indices, then the
         known-nonlinear pairs) and the mismatch.
         """
-        ca, gram, blocks = self._reduced(system, alpha)
+        ca, gram, blocks = system.quadratic(alpha, self.weights)
         zx, known = self._move_known(zo)
         p = zx.pairs()
         p.reshape(-1)[self._data_ab] = ab
         mismatch = self.energy_mismatch(zo, zx, alpha)
         u = ca.T.dot(zo.pairs().reshape(-1)[system.data_coords]
                      - zx.pairs().reshape(-1)[system.data_coords])
-        kept, e, k = 0, 0, len(sets)
+        kept, e, k = 0, 0, system.data.size
         for _ in range(k * self.config.max_iters):  # a guard; the descent ends
             if kept == k:
                 break
-            s, i = sets[e], 2 * e
-            new = self.flat.minimize(s, ab[:, s].tolist(), blocks[e], u[i:i + 2].tolist())[0]
+            i = 2 * e
+            new = self.flat.minimize(e, ab[:, e].tolist(), blocks[e], u[i:i + 2].tolist())[0]
             kept += 1
-            if new != picks[s]:
-                a, b = self.flat.cols[s]
-                d = np.array([a[new], b[new]]) - ab[:, s]
+            if new != picks[e]:
+                a, b = self.flat.cols[e]
+                d = np.array([a[new], b[new]]) - ab[:, e]
                 u -= gram[:, i:i + 2].dot(d)
-                ab[:, s] = a[new], b[new]
-                picks[s] = new
+                ab[:, e] = a[new], b[new]
+                picks[e] = new
                 kept = 1  # a block at its own minimum
             e = (e + 1) % k
         p.reshape(-1)[self._data_ab] = ab
@@ -614,26 +607,23 @@ class DDSolver:
         """Data-driven consistent state at t0 with charges and fluxes pinned.
 
         The held circuit (`netlist.held_circuit` at `dataset.held_values`) is
-        iterated as a step is, with the data of its G elements, on the
-        step's assembler and LU slot.  Returns (accepted state, final data
-        state); the latter warm-starts the first step.
+        iterated as a step is, with the data of its G elements.  Returns
+        (accepted state, final data state); the latter warm-starts the first
+        step.
         """
         v_c0, i_l0 = held_values(self.graph, self.bindings["C"] + self.bindings["L"],
                                  q_c0, psi_l0)
         graph = held_circuit(self.graph, v_c0, i_l0)
-        held = KirchhoffSystem("held", build_incidence(graph),
-                               {"G": self.known["G"], "C": [], "L": []})
+        held = KirchhoffSystem(build_incidence(graph), {"G": self.known["G"], "C": [], "L": []})
         v_src, i_src = sources(graph, t0)
         none, w = np.zeros(0), self.weights  # the held circuit has no C or L
 
         def project(zx):
             # The projection reads zx's G data pairs only, as the held circuit has them.
             b = held.rhs(zx, 0.0, none, none, v_src, i_src, w)
-            return release_held(self._solve(held, 0.0, zx, b, lambda: held.matrix(0.0, w)),
-                                self.inc.a_c, q_c0, psi_l0, i_l0)
+            return release_held(held.solve(zx, 0.0, w, b), self.inc.a_c, q_c0, psi_l0, i_l0)
 
-        state, zx, _ = self._iterate(held, 0.0, project, self.seed_state(q_c0, psi_l0),
-                                     np.flatnonzero(self.system.data < self.n_g), False)
+        state, zx, _ = self._iterate(held, 0.0, project, self.seed_state(q_c0, psi_l0), False)
         zx.q_c, zx.psi_l = q_c0, psi_l0
         return state, zx
 

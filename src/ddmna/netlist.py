@@ -111,11 +111,6 @@ class CircuitGraph:
     def count(self, group: str) -> int:
         return len(self.groups[group])
 
-    def __eq__(self, other):
-        return (isinstance(other, CircuitGraph)
-                and self.nodes == other.nodes
-                and self.elements == other.elements)
-
 
 @dataclass(frozen=True)
 class IncidenceSet:

@@ -153,11 +153,9 @@ def synthesize_datasets(scenario: Scenario, graph, known_bindings,
         lo, hi = env[b.name]
         if isinstance(model, em.ShockleyDiodeModel):
             lo = max(lo, -model.i_s * (1.0 - 1e-12))
-            plan = SamplingPlan(lo, hi, count, spacing="log-symmetric", drive="i")
-        elif isinstance(model, em.LinearModel) and model.kind == "L":
-            plan = SamplingPlan(lo, hi, count, drive="i")
+            plan = SamplingPlan(lo, hi, count, spacing="log-symmetric")
         else:
-            plan = SamplingPlan(lo, hi, count, drive="v")
+            plan = SamplingPlan(lo, hi, count)
         out.append(ElementBinding(b.name, b.group, "data",
                                   data=generate_measurements(model, plan)))
     return out

@@ -63,7 +63,7 @@ def test_log_symmetric_grid_keeps_its_endpoints(lo, hi, count):
 
 def test_generate_diode_log_symmetric_consistency():
     plan = SamplingPlan(-DIODE_RD.i_s * 0.999, 10.0, 500,
-                        spacing="log-symmetric", drive="i")
+                        spacing="log-symmetric")
     ms = generate_measurements(DIODE_RD, plan)
     for v, i in ms.pairs:
         assert v == pytest.approx(composite_diode_voltage(DIODE_RD, i),
@@ -347,7 +347,7 @@ def test_a_shuffled_data_csv_gives_the_same_data_driven_run(tmp_path):
     # selection indices alike, under either weight rule.
     net = "V1 1 0 SIN 0 1 100\nR1 1 2 DATA r.csv\nL1 2 3 DATA l.csv\nC1 3 0 DATA c.csv\n"
     sets = {"r": (LinearModel("G", 1e-2), SamplingPlan(-1.5, 1.5, 301)),
-            "l": (LinearModel("L", 0.1), SamplingPlan(-0.02, 0.02, 201, drive="i")),
+            "l": (LinearModel("L", 0.1), SamplingPlan(-0.02, 0.02, 201)),
             "c": (MlccCapacitorModel(1e-5, 2e-6, 1.0), SamplingPlan(-1.5, 1.5, 251))}
     rng = np.random.default_rng(6)
     for order in ("sorted", "shuffled"):
@@ -383,7 +383,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_headers_by_kind(tmp_path):
     for kind, model, header in (("G", LinearModel("G", 1.0), "v,i"),
                                 ("L", LinearModel("L", 1e-3), "psi,i")):
-        ms = generate_measurements(model, SamplingPlan(0.0, 1.0, 3, drive="i" if kind == "L" else "v"))
+        ms = generate_measurements(model, SamplingPlan(0.0, 1.0, 3))
         path = tmp_path / f"{kind}.csv"
         save_measurements(ms, path)
         assert path.read_text().splitlines()[0] == header

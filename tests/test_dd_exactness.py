@@ -389,3 +389,29 @@ def test_known_nonlinear_full_cells_stop_on_a_repeated_selection(name, scheme):
     # ~3e-14 A, and that rounding leaves ~1e-10 (ROADMAP item 5).
     if name == "rectifier":
         assert kcl <= 1e-10
+
+
+RLC_DATA = Scenario(
+    name="rlc-data", netlist="V1 1 0 SIN 0 1 1000\nR1 1 2 10\nL1 2 3 1e-3\nC1 3 0 1e-6\n",
+    dd_names=("R1", "L1", "C1"), scheme="trapezoidal", steps=200, t_end=2e-3,
+    metric_element="R1")
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("name", ["rc-linear", "rc-nonlinear", "rectifier", "rlc-data"])
+def test_element_voltages_are_exact(name, scheme):
+    # Every state of a data-driven run, the t0 state and each step's
+    # Kirchhoff state, holds v_g = A_g.T phi and v_c = A_c.T phi bit for bit,
+    # which is why `feasibility_residual` checks no element-voltage block.
+    if name == "rlc-data":
+        graph, inc, known = build_scenario(RLC_DATA)
+        cfg = TransientConfig(scheme=scheme, t_end=RLC_DATA.t_end, steps=RLC_DATA.steps)
+        trad = run_transient_traditional(graph, inc, known, cfg)
+        binds = synthesize_datasets(RLC_DATA, graph, known, trad, 300)
+        dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
+    else:
+        dd = run_cell(name, scheme, SCENARIOS[name].steps, 100).dd_trace
+        inc = build_incidence(dd.graph)
+    for k, state in enumerate(dd.states):
+        assert np.array_equal(state.v_g, inc.a_g.T @ state.phi), (k, "v_g")
+        assert np.array_equal(state.v_c, inc.a_c.T @ state.phi), (k, "v_c")

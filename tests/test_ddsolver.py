@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from ddmna import ddsolver
 from ddmna.dataset import (
     ElementBinding,
     MeasurementSet,
@@ -280,6 +282,50 @@ def test_warm_start_reduces_iterations():
     # most steps should settle immediately thanks to the warm start
     assert np.median(iters) <= 5
     assert iters.max() <= 200
+
+
+def test_each_system_factors_a_matrix_once(monkeypatch):
+    # A known MLCC C1 at a nonzero charge beside a data R1.  The t0 iteration
+    # re-linearises C1, a source of the held circuit whose slope is no entry
+    # of the held matrix, so that matrix is factored once, and the state
+    # equals the one fresh factors at every solve give.  In the first step no
+    # matrix is factored twice: the quadratic reuses its projection's factors.
+    scenario = dataclasses.replace(SCENARIOS["rc-nonlinear"], dd_names=("R1",))
+    graph, inc, known = build_scenario(scenario)
+    cfg = TransientConfig(t_end=scenario.t_end, steps=scenario.steps,
+                          init=InitialCondition(q_c0=np.array([3e-5])))
+    binds = synthesize_datasets(scenario, graph, known,
+                                run_transient_traditional(graph, inc, known, cfg), 1000)
+    factored = []
+    dgetrf = ddsolver.lapack.dgetrf
+
+    def counting_dgetrf(a, *args, **kwargs):
+        factored.append(a.tobytes())
+        return dgetrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(ddsolver.lapack, "dgetrf", counting_dgetrf)
+    init = (cfg.t0, *cfg.init.resolve(graph))
+    solver = DDSolver(graph, inc, binds, DDConfig())
+    state, zx = solver.initial_state(*init)
+    assert len(factored) == 1
+
+    solve = KirchhoffSystem.solve
+
+    def fresh_solve(system, *args):
+        system._slot = [None]
+        return solve(system, *args)
+
+    monkeypatch.setattr(KirchhoffSystem, "solve", fresh_solve)
+    fresh_state, fresh_zx = DDSolver(graph, inc, binds, DDConfig()).initial_state(*init)
+    monkeypatch.setattr(KirchhoffSystem, "solve", solve)
+    assert np.array_equal(state.x, fresh_state.x) and np.array_equal(zx.x, fresh_zx.x)
+
+    factored.clear()
+    alpha = 1.0 / cfg.h
+    trace = solver.solve_timestep(zx, alpha, alpha * state.q_c, NO_L,
+                                  *sources(graph, cfg.times()[1]))[2]
+    assert 1 <= len(factored) <= trace.iterations
+    assert len(set(factored)) == len(factored)
 
 
 def test_warm_started_step_equals_a_fresh_solvers():
@@ -559,7 +605,7 @@ def test_kirchhoff_state_is_an_exact_lift_of_the_solution(net, data):
     known = {group: [KnownTangent(j, by_name[e.name].model, *rng.normal(size=2))
                      for j, e in enumerate(graph.groups[group]) if e.name not in data]
              for group in "GCL"}
-    system = KirchhoffSystem("lift", inc, known)
+    system = KirchhoffSystem(inc, known)
     nphi, n_l, n_v = graph.n - 1, graph.count("L"), graph.count("V")
     n = nphi + n_l + n_v
     for _ in range(20):

@@ -175,7 +175,7 @@ def test_k_nearest_in_the_dense_stretch_of_a_diode_set():
     # each scans one or two of its chunks of sqrt(N) pairs.
     diode = ShockleyDiodeModel(2.52e-9, 1.752, 25.85e-3, r_series=10e-3)
     mset = generate_measurements(diode, SamplingPlan(-diode.i_s * (1.0 - 1e-12), 0.3, 20_001,
-                                                     "log-symmetric", drive="i"))
+                                                     "log-symmetric"))
     flat = FlatIndex([mset])
     dense = np.flatnonzero(np.abs(mset.pairs[:, 1]) < 1e-9)
     assert len(mset) > 4096 and dense.size > len(mset) // 2
