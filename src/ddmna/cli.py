@@ -272,6 +272,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     count = _get(args, "n", required=True)
     spacing = _get(args, "spacing", "uniform")
 
+    if args.irange is not None and args.vrange is not None:
+        raise UsageError("--range and --i-range are mutually exclusive")
     bounds = args.irange if args.irange is not None else args.vrange
     if bounds is None:
         raise UsageError("missing required option --range (or --i-range)")

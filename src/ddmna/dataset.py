@@ -460,20 +460,34 @@ def bindings_from_graph(graph: CircuitGraph, base_dir: str = ".") -> list[Elemen
     return bindings
 
 
-def held_values(graph: CircuitGraph, bindings: list[ElementBinding], q_c0: np.ndarray,
-                psi_l0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Capacitor voltages and inductor currents that hold q_c0 and psi_l0 at t0:
-    the model's, or those of the data pair nearest in charge (C) or flux (L)."""
+def bindings_by_group(graph: CircuitGraph, bindings: list[ElementBinding]
+                      ) -> dict[str, list[ElementBinding]]:
+    """The binding of every G, C and L element, per group in incidence column
+    order: the one place a solver resolves and checks its bindings."""
     by_name = {b.name: b for b in bindings}
+    table = {}
+    for group in "GCL":
+        table[group] = [by_name.get(e.name) for e in graph.groups[group]]
+        for e, b in zip(graph.groups[group], table[group]):
+            if b is None:
+                raise ValueError(f"no binding for element {e.name}")
+            if b.group != group:
+                raise ValueError(f"binding group mismatch for {e.name}")
+    return table
+
+
+def held_values(table: dict[str, list[ElementBinding]], q_c0: np.ndarray,
+                psi_l0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacitor voltages and inductor currents that hold q_c0 and psi_l0 at t0,
+    from a `bindings_by_group` table: the model's, or those of the data pair
+    nearest in charge (C) or flux (L)."""
     v_c0, i_l0 = np.zeros(len(q_c0)), np.zeros(len(psi_l0))
-    for j, e in enumerate(graph.groups["C"]):
-        b = by_name[e.name]
+    for j, b in enumerate(table["C"]):
         if b.mode == "known":
             v_c0[j] = em.capacitor_voltage_from_charge(b.model, q_c0[j])
         else:
             v_c0[j] = b.data.pairs[np.argmin(np.abs(b.data.pairs[:, 1] - q_c0[j])), 0]
-    for j, e in enumerate(graph.groups["L"]):
-        b = by_name[e.name]
+    for j, b in enumerate(table["L"]):
         if b.mode == "known":
             i_l0[j] = psi_l0[j] / b.model.value
         else:

@@ -61,6 +61,7 @@ from . import elements as em
 from .dataset import (
     ElementBinding,
     FlatIndex,
+    bindings_by_group,
     default_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     held_values,
@@ -338,16 +339,7 @@ class DDSolver:
         self.graph = graph
         self.inc = inc
         self.config = config or DDConfig()
-        by_name = {b.name: b for b in bindings}
-        self.bindings: dict[str, list[ElementBinding]] = {}
-        for group in "GCL":
-            self.bindings[group] = [by_name.get(e.name) for e in graph.groups[group]]
-            for e, b in zip(graph.groups[group], self.bindings[group]):
-                if b is None:
-                    raise ValueError(f"no binding for element {e.name}")
-                if b.group != group:
-                    raise ValueError(f"binding group mismatch for {e.name}")
-
+        self.bindings = bindings_by_group(graph, bindings)
         self.nphi = graph.n - 1
         self.n_g, self.n_c, self.n_l, self.n_v = (graph.count(group) for group in "GCLV")
         # Per element, in the order of the state's pair block (G, C, then L):
@@ -385,7 +377,6 @@ class DDSolver:
         self.system = KirchhoffSystem(inc, self.known)
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
         self._data_ab = self.system.data_coords.reshape(-1, 2).T
-        self._coef_slot: tuple = (None,)  # (weights, coefficients), see _coefficients
         self._last: tuple = (None, None)  # (picks, their (a, b)), see _pick_data
 
     # ------------------------------------------------------------------
@@ -482,19 +473,11 @@ class DDSolver:
         has the same bits on every platform; no stop test compares mismatches.
         """
         d = zo.pairs() - zx.pairs()
-        q = self._coefficients() * d * d
+        w = self.weights[:, None]
+        q = np.where(self._wcol, 0.5 * w, 0.5 / w) * d * d
         t = q[:, 0] + q[:, 1]
         t[self.n_g:] *= alpha
         return functools.reduce(operator.add, t.tolist(), 0.0)
-
-    def _coefficients(self) -> np.ndarray:
-        """The mismatch's coefficients of the pair block, 0.5 w on each weight
-        coordinate and 0.5 / w on the other; kept for the last weights."""
-        key = self.weights.tobytes()
-        if self._coef_slot[0] != key:
-            w = self.weights[:, None]
-            self._coef_slot = (key, np.where(self._wcol, 0.5 * w, 0.5 / w))
-        return self._coef_slot[1]
 
     def _update_tangent_weights(self, zx: CircuitState) -> None:
         p, w, ref = zx.pairs(), self.weights.tolist(), self.w_ref.tolist()
@@ -611,8 +594,7 @@ class DDSolver:
         (accepted state, final data state); the latter warm-starts the first
         step.
         """
-        v_c0, i_l0 = held_values(self.graph, self.bindings["C"] + self.bindings["L"],
-                                 q_c0, psi_l0)
+        v_c0, i_l0 = held_values(self.bindings, q_c0, psi_l0)
         graph = held_circuit(self.graph, v_c0, i_l0)
         held = KirchhoffSystem(build_incidence(graph), {"G": self.known["G"], "C": [], "L": []})
         v_src, i_src = sources(graph, t0)

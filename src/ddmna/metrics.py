@@ -45,11 +45,7 @@ def true_weights(true_model, ref_pairs: np.ndarray) -> np.ndarray:
     """Per-step metric weight from the true model along the reference trace."""
     if isinstance(true_model, em.LinearModel):
         return np.full(len(ref_pairs), true_model.value)
-    if isinstance(true_model, em.MlccCapacitorModel):
-        return em.mlcc_capacitance(true_model, ref_pairs[:, 0])
-    if isinstance(true_model, em.ShockleyDiodeModel):
-        return em.composite_diode_conductance(true_model, ref_pairs[:, 0])
-    raise TypeError(f"no true-parameter weight for {true_model!r}")
+    return em.response_slope(true_model, ref_pairs[:, 0])[1]
 
 
 def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,

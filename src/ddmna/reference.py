@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import elements as em
-from .dataset import ElementBinding, held_values
+from .dataset import ElementBinding, bindings_by_group, held_values
 from .netlist import CircuitGraph, IncidenceSet, build_incidence, held_circuit, mna_stamp
 from .state import CircuitState, Lift, TransientConfig, TransientTrace, march, release_held
 
@@ -72,23 +72,6 @@ def analytic_rc_voltage(r: float, c: float, v: float, t) -> float | np.ndarray:
     return v * (1.0 - np.exp(-np.asarray(t, float) / (r * c)))
 
 
-def models_by_group(graph: CircuitGraph, bindings: list[ElementBinding]) -> dict[str, list]:
-    """Per-group model lists in incidence column order; every binding must be known."""
-    by_name = {b.name: b for b in bindings}
-    out: dict[str, list] = {}
-    for group in "GCL":
-        models = []
-        for e in graph.groups[group]:
-            b = by_name.get(e.name)
-            if b is None:
-                raise ValueError(f"no binding for element {e.name}")
-            if b.mode != "known":
-                raise ValueError(f"traditional solver needs a model for {e.name}")
-            models.append(b.model)
-        out[group] = models
-    return out
-
-
 class TraditionalSolver:
     """MNA stepper for circuits with fully known elements: one solve with the
     base stamp's LU factors per step, then damped Newton on the nonlinear
@@ -99,10 +82,13 @@ class TraditionalSolver:
         self.graph = graph
         self.inc = inc
         self.bindings = bindings
-        models = models_by_group(graph, bindings)
-        self.g_models = models["G"]
-        self.c_models = models["C"]
-        self.l_values = np.array([m.value for m in models["L"]])
+        self.by_group = bindings_by_group(graph, bindings)
+        for b in (b for group in "GCL" for b in self.by_group[group]):
+            if b.mode != "known":
+                raise ValueError(f"traditional solver needs a model for {b.name}")
+        self.g_models, self.c_models, l_models = ([b.model for b in self.by_group[group]]
+                                                  for group in "GCL")
+        self.l_values = np.array([m.value for m in l_models])
         self.nphi = graph.n - 1
         self.n_l = graph.count("L")
         self.n_v = graph.count("V")
@@ -306,7 +292,7 @@ class TraditionalSolver:
         """Consistent state at t0: one step from zeros of the held circuit
         (`netlist.held_circuit` at `dataset.held_values`), which has no charge
         or flux, so its step at companion factor 0 is the DC operating point."""
-        v_c0, i_l0 = held_values(self.graph, self.bindings, q_c0, psi_l0)
+        v_c0, i_l0 = held_values(self.by_group, q_c0, psi_l0)
         graph = held_circuit(self.graph, v_c0, i_l0)
         held = TraditionalSolver(graph, build_incidence(graph), self.bindings)
         none = np.zeros(0)

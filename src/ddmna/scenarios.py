@@ -143,13 +143,12 @@ def synthesize_datasets(scenario: Scenario, graph, known_bindings,
     """
     env = operating_envelope(envelope_trace, graph, margin=ENVELOPE_MARGIN)
     count = max(1, n_total // len(scenario.dd_names))
-    by_name = {b.name: b for b in known_bindings}
     out = []
     for b in known_bindings:
         if b.name not in scenario.dd_names:
             out.append(b)
             continue
-        model = by_name[b.name].model
+        model = b.model
         lo, hi = env[b.name]
         if isinstance(model, em.ShockleyDiodeModel):
             lo = max(lo, -model.i_s * (1.0 - 1e-12))

@@ -140,6 +140,21 @@ def test_gen_bad_range_exits_2(tmp_path, capsys):
     assert "argument --range: range must be lo:hi, got 'nonsense'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, entries", [
+    (["--range", "0:1", "--i-range", "0:5"], ""),
+    ([], "range = 0:1\ni-range = 0:5\n"),
+    (["--i-range", "0:5"], "range = 0:1\n")], ids=["flags", "config", "flag-and-config"])
+def test_gen_range_with_i_range_exits_2(tmp_path, capsys, flags, entries):
+    # both set the drive range; neither may be dropped without a word
+    out = tmp_path / "g.csv"
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text(f"[gen]\n{entries}")
+    assert main(["--config", str(cfg), "gen", "--model", "linear-g", "--value", "1e-3",
+                 "--n", "3", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --range and --i-range are mutually exclusive\n"
+    assert not out.exists()
+
+
 def test_experiment_sweep_artifacts(tmp_path):
     out = tmp_path / "sweep"
     rc = main(["experiment", "rc-linear", "--schemes", "tr",
