@@ -389,22 +389,6 @@ def chord_weight(mset: MeasurementSet) -> float:
     return 1.0
 
 
-def default_weight(binding: ElementBinding) -> float:
-    """Constant weighting factor: model coefficient if known, chord slope if data."""
-    if binding.mode == "data":
-        return checked_weight(chord_weight(binding.data))
-    model = binding.model
-    if isinstance(model, em.LinearModel):
-        return checked_weight(model.value)
-    if isinstance(model, em.MlccCapacitorModel):
-        return checked_weight(model.c0)
-    if isinstance(model, em.ShockleyDiodeModel):
-        # Scale-aware stand-in: conductance at a 1 mA forward operating point.
-        v_ref = em.composite_diode_voltage(model, 1e-3)
-        return checked_weight(em.composite_diode_conductance(model, v_ref))
-    raise TypeError(f"no default weight for {model!r}")
-
-
 def operating_envelope(trace, graph: CircuitGraph,
                        margin: float = 1.0) -> dict[str, tuple[float, float]]:
     """Per-element range of the driving coordinate over a trace, widened by margin.

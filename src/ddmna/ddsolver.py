@@ -4,13 +4,13 @@ Kirchhoff-feasible state nearest the measurement data.
 Each iteration solves one linear system for the weighted projection onto the
 constraints (LU factors from LAPACK, kept while the system is unchanged),
 then moves the data picks.  The iteration stops when the picks repeat, at a
-fixed point of the two half-steps, and is monitored through the energy
-mismatch, the weighted squared distance between the two states.
-The weights are one vector in the order of the state's pair block, so the
-mismatch is one array expression over that block.  Every data element's set
-is one set of a `dataset.FlatIndex`, whose search kernel serves the data
-half-step, the nearest picks and the tangent rule.  A step warm-started at
-the last picks keeps them: a measured pair is its own nearest pair.
+fixed point of the two half-steps, and records the energy mismatch E, the
+weighted squared distance between the two states over the data elements.
+The weights are one vector in the order of the state's pair block, 0 at a
+known element.  Every data element's set is one set of a `dataset.FlatIndex`,
+whose search kernel serves the data half-step, the nearest picks and the
+tangent rule.  A step warm-started at the last picks keeps them: a measured
+pair is its own nearest pair.
 
 Elements with a known model are not matched to data.  Each one is a
 constraint only: it enters the Kirchhoff set as its tangent line
@@ -62,7 +62,8 @@ from .dataset import (
     ElementBinding,
     FlatIndex,
     bindings_by_group,
-    default_weight,
+    checked_weight,
+    chord_weight,
     generate_measurements,  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
     held_values,
     local_tangent_weight,
@@ -74,7 +75,10 @@ from .state import CircuitState, Lift, TransientConfig, TransientTrace, march, r
 
 log = logging.getLogger(__name__)
 
-MISMATCH_FLOOR = 1e-30
+# The least scale of a feasibility residual.
+SCALE_FLOOR = 1e-30
+# The most data-state combinations `brute_force_timestep` enumerates.
+BRUTE_FORCE_CAP = 10 ** 6
 # Local-tangent weights: neighbours in the slope fit, and the clamp range
 # relative to the element's reference weight.
 TANGENT_K = 10
@@ -104,8 +108,8 @@ class DDStepTrace:
 
     em_history: list = field(default_factory=list)  # mismatch per iteration
     selected_indices: list = field(default_factory=list)  # dd-index tuple per iteration
-    # why the step stopped: "selection-fixed" (the selection repeated),
-    # "mismatch-floor" or "cap" (max_iters reached)
+    # why the step stopped: "selection-fixed" (the selection repeated) or
+    # "cap" (max_iters reached)
     stop_reason: str = "cap"
     feasibility_residual: float = np.nan
     # Kirchhoff right-hand sides solved in the step, the columns of the
@@ -343,13 +347,13 @@ class DDSolver:
         self.nphi = graph.n - 1
         self.n_g, self.n_c, self.n_l, self.n_v = (graph.count(group) for group in "GCLV")
         # Per element, in the order of the state's pair block (G, C, then L):
-        # name, weight, reference weight and weight coordinate (1 for L).
+        # name, weight and reference weight, D's diagonal: a data set's chord
+        # slope, and 0 at a known element, which has no distance.
         elements = [(group, j, b) for group in "GCL" for j, b in enumerate(self.bindings[group])]
         self.names = [b.name for _, _, b in elements]
-        self.weights = np.array([default_weight(b) for _, _, b in elements])
+        self.weights = np.array([checked_weight(chord_weight(b.data)) if b.mode == "data"
+                                 else 0.0 for _, _, b in elements])
         self.w_ref = self.weights.copy()
-        # True at each weight coordinate
-        self._wcol = np.repeat([0, 0, 1], [self.n_g, self.n_c, self.n_l])[:, None] == [0, 1]
 
         # Known elements are constraints only: each enters the Kirchhoff
         # projection's stamp K as its tangent line and has no distance term,
@@ -357,7 +361,7 @@ class DDSolver:
         # reads only the data pairs.  The data half-step keeps a known-linear
         # pair as it is and moves a nonlinear one by one Newton step, so a
         # step stops when the data indices repeat and the known-nonlinear
-        # pairs settle, or on the mismatch floor.
+        # pairs settle.
         self.known: dict[str, list[KnownTangent]] = {group: [] for group in "GCL"}
         self._nonlinear = []  # (row, tangent)
         data = []  # measurement set per data row
@@ -409,7 +413,7 @@ class DDSolver:
         inc = self.inc
         kcl = inc.a_g @ state.i_g + alpha * (inc.a_c @ state.q_c) + inc.a_l @ state.i_l \
             + inc.a_v @ state.i_v - inc.a_i @ i_src - inc.a_c @ rhs_c
-        kcl_scale = max(MISMATCH_FLOOR,
+        kcl_scale = max(SCALE_FLOOR,
                         np.abs(state.i_g).max(initial=0.0),
                         alpha * np.abs(state.q_c).max(initial=0.0),
                         np.abs(state.i_v).max(initial=0.0),
@@ -417,7 +421,7 @@ class DDSolver:
         res = np.abs(kcl).max(initial=0.0) / kcl_scale
         if self.n_l:
             gap = np.abs(inc.a_l.T @ state.phi - (alpha * state.psi_l - rhs_l)).max()
-            scale = max(np.abs(inc.a_l.T @ state.phi).max(), MISMATCH_FLOOR)
+            scale = max(np.abs(inc.a_l.T @ state.phi).max(), SCALE_FLOOR)
             res = max(res, gap / scale)
         if self.n_v:
             gap = np.abs(inc.a_v.T @ state.phi - v_src).max()
@@ -464,19 +468,21 @@ class DDSolver:
 
     def energy_mismatch(self, zo: CircuitState, zx: CircuitState,
                         alpha: float = 1.0) -> float:
-        """Weighted squared distance between two states, summed over elements.
-
-        Dynamic elements are scaled by alpha, matching the metric used by
-        project_to_kirchhoff.  The terms 0.5 w da da + 0.5 / w db db are added
-        left to right (np.sum adds pairwise, and the builtin sum compensates
-        from Python 3.12 on), so a recorded mismatch (`DDStepTrace.em_history`)
-        has the same bits on every platform; no stop test compares mismatches.
+        """The mismatch E of two states: the weighted squared distance summed
+        over the data elements, 0.5 w da da + 0.5 / w db db with a the drive
+        and b the response, times alpha for C and L elements, as in
+        project_to_kirchhoff's metric.  Known elements carry no distance, so
+        this is the E = |A p - pi0|²_C of `KirchhoffSystem.quadratic` that the
+        data half-step descends on.  The terms are added left to right
+        (np.sum adds pairwise, and the builtin sum compensates from Python
+        3.12 on), so a recorded mismatch (`DDStepTrace.em_history`) has the
+        same bits on every platform; no stop test compares mismatches.
         """
-        d = zo.pairs() - zx.pairs()
-        w = self.weights[:, None]
-        q = np.where(self._wcol, 0.5 * w, 0.5 / w) * d * d
-        t = q[:, 0] + q[:, 1]
-        t[self.n_g:] *= alpha
+        ab = self._data_ab
+        d = zo.pairs().reshape(-1)[ab] - zx.pairs().reshape(-1)[ab]
+        w = self.weights[self.system.data]
+        t = 0.5 * w * d[0] * d[0] + 0.5 / w * d[1] * d[1]
+        t[self.system._dynamic] *= alpha
         return functools.reduce(operator.add, t.tolist(), 0.0)
 
     def _update_tangent_weights(self, zx: CircuitState) -> None:
@@ -531,9 +537,6 @@ class DDSolver:
                 trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
-            if mismatch <= MISMATCH_FLOOR:
-                trace.stop_reason = "mismatch-floor"
-                break
         return zo, zx, trace
 
     def _data_step(self, system: KirchhoffSystem, alpha: float, zo: CircuitState,
@@ -639,8 +642,7 @@ def run_transient_dd(graph: CircuitGraph, inc: IncidenceSet,
 
 def brute_force_timestep(solver: DDSolver, alpha: float,
                          rhs_c: np.ndarray, rhs_l: np.ndarray,
-                         v_src: np.ndarray, i_src: np.ndarray,
-                         cap: int = 10 ** 6):
+                         v_src: np.ndarray, i_src: np.ndarray):
     """Enumerate all data-state combinations; exact oracle for the double minimization.
 
     Known elements are constraints of the Kirchhoff projection with no
@@ -653,8 +655,8 @@ def brute_force_timestep(solver: DDSolver, alpha: float,
     dd_elems = list(zip(solver.system.data.tolist(), solver.flat.msets))
     sizes = [len(mset) for _, mset in dd_elems]
     n_tuples = int(np.prod(sizes)) if sizes else 1
-    if n_tuples > cap:
-        raise DDSolverError(f"brute force cap exceeded: {n_tuples} > {cap}")
+    if n_tuples > BRUTE_FORCE_CAP:
+        raise DDSolverError(f"brute force cap exceeded: {n_tuples} > {BRUTE_FORCE_CAP}")
 
     best = None
     for combo in itertools.product(*(range(s) for s in sizes)):

@@ -19,7 +19,6 @@ from .state import TransientTrace
 
 @dataclass
 class ErrorSeries:
-    element: str
     times: np.ndarray
     values: np.ndarray   # squared energy mismatch per step
     weights: np.ndarray  # true-parameter weight used per step
@@ -49,8 +48,7 @@ def true_weights(true_model, ref_pairs: np.ndarray) -> np.ndarray:
 
 
 def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
-                          true_model, group: str, index: int,
-                          element: str = "") -> ErrorSeries:
+                          true_model, group: str, index: int) -> ErrorSeries:
     """Squared weighted distance to the reference, per time step, for one element."""
     if len(trace.times) != len(ref_trace.times) or \
             not np.allclose(trace.times, ref_trace.times):
@@ -58,7 +56,7 @@ def energy_mismatch_error(trace: TransientTrace, ref_trace: TransientTrace,
     pairs = trace.pairs(group, index)
     ref_pairs = ref_trace.pairs(group, index)
     w = true_weights(true_model, ref_pairs)
-    return ErrorSeries(element=element, times=trace.times.copy(),
+    return ErrorSeries(times=trace.times.copy(),
                        values=weighted_pair_distance(pairs, ref_pairs, w, group), weights=w)
 
 

@@ -242,8 +242,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
         res.trad_trace.write_csv(os.path.join(cell_dir, "trace_traditional.csv"))
         res.ref_trace.write_csv(os.path.join(cell_dir, "trace_reference.csv"))
         series = energy_mismatch_error(res.dd_trace, res.ref_trace, res.true_model,
-                                       res.group, res.index,
-                                       element=scenario.metric_element)
+                                       res.group, res.index)
         series.write_csv(os.path.join(cell_dir, "error_series.csv"))
         _write_convergence_log(res.dd_trace, cell_dir)
         with open(os.path.join(cell_dir, "config.json"), "w") as fh:

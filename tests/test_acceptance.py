@@ -64,6 +64,11 @@ def test_criterion_02_all_known_matches_traditional():
             trad = run_transient_traditional(graph, inc, known, cfg)
             dd = run_transient_dd(graph, inc, known, cfg, DDConfig())
             capped += int((dd.iterations >= max_iters).sum())
+            # known elements carry no distance: every mismatch is 0, and a
+            # step stops on its repeated selection
+            steps = dd.step_details[1:]
+            assert {s.stop_reason for s in steps} == {"selection-fixed"}
+            assert all(m == 0.0 for s in steps for m in s.em_history)
             for field in ("phi", "v_g", "i_g", "v_c", "q_c", "i_v"):
                 ref = np.array([getattr(s, field) for s in trad.states])
                 got = np.array([getattr(s, field) for s in dd.states])

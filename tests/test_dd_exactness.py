@@ -134,7 +134,10 @@ def test_kirchhoff_projection_is_exact(name):
     scenario, graph, inc, cfg, binds = _setup(name)
     solver = DDSolver(graph, inc, binds, DDConfig(weight_rule=scenario.weight_rule))
     alpha = 2.0 / cfg.h
-    w_g, w_c, w_l = np.split(solver.weights, [solver.n_g, solver.n_g + solver.n_c])
+    # Draw scales: a data element's weight, and a known element's tangent
+    # slope, so known capacitors and inductors get nonzero history terms.
+    scales = np.where(solver.weights > 0, solver.weights, solver.system._slopes())
+    w_g, w_c, w_l = np.split(scales, [solver.n_g, solver.n_g + solver.n_c])
     a = _constraints(solver, alpha)
     null = scipy.linalg.null_space(a)
     assert null.shape[1] > 0

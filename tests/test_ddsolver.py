@@ -11,7 +11,7 @@ from ddmna.dataset import (
     MeasurementSet,
     SamplingPlan,
     bindings_from_graph,
-    default_weight,
+    checked_weight,
     generate_measurements,
     nearest_measurement,
     weighted_pair_distance,
@@ -415,7 +415,7 @@ def test_stop_reasons_and_one_warning_for_capped_steps(caplog):
     with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
         dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
     reasons = {s.stop_reason for s in dd.step_details[1:]}
-    assert reasons <= {"selection-fixed", "mismatch-floor"}
+    assert reasons == {"selection-fixed"}
     assert not caplog.records
 
     with caplog.at_level(logging.WARNING, logger="ddmna.ddsolver"):
@@ -503,10 +503,13 @@ def per_element_half_step(solver, zo):
 
 
 def per_element_mismatch(solver, zo, zx, alpha):
+    """The mismatch element by element; a known element has no distance."""
     total = 0.0
     for group in "GCL":
         scale = 1.0 if group == "G" else alpha
         for j, b in enumerate(solver.bindings[group]):
+            if b.mode != "data":
+                continue
             w = float(solver.weights[solver.names.index(b.name)])
             total += scale * weighted_pair_distance(zo.pair(group, j), zx.pair(group, j),
                                                     w, group)
@@ -573,12 +576,30 @@ def test_block_mismatch_equals_per_element_sum():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_weights_must_be_positive_and_finite(bad):
-    class UncheckedLinear(LinearModel):
-        def __post_init__(self):
-            pass
-
     with pytest.raises(ValueError, match="0 < w < inf"):
-        default_weight(ElementBinding("R1", "G", "known", model=UncheckedLinear("G", bad)))
+        checked_weight(bad)
+
+
+def test_known_elements_carry_no_weight_and_no_distance():
+    # The rectifier with data R1 and known D1 and C1: the known elements'
+    # weights are 0, D's diagonal, and their pairs add nothing to the mismatch.
+    scenario = dataclasses.replace(SCENARIOS["rectifier"], dd_names=("R1",))
+    graph, inc, known = build_scenario(scenario)
+    cfg = TransientConfig(scheme="trapezoidal", t_end=scenario.t_end, steps=40)
+    binds = synthesize_datasets(scenario, graph, known,
+                                run_transient_traditional(graph, inc, known, cfg), 1000)
+    solver = DDSolver(graph, inc, binds, DDConfig())
+    weights = dict(zip(solver.names, solver.weights.tolist()))
+    assert weights["D1"] == 0.0 and weights["C1"] == 0.0
+    assert weights["R1"] > 0.0
+    rng = np.random.default_rng(13)
+    rows = [solver.names.index(name) for name in ("D1", "C1")]
+    for _ in range(10):
+        zo, zx = CircuitState.zeros(graph), CircuitState.zeros(graph)
+        zo.x[:], zx.x[:] = rng.normal(size=(2, zo.x.size))
+        other = zx.copy()
+        other.pairs()[rows] = rng.normal(size=(2, 2))
+        assert solver.energy_mismatch(zo, zx, 3.0) == solver.energy_mismatch(zo, other, 3.0)
 
 
 LADDER_NET = "V1 1 0 SIN 0 1 1000\n" + "".join(

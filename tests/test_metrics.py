@@ -39,7 +39,7 @@ def _perturbed(trace, dv=0.0, dq=0.0):
 def test_error_series_zero_for_identical_traces():
     graph, trace = _rc_trace()
     series = energy_mismatch_error(trace, trace, LinearModel("C", 1e-6),
-                                   "C", 0, element="C1")
+                                   "C", 0)
     assert np.all(np.asarray(series.values) == 0.0)
     assert len(series.values) == len(trace.times)
 
@@ -49,7 +49,7 @@ def test_error_series_hand_value():
     graph, trace = _rc_trace(steps=10)
     other = _perturbed(trace, dv=1e-3)
     series = energy_mismatch_error(other, trace, LinearModel("C", 1e-6),
-                                   "C", 0, element="C1")
+                                   "C", 0)
     assert np.allclose(series.values, 0.5 * 1e-6 * 1e-6)
 
 
@@ -134,9 +134,8 @@ def test_sparse_data_error_dominates_dense_pointwise():
     fine = run_cell("rc-linear", "trapezoidal", 200, 10 ** 5)
     s_coarse = energy_mismatch_error(coarse.dd_trace, coarse.ref_trace,
                                      coarse.true_model, coarse.group,
-                                     coarse.index, element="C1")
+                                     coarse.index)
     s_fine = energy_mismatch_error(fine.dd_trace, fine.ref_trace,
-                                   fine.true_model, fine.group, fine.index,
-                                   element="C1")
+                                   fine.true_model, fine.group, fine.index)
     frac = np.mean(np.asarray(s_coarse.values) >= np.asarray(s_fine.values))
     assert frac >= 0.9
