@@ -2,7 +2,7 @@
 Kirchhoff-feasible state nearest the measurement data.
 
 Each iteration solves one linear system for the weighted projection onto the
-constraints (LU factors from LAPACK, kept while the system is unchanged),
+constraints (one product with its inverse, kept while the system is unchanged),
 then moves the data picks.  The iteration stops when the picks repeat, at a
 fixed point of the two half-steps, and records the energy mismatch E, the
 weighted squared distance between the two states over the data elements.
@@ -32,7 +32,7 @@ As known elements carry no distance, a step's mismatch is a quadratic form
 in the 2k coordinates p of its k data pairs, E(p) = |A p - pi0|²_C: C holds
 the mismatch's coefficients, A = I - P with P the linear part of the
 projection's map on data coordinates (`KirchhoffSystem.quadratic`, one
-2k-column solve with the kept factors), and pi0 follows from the Kirchhoff
+2k-column product with the kept inverse), and pi0 follows from the Kirchhoff
 state of the iteration.  The data half-step is exact block-coordinate
 descent on E from the current picks: each data element in turn takes the
 pair of its set that minimises E with the others fixed
@@ -54,8 +54,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
-from scipy.linalg import lapack
+import scipy  # noqa: F401  (unused here; perfbench/bench_trace.py wraps it)
 
 from . import elements as em
 from .dataset import (
@@ -104,13 +103,21 @@ class DDConfig:
 
 @dataclass
 class DDStepTrace:
-    """Per-time-step fixed-point diagnostics."""
+    """Per-time-step fixed-point diagnostics.
+
+    `iterations` counts the step's Kirchhoff projections.  The step stops on
+    "selection-fixed" when the selection repeats.  Under constant weights with
+    no known-nonlinear element the mismatch is one quadratic in every
+    iteration, and the first descent ended at a minimum no single element's
+    move improves; the second iteration therefore keeps the picks without a
+    descent and stops on "selection-fixed".  A circuit with no data element
+    and no known-nonlinear element stops there after one projection, as its
+    first Kirchhoff state is final.  "cap" means max_iters was reached.
+    """
 
     em_history: list = field(default_factory=list)  # mismatch per iteration
     selected_indices: list = field(default_factory=list)  # dd-index tuple per iteration
-    # why the step stopped: "selection-fixed" (the selection repeated) or
-    # "cap" (max_iters reached)
-    stop_reason: str = "cap"
+    stop_reason: str = "cap"  # "selection-fixed" or "cap"
     feasibility_residual: float = np.nan
     # Kirchhoff right-hand sides solved in the step, the columns of the
     # reduced quadratic's map included
@@ -151,8 +158,8 @@ class KnownTangent:
 
 @dataclass
 class KirchhoffSystem:
-    """The Kirchhoff projection of one circuit as two MNA stamps, with the LU
-    factors, response coefficients and reduced quadratic of its last alpha,
+    """The Kirchhoff projection of one circuit as two MNA stamps, with the
+    inverse, response coefficients and reduced quadratic of its last alpha,
     weights and slopes, and a count of the right-hand sides it has solved.
 
     Its elements are the leading pairs of a state's pair block, with the
@@ -210,7 +217,7 @@ class KirchhoffSystem:
             np.arange(2 * self.n + n_g + n_c + n_e),
             np.cumsum([nphi, n_l, self.n - nphi - n_l, self.n, n_g, n_c, n_g, n_c]))
         self._lift = Lift(diff, CircuitState(phi, v_g, i_g, v_c, q_c, psi_l, i_l, i_v))
-        # [key, LU, pivots, response coefficients, quadratic or None], see _factors
+        # [key, inverse, response coefficients, quadratic or None], see _kept
         self._slot: list = [None]
         self.solves = 0  # right-hand sides solved, the quadratic's columns included
 
@@ -266,54 +273,54 @@ class KirchhoffSystem:
         known element's slope, and -w (G, C) or w (L) at a data element."""
         return self._slopes() + self._sign * self._data_weights(w)
 
-    def _factors(self, alpha: float, w: np.ndarray) -> list:
-        """The slot of `matrix(alpha, w)` at the present slopes: its LU
-        factors, the response coefficients and the quadratic, None until
-        built; renewed when alpha, a weight or a slope changes."""
+    def _kept(self, alpha: float, w: np.ndarray) -> list:
+        """The slot of `matrix(alpha, w)` at the present slopes: its
+        inverse, the response coefficients and the quadratic, None until
+        built; renewed when alpha, a weight or a slope changes.  A solve is
+        one product with the inverse, forward-accurate but not backward
+        stable (Higham, "Accuracy and Stability of Numerical Algorithms",
+        2nd ed. (2002), §14.1); `feasibility_residual` checks each step."""
         key = (alpha, w.tobytes(), tuple(t.slope for t in self.tangents))
         if self._slot[0] != key:
-            lu, piv, info = lapack.dgetrf(self.matrix(alpha, w))
-            if info != 0:
-                raise DDSolverError(f"singular projection system (dgetrf info {info})")
-            self._slot = [key, lu, piv, self.response_coefficients(w), None]
+            try:
+                inv = np.linalg.inv(self.matrix(alpha, w))
+            except np.linalg.LinAlgError:
+                raise DDSolverError("singular projection system") from None
+            self._slot = [key, inv, self.response_coefficients(w), None]
         return self._slot
 
     def solve(self, zx: CircuitState, alpha: float, w: np.ndarray, b: np.ndarray) -> CircuitState:
         """The state of the solution of `matrix(alpha, w)` z = b for data
-        state zx (b from `rhs`), with the kept factors."""
-        _, lu, piv, coef, _ = self._factors(alpha, w)
-        z, info = lapack.dgetrs(lu, piv, b)
-        if info != 0:
-            raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+        state zx (b from `rhs`), with the kept inverse."""
+        _, inv, coef, _ = self._kept(alpha, w)
         self.solves += 1
-        return self.state(z, zx, coef)
+        return self.state(inv.dot(b), zx, coef)
 
     def quadratic(self, alpha: float, w: np.ndarray) -> tuple:
         """The mismatch of a projection at alpha and w as a quadratic form in
         the data coordinates p (`data_coords`, (drive, response) per data
-        element); built on first use and kept with the factors.
+        element); built on first use and kept with the inverse.
 
         The projection maps p to the Kirchhoff state's data coordinates
         pi0 + P p: a drive is its row of the map on x, a response p's own
         plus the weight times its row of the map on y, and x and y solve
         M z = b0 + B p, with B's column per coordinate read off `rhs`.  So P
-        takes one solve with the 2k columns of B.  With A = I - P and C the
-        mismatch's coefficients (0.5 w on a drive, 0.5 / w on a response,
-        times alpha for C and L), the mismatch is |A p - pi0|²_C.  Returns
+        takes one product of the inverse with the 2k columns of B.  With
+        A = I - P and C the mismatch's coefficients (0.5 w on a drive, 0.5 / w
+        on a response, times alpha for C and L), the mismatch is
+        |A p - pi0|²_C.  Returns
         (C A, Aᵀ C A, (g_aa, g_ab, g_bb) per data element), the last the
         element's 2 × 2 block of Aᵀ C A.
         """
-        slot = self._factors(alpha, w)
-        if slot[4] is None:
+        slot = self._kept(alpha, w)
+        if slot[3] is None:
             d, w, sign = self._data_drives, w[self.data], self._sign[self.data]
             scale = np.where(self._dynamic, alpha, 1.0)
             k, n = d.shape
             b = np.zeros((2 * n, 2 * k))
             b[:n, 0::2] = d.T * (w * scale)
             b[n:, 1::2] = d.T * (sign * scale)
-            z, info = lapack.dgetrs(slot[1], slot[2], b)
-            if info != 0:
-                raise DDSolverError(f"projection solve failed (dgetrs info {info})")
+            z = slot[1].dot(b)
             a = np.empty((2 * k, 2 * k))
             a[0::2] = -d.dot(z[:n])
             a[1::2] = -(sign * w)[:, None] * d.dot(z[n:])
@@ -322,9 +329,9 @@ class KirchhoffSystem:
             gram = a.T.dot(ca)
             i = np.arange(0, 2 * k, 2)
             blocks = np.stack([gram[i, i], gram[i, i + 1], gram[i + 1, i + 1]], axis=1)
-            slot[4] = ca, gram, blocks.tolist()
+            slot[3] = ca, gram, blocks.tolist()
             self.solves += 2 * k
-        return slot[4]
+        return slot[3]
 
     def state(self, z: np.ndarray, zx: CircuitState, coef: np.ndarray) -> CircuitState:
         """The circuit state in the solution z for data state zx, with coef
@@ -382,11 +389,12 @@ class DDSolver:
         # Where the data pairs' coordinates a (the drive) and b sit in the flat pair block.
         self._data_ab = self.system.data_coords.reshape(-1, 2).T
         self._last: tuple = (None, None)  # (picks, their (a, b)), see _pick_data
+        self._rows: tuple = (None, None)  # (alpha, F), see _constraints
 
     # ------------------------------------------------------------------
     def assemble_projection_matrix(self, alpha: float) -> np.ndarray:
         """The projection's matrix [[D, Kᵀ], [K, -D]] (`KirchhoffSystem.matrix`);
-        the solver factors it through `KirchhoffSystem.solve`, not this call."""
+        the solver inverts it through `KirchhoffSystem.solve`, not this call."""
         return self.system.matrix(alpha, self.weights)
 
     def assemble_projection_rhs(self, zx: CircuitState, alpha: float,
@@ -403,30 +411,70 @@ class DDSolver:
         b = self.assemble_projection_rhs(zx, alpha, rhs_c, rhs_l, v_src, i_src)
         return self.system.solve(zx, alpha, self.weights, b)
 
+    @functools.cached_property
+    def _constraint_parts(self) -> tuple[np.ndarray, list]:
+        """([F0, F1], blocks): F0 + alpha F1 is the `_constraints` at alpha,
+        F0 holding the entries free of alpha and F1 the coefficients of
+        alpha; blocks are the row slices of each block's residual and of its
+        scale, in turn."""
+        inc, n_c, n_l, n_v = self.inc, self.n_c, self.n_l, self.n_v
+        pos = CircuitState.zeros(self.graph)
+        pos.x[:] = np.arange(pos.x.size)
+        col = {name: getattr(pos, name).astype(np.intp)
+               for name in ("phi", "i_g", "q_c", "psi_l", "i_l", "i_v")}
+        n_i = inc.a_i.shape[1]
+        col["i_src"], col["rhs_c"], col["rhs_l"], col["v_src"] = np.split(
+            pos.x.size + np.arange(n_i + n_c + n_l + n_v), np.cumsum([n_i, n_c, n_l]))
+
+        def rows(*parts):
+            """Rows from (column name, block, 0 for F0 or 1 for F1) parts."""
+            m = np.zeros((2, len(parts[0][1]), pos.x.size + n_i + n_c + n_l + n_v))
+            for name, block, k in parts:
+                m[k][:, col[name]] = block
+            return m
+
+        eye_l, eye_v = np.eye(n_l), np.eye(n_v)
+        f = [np.concatenate(group, axis=1) for group in (
+            [rows(("i_g", inc.a_g, 0), ("q_c", inc.a_c, 1), ("i_l", inc.a_l, 0),
+                  ("i_v", inc.a_v, 0), ("i_src", -inc.a_i, 0), ("rhs_c", -inc.a_c, 0))],
+            [rows(("i_g", np.eye(self.n_g), 0)), rows(("q_c", np.eye(n_c), 1)),
+             rows(("i_v", eye_v, 0)), rows(("i_src", np.eye(n_i), 0))],
+            [rows(("phi", inc.a_l.T, 0), ("psi_l", -eye_l, 1), ("rhs_l", eye_l, 0))],
+            [rows(("phi", inc.a_l.T, 0))],
+            [rows(("phi", inc.a_v.T, 0), ("v_src", -eye_v, 0))],
+            [rows(("v_src", eye_v, 0))])]
+        bounds = np.cumsum([0] + [part.shape[1] for part in f]).tolist()
+        return np.concatenate(f, axis=1), [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def _constraints(self, alpha: float) -> np.ndarray:
+        """F for `feasibility_residual` at alpha, kept for the last alpha.
+
+        The product of F with [x, i_src, rhs_c, rhs_l, v_src], x a state's
+        vector, stacks per block its residual rows, then the rows whose
+        largest magnitude is its scale (`_constraint_parts`): KCL, A_g i_g + alpha A_c
+        q_c + A_l i_l + A_v i_v - A_i i_src - A_c rhs_c, on i_g, alpha q_c,
+        i_v and i_src; the inductor law, A_l.T phi - alpha psi_l + rhs_l, on
+        A_l.T phi; the source voltages, A_v.T phi - v_src, on v_src."""
+        if self._rows[0] != alpha:
+            f0, f1 = self._constraint_parts[0]
+            self._rows = (alpha, f0 + alpha * f1)
+        return self._rows[1]
+
     def feasibility_residual(self, state: CircuitState, alpha: float,
                              rhs_c: np.ndarray, rhs_l: np.ndarray,
                              v_src: np.ndarray, i_src: np.ndarray) -> float:
         """Max relative residual over three time-discrete constraint blocks:
-        KCL, the inductor law and the source voltages.  The element voltages
-        v_g and v_c need no block: a Kirchhoff state lifts them from phi as
-        A_g.T phi and A_c.T phi, so they hold exactly."""
-        inc = self.inc
-        kcl = inc.a_g @ state.i_g + alpha * (inc.a_c @ state.q_c) + inc.a_l @ state.i_l \
-            + inc.a_v @ state.i_v - inc.a_i @ i_src - inc.a_c @ rhs_c
-        kcl_scale = max(SCALE_FLOOR,
-                        np.abs(state.i_g).max(initial=0.0),
-                        alpha * np.abs(state.q_c).max(initial=0.0),
-                        np.abs(state.i_v).max(initial=0.0),
-                        np.abs(i_src).max(initial=0.0))
-        res = np.abs(kcl).max(initial=0.0) / kcl_scale
-        if self.n_l:
-            gap = np.abs(inc.a_l.T @ state.phi - (alpha * state.psi_l - rhs_l)).max()
-            scale = max(np.abs(inc.a_l.T @ state.phi).max(), SCALE_FLOOR)
-            res = max(res, gap / scale)
-        if self.n_v:
-            gap = np.abs(inc.a_v.T @ state.phi - v_src).max()
-            res = max(res, gap / max(np.abs(v_src).max(), 1.0))
-        return res
+        KCL, the inductor law and the source voltages, each over its scale,
+        one product with `_constraints`.  The element voltages v_g and v_c
+        need no block: a Kirchhoff state lifts them from phi as A_g.T phi and
+        A_c.T phi, so they hold exactly."""
+        r = np.abs(self._constraints(alpha).dot(
+            np.concatenate([state.x, i_src, rhs_c, rhs_l, v_src]))).tolist()
+        kcl, kcl_scale, law, law_scale, volt, volt_scale = (
+            r[rows] for rows in self._constraint_parts[1])
+        return max(max(kcl, default=0.0) / max([SCALE_FLOOR, *kcl_scale]),
+                   max(law, default=0.0) / max([SCALE_FLOOR, *law_scale]),
+                   max(volt, default=0.0) / max([1.0, *volt_scale]))
 
     # ------------------------------------------------------------------
     def project_to_data(self, zo: CircuitState) -> tuple[CircuitState, tuple]:
@@ -525,25 +573,34 @@ class DDSolver:
             self._pick_data(zx.pairs())
         picks, ab = self._last  # ab: the picks' (a, b), one column each
         zx.pairs().reshape(-1)[self._data_ab] = ab
+        # Without moving weights or known-nonlinear tangents, E is the same
+        # quadratic in every iteration, and the picks of a descent are a
+        # minimum of it: the next descent keeps them.
+        fixed = not tangent_weights and not self._nonlinear
+        final = not (self._nonlinear or system.data.size)  # the first state is final
         prev_sel = None
         for _ in range(self.config.max_iters):
             if tangent_weights:
                 self._update_tangent_weights(zx)
             zo = project(zx)
-            zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab)
+            zx, sel, mismatch = self._data_step(system, alpha, zo, picks, ab,
+                                                descend=not fixed or prev_sel is None)
             trace.em_history.append(mismatch)
             trace.selected_indices.append(sel[0])
-            if prev_sel is not None and sel[0] == prev_sel[0] and _settled(sel[1], prev_sel[1]):
+            if final or (prev_sel is not None and sel[0] == prev_sel[0]
+                         and _settled(sel[1], prev_sel[1])):
                 trace.stop_reason = "selection-fixed"
                 break
             prev_sel = sel
         return zo, zx, trace
 
     def _data_step(self, system: KirchhoffSystem, alpha: float, zo: CircuitState,
-                   picks: np.ndarray, ab: np.ndarray) -> tuple[CircuitState, tuple, float]:
+                   picks: np.ndarray, ab: np.ndarray,
+                   descend: bool = True) -> tuple[CircuitState, tuple, float]:
         """The data half-step from zo, the Kirchhoff state of `system` for
         the data state of the picks `picks` (index per data set) at `ab`
-        (their (a, b) per column); moves both in place.
+        (their (a, b) per column); moves both in place, unless `descend` is
+        false and the picks are known to be a minimum of E.
 
         The data state is zo with the known-nonlinear elements moved to
         their model and the picks at the data elements; its mismatch to zo
@@ -555,11 +612,13 @@ class DDSolver:
         data state, the selection (the data indices, then the
         known-nonlinear pairs) and the mismatch.
         """
-        ca, gram, blocks = system.quadratic(alpha, self.weights)
         zx, known = self._move_known(zo)
         p = zx.pairs()
         p.reshape(-1)[self._data_ab] = ab
         mismatch = self.energy_mismatch(zo, zx, alpha)
+        if not descend:
+            return zx, (tuple(picks.tolist()), known), mismatch
+        ca, gram, blocks = system.quadratic(alpha, self.weights)
         u = ca.T.dot(zo.pairs().reshape(-1)[system.data_coords]
                      - zx.pairs().reshape(-1)[system.data_coords])
         kept, e, k = 0, 0, system.data.size

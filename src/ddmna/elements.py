@@ -20,8 +20,9 @@ EXP_CLAMP = 200.0
 # Stop test and iteration cap of the MLCC charge -> voltage Newton inversion.
 CHARGE_TOL, CHARGE_MAX_ITER = 1e-14, 100
 
-# scipy.special.wrightomega, imported on first use: scipy.special slows `import ddmna`
-_wrightomega = None
+# The relative error estimate below which `wright_omega` takes no second
+# Fritsch-Shafer-Crowley step.
+OMEGA_TOL = 2.220446049250313e-16
 
 
 class ModelDomainError(ValueError):
@@ -133,22 +134,66 @@ def composite_diode_voltage(model: ShockleyDiodeModel, i):
     return float(out) if np.ndim(i) == 0 else out
 
 
+def _fsc_step(x: float, w: float) -> tuple[float, float, float]:
+    """One Fritsch-Shafer-Crowley step for w + ln w = x from w: the new w,
+    the residual r = x - w - ln w and w + 1 at the old w."""
+    r = x - w - math.log(w)
+    wp1 = w + 1.0
+    t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (t - r) / (t - 2.0 * r)), r, wp1
+
+
+def wright_omega(x: float) -> float:
+    """The Wright omega function of a real x: the w with w + ln w = x.
+
+    A start per region, exp(x) below -2, exp(2 (x - 1) / 3) on [-2, 1) and
+    two terms of the asymptotic series x - ln x + ln x / x from 1 on, then one
+    Fritsch-Shafer-Crowley step (`_fsc_step`), and a second when the first's
+    error estimate exceeds OMEGA_TOL (Lawrence, Corless & Jeffrey, "Algorithm
+    917", ACM TOMS 38 (2012)).  Below -50, exp(x) is omega to double
+    precision; above 1e20, x is.  This is the arithmetic of
+    scipy.special.wrightomega on reals, and it returns the same bits.  On
+    (-40, -2) the residual x - w - ln w cancels terms of size |x|, so there w
+    can be some 30 ulps off omega, as SciPy's is (32 at x = -33.27, against a
+    200-bit value).
+    """
+    if x < -50.0:
+        return math.exp(x)
+    if x > 1e20:
+        return x
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    w, r, wp1 = _fsc_step(x, w)
+    if abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4.0) >= OMEGA_TOL * 72.0 * wp1 ** 6.0:
+        w = _fsc_step(x, w)[0]
+    return w
+
+
 def composite_diode_current(model: ShockleyDiodeModel, v):
     """Terminal current of the diode + series resistor at terminal voltage v.
 
     Closed form (Banwell & Jayakumar, 2000): with a = i_s R / (n vT) and omega
-    the overflow-free Wright omega, i = (n vT/R) omega(ln a + a + v/(n vT)) - i_s.
+    the Wright omega function (`wright_omega`, which does not overflow where
+    exp would), i = (n vT/R) omega(ln a + a + v/(n vT)) - i_s.  An array's
+    entries go through the scalar function one by one, so each equals the
+    scalar result bit for bit.
     """
-    global _wrightomega
     if model.r_series == 0.0:
         return shockley_current(model, v)
-    if _wrightomega is None:
-        from scipy.special import wrightomega as _wrightomega
-    a = model.i_s * model.r_series / model.nvt
-    scalar = isinstance(v, float)
-    x = math.log(a) + a + (v if scalar else np.asarray(v, dtype=float)) / model.nvt
-    out = model.nvt / model.r_series * _wrightomega(x) - model.i_s
-    return float(out) if scalar or np.ndim(v) == 0 else out
+    nvt = model.nvt
+    a = model.i_s * model.r_series / nvt
+    scale, offset = nvt / model.r_series, math.log(a) + a
+    if isinstance(v, float):
+        return scale * wright_omega(offset + v / nvt) - model.i_s
+    x = offset + np.asarray(v, dtype=float) / nvt
+    out = scale * np.array([wright_omega(t) for t in x.ravel().tolist()]).reshape(x.shape) \
+        - model.i_s
+    return float(out) if np.ndim(v) == 0 else out
 
 
 def composite_diode_conductance(model: ShockleyDiodeModel, v, i=None):

@@ -2,12 +2,12 @@
 
 Unknowns per step are x = (phi, i_L, i_V); capacitor charges and resistive
 currents are eliminated via q = q(v) and i = i(v).  `state.march` sets the
-companion scheme and the time grid.  Once per step size the solver LU-factors
+companion scheme and the time grid.  Once per step size the solver inverts
 a base stamp B: `netlist.mna_stamp` of the linear values, with fixed base
 slopes g0 at the m nonlinear columns.  Seen from those columns the rest of the
 circuit is a linear m-port, so each step is one solve x_b = B^-1 b and a
 damped Newton on m unknowns: the iterate is x_b - Y S w, with Y = B^-1 E_n
-kept with the factors and w the nonlinear columns' remainder past g0
+kept with the inverse and w the nonlinear columns' remainder past g0
 (Woodbury's identity), and each try costs one model evaluation and one m x m
 solve.  Every try is judged by the exact residual, and the step ends with a
 Newton step from it.  A circuit with no nonlinear column has B = J_lin, and
@@ -28,7 +28,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import elements as em
 from .dataset import ElementBinding, bindings_by_group, held_values
@@ -73,8 +72,8 @@ def analytic_rc_voltage(r: float, c: float, v: float, t) -> float | np.ndarray:
 
 
 class TraditionalSolver:
-    """MNA stepper for circuits with fully known elements: one solve with the
-    base stamp's LU factors per step, then damped Newton on the nonlinear
+    """MNA stepper for circuits with fully known elements: one product with
+    the base stamp's inverse per step, then damped Newton on the nonlinear
     columns."""
 
     def __init__(self, graph: CircuitGraph, inc: IncidenceSet,
@@ -120,25 +119,32 @@ class TraditionalSolver:
                 slope0, ends)
 
     def _base(self, alpha: float):
-        """(alpha, [J_lin, E_n S], lu, piv, info, Y S, Z S, g0), kept for one
-        alpha.  J_lin is the linear stamp (`netlist.mna_stamp` of the linear
-        G, C and L values) and E_n the nonlinear columns' incidence a_n padded
-        to the unknowns; S = diag(scale), scale alpha at a C column and 1 at a
-        G column.  The base stamp B is J_lin plus the base slopes g0 at the
-        nonlinear columns, (lu, piv, info) its LU factors, Y = B^-1 E_n and
-        Z = a_n.T Y.  Z S and g0 are lists: the Newton loop runs on floats."""
+        """(alpha, [J_lin, E_n S], B^-1, Y S, Z S, g0), kept for one alpha.
+        J_lin is the linear stamp (`netlist.mna_stamp` of the linear G, C and
+        L values) and E_n the nonlinear columns' incidence a_n padded to the
+        unknowns; S = diag(scale), scale alpha at a C column and 1 at a G
+        column.  The base stamp B is J_lin plus the base slopes g0 at the
+        nonlinear columns, B^-1 its inverse (None when B is singular), Y =
+        B^-1 E_n and Z = a_n.T Y.  A solve is one product with B^-1, which is
+        forward-accurate but not backward stable (Higham, "Accuracy and
+        Stability of Numerical Algorithms", 2nd ed. (2002), §14.1); the
+        Newton loop judges each of its iterates by the exact residual.  Z S
+        and g0 are lists: the Newton loop runs on floats."""
         if self._system is None or self._system[0] != alpha:
             g_lin, c_lin, nl_g, nl_c, _, a_n, is_c, slope0, _ = self._columns
             g_base, c_base = g_lin.copy(), c_lin.copy()
             g_base[nl_g], c_base[nl_c] = (np.array(slope0)[mask] for mask in (~is_c, is_c))
-            lu, piv, info = lapack.dgetrf(mna_stamp(self.inc, alpha, g_base, c_base,
-                                                    self.l_values))
-            e_ns = np.zeros((len(lu), len(slope0)))
+            base = mna_stamp(self.inc, alpha, g_base, c_base, self.l_values)
+            try:
+                inv = np.linalg.inv(base)
+            except np.linalg.LinAlgError:
+                inv = None
+            e_ns = np.zeros((len(base), len(slope0)))
             e_ns[:self.nphi] = a_n * np.where(is_c, alpha, 1.0)
-            ys = lapack.dgetrs(lu, piv, e_ns)[0] if info == 0 and e_ns.size else e_ns
+            ys = inv.dot(e_ns) if inv is not None and e_ns.size else e_ns
             self._system = (alpha, np.hstack([mna_stamp(self.inc, alpha, g_lin, c_lin,
                                                          self.l_values), e_ns]),
-                            lu, piv, info, ys, a_n.T.dot(ys[:self.nphi]).tolist(), slope0)
+                            inv, ys, a_n.T.dot(ys[:self.nphi]).tolist(), slope0)
         return self._system
 
     def _branch_voltages(self, x: np.ndarray) -> list:
@@ -197,10 +203,10 @@ class TraditionalSolver:
             b += self.inc.a_i.dot(i_src)
         b = np.concatenate([b, -rhs_l, v_src] if self.n_l else [b, v_src])
         base = self._base(alpha)
-        _, _, lu, piv, info, ys, zs, g0 = base
-        if info != 0:
+        _, _, inv, ys, zs, g0 = base
+        if inv is None:
             raise SolverError(f"singular MNA system at t={t}")
-        x_b, _ = lapack.dgetrs(lu, piv, b)
+        x_b = inv.dot(b)
         if not zs:  # no nonlinear column: B is J_lin, and x_b solves the step
             if not all(map(math.isfinite, x_b.tolist())):
                 raise SolverError(f"non-finite solution at t={t}")
@@ -247,7 +253,7 @@ class TraditionalSolver:
             it += 1
         while norm > 0.0:
             # the polish: J^-1 f = B^-1 f - Y S D (I + Z S D)^-1 a_n.T B^-1 f
-            v, _ = lapack.dgetrs(lu, piv, f)
+            v = inv.dot(f)
             d = [sl - g for sl, g in zip(slopes, g0)]
             try:
                 q = _solve_m(zs, d, self._branch_voltages(v))
@@ -303,16 +309,20 @@ class TraditionalSolver:
 def run_transient_traditional(graph: CircuitGraph, inc: IncidenceSet,
                               bindings: list[ElementBinding],
                               config: TransientConfig) -> TransientTrace:
-    """March the model-based MNA solver over the configured time grid."""
+    """March the model-based MNA solver over the configured time grid.
+
+    A product with the inverse that overflows gives inf without a warning:
+    the step's finiteness checks raise `SolverError` on it."""
     solver = TraditionalSolver(graph, inc, bindings)
-    state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
 
     def step(x, t, alpha, rhs_c, rhs_l):
         x, n_it, values = solver.step(x, t, alpha, rhs_c, rhs_l)
         return solver.lift(x, values).x, x, n_it, True, None
 
-    return march(graph, config, state0,
-                 np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
+    with np.errstate(over="ignore"):
+        state0 = solver.initial_state(config.t0, *config.init.resolve(graph))
+        return march(graph, config, state0,
+                     np.concatenate([state0.phi, state0.i_l, state0.i_v]), step)
 
 
 def kcl_residual(inc: IncidenceSet, trace: TransientTrace) -> float:

@@ -5,7 +5,6 @@ import logging
 import numpy as np
 import pytest
 
-from ddmna import ddsolver
 from ddmna.dataset import (
     ElementBinding,
     MeasurementSet,
@@ -19,6 +18,7 @@ from ddmna.dataset import (
 from ddmna.ddsolver import (
     DDConfig,
     DDSolver,
+    DDSolverError,
     KirchhoffSystem,
     KnownTangent,
     brute_force_timestep,
@@ -264,6 +264,54 @@ def test_all_known_matches_traditional_both_schemes():
                     <= 1e-9 * np.abs(ref).max(initial=0.0), (net, scheme, name)
 
 
+def test_all_known_linear_steps_take_one_projection():
+    # with no data element and no known-nonlinear element, the first
+    # Kirchhoff state of a step is final
+    for net in (SCENARIOS["rc-linear"].netlist, RLC_ISRC_NET):
+        graph = parse_netlist(net)
+        inc = build_incidence(graph)
+        known = bindings_from_graph(graph)
+        cfg = TransientConfig(scheme="trapezoidal", t_end=2e-3, steps=50)
+        dd = run_transient_dd(graph, inc, known, cfg, DDConfig())
+        assert all(s.iterations == 1 and s.stop_reason == "selection-fixed"
+                   for s in dd.step_details[1:]), net
+
+
+def test_skipped_confirming_descent_would_keep_the_picks(monkeypatch):
+    # Under constant weights with linear known elements, an iteration after
+    # the first skips its descent.  A full descent there keeps every pick,
+    # so the step's picks, selections and states are those of the full one.
+    graph, inc, known, binds, cfg, trad = rc_data_setup(steps=50, n=200)
+    data_step = DDSolver._data_step
+    skipped = []
+
+    def full_descent(self, system, alpha, zo, picks, ab, descend=True):
+        before = picks.copy()
+        out = data_step(self, system, alpha, zo, picks, ab)
+        if not descend:
+            assert np.array_equal(picks, before)
+            skipped.append(1)
+        return out
+
+    dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
+    monkeypatch.setattr(DDSolver, "_data_step", full_descent)
+    full = run_transient_dd(graph, inc, binds, cfg, DDConfig())
+    assert len(skipped) >= cfg.steps  # one per step, at least
+    assert np.array_equal(np.array([s.x for s in dd.states]), np.array([s.x for s in full.states]))
+    assert [s.selected_indices for s in dd.step_details[1:]] == \
+        [s.selected_indices for s in full.step_details[1:]]
+
+
+def test_singular_projection_raises_solver_error():
+    # at alpha = 0 a known capacitor stamps nothing, so node 1 of this
+    # all-known circuit has no equation: the projection's matrix is singular
+    graph = parse_netlist("I1 0 1 DC 1e-3\nC1 1 0 1e-6\n")
+    solver = DDSolver(graph, build_incidence(graph), bindings_from_graph(graph))
+    with pytest.raises(DDSolverError, match="singular projection system"):
+        solver.project_to_kirchhoff(CircuitState.zeros(graph), 0.0, np.zeros(1), NO_L,
+                                    *sources(graph, 0.0))
+
+
 def test_monotone_descent_and_feasibility():
     graph, inc, known, binds, cfg, trad = rc_data_setup(steps=100, n=500)
     dd = run_transient_dd(graph, inc, binds, cfg, DDConfig())
@@ -297,13 +345,13 @@ def test_each_system_factors_a_matrix_once(monkeypatch):
     binds = synthesize_datasets(scenario, graph, known,
                                 run_transient_traditional(graph, inc, known, cfg), 1000)
     factored = []
-    dgetrf = ddsolver.lapack.dgetrf
+    inv = np.linalg.inv
 
-    def counting_dgetrf(a, *args, **kwargs):
+    def counting_inv(a):
         factored.append(a.tobytes())
-        return dgetrf(a, *args, **kwargs)
+        return inv(a)
 
-    monkeypatch.setattr(ddsolver.lapack, "dgetrf", counting_dgetrf)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     init = (cfg.t0, *cfg.init.resolve(graph))
     solver = DDSolver(graph, inc, binds, DDConfig())
     state, zx = solver.initial_state(*init)

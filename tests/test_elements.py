@@ -22,6 +22,7 @@ from ddmna.elements import (
     shockley_conductance,
     shockley_current,
     source_value,
+    wright_omega,
 )
 
 DIODE = ShockleyDiodeModel(i_s=2.52e-9, n_ideality=1.752, v_t=25.85e-3,
@@ -147,17 +148,53 @@ def test_composite_conductance_deep_reverse_bias(model):
     assert composite_diode_conductance(model, v) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_import_does_not_load_scipy_special():
-    # The composite diode imports scipy.special on first use; loading it at
-    # import time would slow every `import ddmna`.
+def test_rectifier_run_loads_no_scipy_linalg_or_special():
+    # Both solvers invert with NumPy and the diode's Wright omega is
+    # `wright_omega`: neither the import nor a rectifier cell loads
+    # scipy.linalg or scipy.special, which would slow every `import ddmna`.
     src = str(Path(ddmna.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ddmna; print('scipy.special' in sys.modules)"],
+         "import sys, ddmna\n"
+         "from ddmna.scenarios import run_cell\n"
+         "loaded = lambda: sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules))\n"
+         "print(loaded())\n"
+         "run_cell('rectifier', 'trapezoidal', 20, 100)\n"
+         "print(loaded())"],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def _omega_arguments() -> np.ndarray:
+    """x over [-745, 1e3]: a grid, a denser one over the small-omega starts,
+    and each region boundary with its two neighbouring floats."""
+    edges = np.array([-745.0, -50.0, -2.0, 1.0, 1e3])
+    return np.concatenate([np.linspace(-745.0, 1e3, 20001), np.linspace(-60.0, 5.0, 20001),
+                           edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+def test_wright_omega_matches_scipy():
+    from scipy.special import wrightomega
+
+    x = _omega_arguments()
+    ours = np.array([wright_omega(t) for t in x.tolist()])
+    ref = wrightomega(x)
+    ulps = np.abs(ours - ref) / np.array([math.ulp(r) for r in ref.tolist()])
+    assert ulps.max() <= 4.0
+
+
+def test_wright_omega_solves_its_equation():
+    # w + ln w = x to the rounding of the three terms, plus what w's own
+    # half ulp, h = w rel, moves w + ln w by, h - ln(1 - rel): the whole
+    # residual where w is subnormal, near x = -745
+    eps = np.finfo(float).eps
+    for x in _omega_arguments().tolist():
+        w = wright_omega(x)
+        log_w, rel = math.log(w), math.ulp(w) / w / 2.0
+        tol = 4.0 * eps * (abs(x) + w + abs(log_w)) + w * rel - math.log1p(-rel)
+        assert abs(w + log_w - x) <= tol, x
 
 
 def test_composite_voltage_domain_error():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ddmna import elements as em
-from ddmna import reference
 from ddmna.dataset import bindings_from_graph
 from ddmna.ddsolver import DDConfig, run_transient_dd
 from ddmna.netlist import build_incidence, held_circuit, mna_stamp, parse_netlist, sources
@@ -208,21 +207,34 @@ def test_split_jacobian_is_the_true_jacobian(alpha):
         assert jac == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
+def _count_inverses(monkeypatch):
+    """Count the solver's factor and solve calls: record the shape of each
+    matrix np.linalg.inv inverts, and of each right-hand side an inverse it
+    returned multiplies.  Returns (inverted, products), the two lists."""
+    inverted, products = [], []
+    inv = np.linalg.inv
+
+    class CountingInverse(np.ndarray):
+        def dot(self, b):
+            products.append(np.shape(b))
+            return np.asarray(self).dot(b)
+
+    def counting_inv(a):
+        inverted.append(np.shape(a))
+        return inv(a).view(CountingInverse)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return inverted, products
+
+
 def test_linear_circuit_factors_once_per_step_size(monkeypatch):
-    # 100 trapezoidal steps: one LU for the h/100 bootstrap alpha and one for
-    # the step alpha; the held circuit at t0 is a different, larger system
+    # 100 trapezoidal steps: one inverse for the h/100 bootstrap alpha and one
+    # for the step alpha; the held circuit at t0 is a different, larger system
     stages = 5
     net = "V1 1 0 SIN 0 1 1000\n" + "".join(
         f"R{k} {k} {k + 1} 1e3\nC{k} {k + 1} 0 1e-8\n" for k in range(1, stages + 1))
     graph, inc, binds = _setup(net)
-    shapes = []
-    dgetrf = reference.lapack.dgetrf
-
-    def counting_dgetrf(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return dgetrf(a, *args, **kwargs)
-
-    monkeypatch.setattr(reference.lapack, "dgetrf", counting_dgetrf)
+    shapes, _ = _count_inverses(monkeypatch)
     cfg = TransientConfig(scheme="trapezoidal", t_end=1e-3, steps=100)
     run_transient_traditional(graph, inc, binds, cfg)
     n = graph.n - 1 + graph.count("L") + graph.count("V")
@@ -233,27 +245,22 @@ def test_linear_circuit_factors_once_per_step_size(monkeypatch):
 @pytest.mark.parametrize("scheme", ["backward-euler", "trapezoidal"])
 @pytest.mark.parametrize("net", [RC_NET, LADDER_NET], ids=["rc", "ladder-25"])
 def test_linear_circuit_takes_one_solve_per_step(monkeypatch, net, scheme):
-    # no residual evaluation and one dgetrs with the kept factors per step,
+    # no residual evaluation and one product with the kept inverse per step,
     # counting the held step at t0 and the trapezoidal bootstrap as steps
     graph, inc, binds = _setup(net)
-    calls = {"dgetrs": 0, "residual_jacobian": 0}
-    dgetrs = reference.lapack.dgetrs
+    _, products = _count_inverses(monkeypatch)
+    calls = {"residual_jacobian": 0}
     residual_jacobian = TraditionalSolver.residual_jacobian
-
-    def counting_dgetrs(*args, **kwargs):
-        calls["dgetrs"] += 1
-        return dgetrs(*args, **kwargs)
 
     def counting_residual_jacobian(self, *args):
         calls["residual_jacobian"] += 1
         return residual_jacobian(self, *args)
 
-    monkeypatch.setattr(reference.lapack, "dgetrs", counting_dgetrs)
     monkeypatch.setattr(TraditionalSolver, "residual_jacobian", counting_residual_jacobian)
     cfg = TransientConfig(scheme=scheme, t_end=1e-3, steps=50)
     trace = run_transient_traditional(graph, inc, binds, cfg)
-    assert calls == {"dgetrs": 1 + (scheme == "trapezoidal") + cfg.steps,
-                     "residual_jacobian": 0}
+    assert {"solves": len(products), **calls} == {
+        "solves": 1 + (scheme == "trapezoidal") + cfg.steps, "residual_jacobian": 0}
     assert np.all(trace.iterations[1:] == 1)
     assert kcl_residual(inc, trace) <= 1e-10
 
@@ -289,19 +296,13 @@ def test_non_finite_newton_residual_raises_solver_error(monkeypatch):
 
 
 def test_nonlinear_circuit_factors_once_per_step_size(monkeypatch):
-    # the base stamp is LU-factored once per alpha: the held circuit's step
-    # at t0 (a different, larger system), the h/100 bootstrap and the step
-    # alpha; the Newton iterates solve with those factors and factor nothing
+    # the base stamp is inverted once per alpha: the held circuit's step at
+    # t0 (a different, larger system), the h/100 bootstrap and the step
+    # alpha; the Newton iterates solve with those inverses and factor nothing
     graph, inc, binds = _setup(RECT_NET)
-    shapes, dgesv = [], []
-    dgetrf = reference.lapack.dgetrf
-
-    def counting_dgetrf(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return dgetrf(a, *args, **kwargs)
-
-    monkeypatch.setattr(reference.lapack, "dgetrf", counting_dgetrf)
-    monkeypatch.setattr(reference.lapack, "dgesv", lambda *args, **kwargs: dgesv.append(1))
+    shapes, _ = _count_inverses(monkeypatch)
+    dgesv = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args, **kwargs: dgesv.append(1))
     cfg = TransientConfig(scheme="trapezoidal", t_end=0.02, steps=100)
     trace = run_transient_traditional(graph, inc, binds, cfg)
     n = graph.n - 1 + graph.count("L") + graph.count("V")
