@@ -4,14 +4,12 @@ Unknowns per step are x = (phi, i_L, i_V); capacitor charges and resistive
 currents are eliminated via q = q(v) and i = i(v).  `state.march` sets the
 companion scheme and the time grid.  Once per step size the solver inverts
 a base stamp B: `netlist.mna_stamp` of the linear values, with fixed base
-slopes g0 at the m nonlinear columns.  Seen from those columns the rest of the
-circuit is a linear m-port, so each step is one solve x_b = B^-1 b and a
-damped Newton on m unknowns: the iterate is x_b - Y S w, with Y = B^-1 E_n
-kept with the inverse and w the nonlinear columns' remainder past g0
-(Woodbury's identity), and each try costs one model evaluation and one m x m
-solve.  Every try is judged by the exact residual, and the step ends with a
-Newton step from it.  A circuit with no nonlinear column has B = J_lin, and
-x_b is its solution.  The solver keeps the model values and slopes of the
+slopes g0 at the m nonlinear columns.  A circuit with no nonlinear column has
+B = J_lin, and one product with the inverse solves its step.  Else a step is
+damped Newton on the exact residual.  The Jacobian differs from B by a rank-m
+stamp at the nonlinear columns, so each Newton direction is one product with
+B^-1 and one m x m solve (Woodbury's identity), and each try along it costs
+one model evaluation.  The solver keeps the model values and slopes of the
 iterate it accepts, and a step that starts from that iterate at the same
 alpha, as the march's next step does, starts from them with the arithmetic of
 `residual_jacobian`, so it equals a fresh start bit for bit.  A march step
@@ -51,13 +49,13 @@ def _max_abs(f: np.ndarray) -> float:
 def _solve_m(zs: list, d: list, rhs: list) -> list:
     """Solve (I + Z S D) z = rhs, the m x m system of Woodbury's identity for
     the Jacobian B + E_n S D a_n.T, D = diag(d): a division when m = 1, else
-    the minimum-norm least-squares solution, singular values below eps
+    the minimum-norm least-squares solution, singular values below m eps
     times the largest dropped.  Such a direction, as for a node that only
     far reverse-biased diodes touch, is one the Jacobian does not resolve
     against B's rounding, and the step does not move along it."""
     if len(rhs) == 1:
         return [rhs[0] / (1.0 + zs[0][0] * d[0])]
-    return np.linalg.lstsq(np.eye(len(rhs)) + np.array(zs) * d, rhs)[0].tolist()
+    return np.linalg.lstsq(np.eye(len(rhs)) + np.array(zs) * d, rhs, rcond=None)[0].tolist()
 
 
 class SolverError(RuntimeError):
@@ -72,9 +70,9 @@ def analytic_rc_voltage(r: float, c: float, v: float, t) -> float | np.ndarray:
 
 
 class TraditionalSolver:
-    """MNA stepper for circuits with fully known elements: one product with
-    the base stamp's inverse per step, then damped Newton on the nonlinear
-    columns."""
+    """MNA stepper for circuits with fully known elements: a linear step is
+    one product with the base stamp's inverse, a nonlinear one damped Newton
+    whose directions come from that inverse."""
 
     def __init__(self, graph: CircuitGraph, inc: IncidenceSet,
                  bindings: list[ElementBinding]):
@@ -176,21 +174,17 @@ class TraditionalSolver:
         """Solve the companion system at time t from x, which it does not modify;
         returns (x, Newton iterations, the nonlinear columns' i and q at x).
 
-        With u = a_n.T phi the nonlinear columns' branch voltages and
-        c = r(u) - g0 u their values' remainder past the base slopes, the
-        residual is F(x) = B x - b + E_n S c.  One solve gives x_b = B^-1 b,
-        the solution when no column is nonlinear (reported as one iteration).
-        Else a Newton step from any x lands at x_b - Y S w, with w = c + D du
-        the remainder linearised at u + du, D = diag(slopes - g0) and du from
-        one m x m solve (`_solve_m`).  Damped Newton therefore runs on
-        (mu, w), x = x_b + mu (x0 - x_b) - Y S w from the warm start x0
-        (mu = 1, w = 0); each try costs one model evaluation and is judged by
-        its exact residual (`_residual`).  The step ends with the polish, a
-        Newton step from the exact residual with the Jacobian's inverse taken
-        from B's by Woodbury's identity, kept when it lowers that residual.
-        When no try lowers the residual, because x_b - Y S w carries B's
-        rounding, polish steps take the iterate to the tolerance, each
-        counted as an iteration.
+        With no nonlinear column, x = B^-1 b solves the step (reported as one
+        iteration).  Else the step is damped Newton on the exact residual f
+        (`_residual`).  The Jacobian is J = B + E_n S D a_n.T with D =
+        diag(slopes - g0), so by Woodbury's identity its direction is
+        J^-1 f = B^-1 f - Y S D (I + Z S D)^-1 a_n.T B^-1 f: one product with
+        B^-1, one m x m solve (`_solve_m`) and one product with Y S.  An
+        iteration tries x - lam J^-1 f from lam = 1, halving lam up to
+        NEWTON_MAX_HALVINGS times until max |f| drops; each try costs one
+        model evaluation.  Once max |f| meets the tolerance, one full step
+        more is tried, not counted as an iteration, and kept when it lowers
+        max |f|; a residual of exactly 0 takes none.
 
         The solver keeps the model values and slopes at the x it returns,
         which the caller must not change in place; a next call with that
@@ -206,11 +200,11 @@ class TraditionalSolver:
         _, _, inv, ys, zs, g0 = base
         if inv is None:
             raise SolverError(f"singular MNA system at t={t}")
-        x_b = inv.dot(b)
-        if not zs:  # no nonlinear column: B is J_lin, and x_b solves the step
-            if not all(map(math.isfinite, x_b.tolist())):
+        if not zs:  # no nonlinear column: B is J_lin, and B^-1 b solves the step
+            x = inv.dot(b)
+            if not all(map(math.isfinite, x.tolist())):
                 raise SolverError(f"non-finite solution at t={t}")
-            return x_b, 1, _NO_VALUES
+            return x, 1, _NO_VALUES
         tol = NEWTON_RTOL * max([1.0, *map(abs, v_src), *map(abs, i_src)])
         kept = self._accepted
         if kept is not None and kept[0] is x and kept[1] == alpha:
@@ -219,54 +213,34 @@ class TraditionalSolver:
         else:
             f, slopes, values = self.residual_jacobian(x, alpha, b)
         norm, it = _max_abs(f), 0
-        x0, mu, u_b, w = x, 1.0, self._branch_voltages(x_b), [0.0] * len(zs)
-        while not norm <= tol:
-            if it == NEWTON_MAX_ITER:
-                raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
-            u = self._branch_voltages(x)
-            c = [r - g * v for r, g, v in zip(values, g0, u)]
-            d = [sl - g for sl, g in zip(slopes, g0)]
-            try:
-                du = _solve_m(zs, d, [ub - ui - sum([z * cj for z, cj in zip(row, c)])
-                                      for ui, ub, row in zip(u, u_b, zs)])
-            except (ZeroDivisionError, np.linalg.LinAlgError):
-                raise SolverError(f"singular MNA system at t={t}") from None
-            w_full = [ci + di * dui for ci, di, dui in zip(c, d, du)]
-            lam = 1.0
-            for _ in range(NEWTON_MAX_HALVINGS + 1):
-                mu_try = (1.0 - lam) * mu
-                w_try = [wi + lam * (wf - wi) for wi, wf in zip(w, w_full)]
-                x_try = x_b - ys.dot(w_try)
-                if mu_try:
-                    x_try += mu_try * (x0 - x_b)
-                f_try, slopes_try, values_try = self.residual_jacobian(x_try, alpha, b)
-                norm_try = _max_abs(f_try)
-                if norm_try < norm or not norm_try < np.inf:
-                    break
-                lam *= 0.5
-            else:  # no try lowers the residual: the polish steps go on
-                break
-            if not norm_try < np.inf:
-                raise SolverError(f"Newton failed at t={t}: residual {norm_try:.3e} is not finite")
-            x, f, norm, slopes, values, w, mu = (x_try, f_try, norm_try, slopes_try, values_try,
-                                                 w_try, mu_try)
-            it += 1
         while norm > 0.0:
-            # the polish: J^-1 f = B^-1 f - Y S D (I + Z S D)^-1 a_n.T B^-1 f
+            above = not norm <= tol
+            if above and it == NEWTON_MAX_ITER:
+                raise SolverError(f"Newton failed at t={t}: residual {norm:.3e} > {tol:.3e}")
+            # J^-1 f = B^-1 f - Y S D (I + Z S D)^-1 a_n.T B^-1 f
             v = inv.dot(f)
             d = [sl - g for sl, g in zip(slopes, g0)]
             try:
                 q = _solve_m(zs, d, self._branch_voltages(v))
             except (ZeroDivisionError, np.linalg.LinAlgError):
+                if not above:
+                    break
+                raise SolverError(f"singular MNA system at t={t}") from None
+            delta, lam = v - ys.dot([di * qi for di, qi in zip(d, q)]), 1.0
+            for _ in range(NEWTON_MAX_HALVINGS + 1 if above else 1):
+                x_try = x - lam * delta
+                f_try, slopes_try, values_try = self.residual_jacobian(x_try, alpha, b)
+                norm_try = _max_abs(f_try)
+                if norm_try < norm:
+                    break
+                if above and not norm_try < np.inf:
+                    raise SolverError(
+                        f"Newton failed at t={t}: residual {norm_try:.3e} is not finite")
+                lam *= 0.5
+            else:  # no try lowers the residual
                 break
-            x_try = x - v + ys.dot([di * qi for di, qi in zip(d, q)])
-            f_try, slopes_try, values_try = self.residual_jacobian(x_try, alpha, b)
-            norm_try = _max_abs(f_try)
-            if not norm_try < norm:
-                break
-            above = norm > tol
             x, f, norm, slopes, values = x_try, f_try, norm_try, slopes_try, values_try
-            if not above or it == NEWTON_MAX_ITER:
+            if not above:
                 break
             it += 1
         if not norm <= tol:

@@ -295,6 +295,16 @@ def test_non_finite_newton_residual_raises_solver_error(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_newton_iteration_cap_raises_solver_error(monkeypatch):
+    # one iteration cannot take the diode from the bootstrap step's warm
+    # start to the tolerance, so the run stops there with the residual
+    monkeypatch.setattr("ddmna.reference.NEWTON_MAX_ITER", 1)
+    graph, inc, binds = _setup(RECT_NET)
+    cfg = TransientConfig(scheme="trapezoidal", t_end=0.02, steps=50)
+    with pytest.raises(SolverError, match="Newton failed at t=4e-06: residual .* > "):
+        run_transient_traditional(graph, inc, binds, cfg)
+
+
 def test_nonlinear_circuit_factors_once_per_step_size(monkeypatch):
     # the base stamp is inverted once per alpha: the held circuit's step at
     # t0 (a different, larger system), the h/100 bootstrap and the step
@@ -364,8 +374,9 @@ def _dense_newton_run(graph, inc, binds, cfg):
     (RECT_NET, 0.02, 400), (MLCC_NET, 1e-3, 50), (MIXED_NET, 0.02, 400), (SERIES_NET, 4e-3, 80)],
     ids=["rectifier", "mlcc", "mixed", "series-diodes"])
 def test_branch_newton_equals_dense_full_system_newton(net, t_end, steps, scheme):
-    # the Newton on the nonlinear columns, with its one LU per step size,
-    # against the same damped Newton on the full system.  The series-diode
+    # the Newton with its Woodbury directions from one kept inverse per step
+    # size, against the same damped Newton on the full system: the same
+    # states and the same iteration count at every step.  The series-diode
     # window ends at 4 ms: later both diodes sit far in reverse bias, where
     # node 2 only carries i_s (exp(v1/nvT) - exp(v2/nvT)), so any split of
     # the reverse voltage meets the tolerance and neither solver pins it.
@@ -376,6 +387,7 @@ def test_branch_newton_equals_dense_full_system_newton(net, t_end, steps, scheme
     got = run_transient_traditional(graph, inc, binds, cfg)
     want = _dense_newton_run(graph, inc, binds, cfg)
     assert np.abs(_states(got) - _states(want)).max() <= 1e-11 * np.abs(_states(want)).max()
+    assert np.array_equal(got.iterations, want.iterations)
     assert kcl_residual(inc, got) <= 1e-10
 
 
